@@ -196,18 +196,22 @@ class CommLedger:
     """Byte counts a protocol run actually produced, 8 bytes per scalar."""
 
     entries: list[LedgerEntry] = field(default_factory=list)
+    _total: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self._total = sum(e.nbytes for e in self.entries)
 
     def record(self, direction, kind, client_id, nbytes, round_index):
         if kind not in PAYLOAD_KINDS:
             raise InputError(f"unknown payload kind {kind!r}")
         if nbytes < 0:
             raise InputError("byte counts must be nonnegative")
-        self.entries.append(
-            LedgerEntry(direction, kind, client_id, int(nbytes), round_index)
-        )
+        entry = LedgerEntry(direction, kind, client_id, int(nbytes), round_index)
+        self.entries.append(entry)
+        self._total += entry.nbytes
 
     def total_bytes(self) -> int:
-        return sum(e.nbytes for e in self.entries)
+        return self._total
 
     def bytes_by_kind(self) -> dict[str, int]:
         out = {k: 0 for k in PAYLOAD_KINDS}

@@ -14,7 +14,6 @@ import io
 import json
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from itertools import product
 from pathlib import Path
@@ -33,8 +32,6 @@ from .protocols import (
     SplitTrainer,
     keyed_rng,
 )
-
-THREADS_ENV = "SPLITSIM_THREADS"
 
 
 @dataclass
@@ -366,14 +363,6 @@ def set_by_path(tree: dict, dotted: str, value) -> None:
     node[parts[-1]] = value
 
 
-def _worker_count() -> int:
-    raw = os.environ.get(THREADS_ENV, "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise ConfigError(f"{THREADS_ENV} must be an integer, got {raw!r}")
-
-
 def sweep(
     base: dict,
     grid: dict[str, list],
@@ -385,8 +374,7 @@ def sweep(
     ``base`` is a raw experiment-config dict; grid keys are dotted paths
     into it. Returns one row per cell with per-seed finals plus mean and
     standard deviation, and writes ``sweep.csv`` when ``out_dir`` is given.
-    Independent runs execute in parallel when SPLITSIM_THREADS > 1; results
-    are aggregated in grid order either way.
+    Runs execute one after another in grid order.
     """
     if not grid:
         raise ConfigError("sweep grid is empty", field="grid")
@@ -403,30 +391,21 @@ def sweep(
             for key, value in zip(keys, cell):
                 set_by_path(raw, key, value)
             set_by_path(raw, "protocol.seed", seed)
-            jobs.append((cell, seed, ExperimentConfig.from_dict(raw)))
+            jobs.append((cell, ExperimentConfig.from_dict(raw)))
 
-    def execute(job):
-        cell, seed, cfg = job
-        run_dir = Path(out_dir) / "runs" if out_dir is not None else None
+    run_dir = Path(out_dir) / "runs" if out_dir is not None else None
+    by_cell: dict[tuple, list] = {cell: [] for cell in cells}
+    for cell, cfg in jobs:
         result = run_experiment(cfg, run_dir)
-        return cell, seed, result
-
-    workers = _worker_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(execute, jobs))
-    else:
-        outcomes = [execute(job) for job in jobs]
-
-    by_cell: dict[tuple, list] = {}
-    for cell, seed, result in outcomes:
-        by_cell.setdefault(cell, []).append((seed, result))
+        by_cell[cell].append((result.final_accuracy, result.final_loss))
+        # Drop the trainer (all client data) and ledger before the next run.
+        del result
 
     rows = []
     for cell in cells:
         entries = by_cell[cell]
-        accs = np.array([r.final_accuracy for _, r in entries])
-        losses = np.array([r.final_loss for _, r in entries])
+        accs = np.array([acc for acc, _ in entries])
+        losses = np.array([loss for _, loss in entries])
         row = {key: value for key, value in zip(keys, cell)}
         row.update(
             {

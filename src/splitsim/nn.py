@@ -11,11 +11,15 @@ Gradient conventions:
       comparable across batch sizes;
     - ``backward(cache, upstream)`` propagates an arbitrary upstream
       gradient, enabling segment-wise chaining.
+
+Layers are rank-polymorphic: a ``LayerStack`` of client copies runs them all
+at once on [clients, batch, features] input, with the 2-D path's arithmetic.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -32,35 +36,36 @@ def as_tensor(x) -> Array:
 
 def check_finite(x: Array, where: str) -> None:
     """Reject NaN/Inf; layer boundaries call this on their outputs."""
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise NumericError(f"non-finite values in {where}")
 
 
 class Dense:
-    """Affine layer ``y = x @ W.T + b`` with ``W`` shaped [out, in]."""
+    """Affine layer ``y = x @ W.T + b`` with ``W`` shaped [out, in], or
+    [clients, out, in] with ``b`` [clients, out] for a client stack."""
 
     kind = "dense"
 
     def __init__(self, weight, bias):
         self.weight = as_tensor(weight)
         self.bias = as_tensor(bias)
-        if self.weight.ndim != 2:
-            raise DimensionError("dense weight must be [out, in]")
-        if self.bias.shape != (self.weight.shape[0],):
+        if self.weight.ndim not in (2, 3):
+            raise DimensionError("dense weight must be [out, in] or [clients, out, in]")
+        if self.bias.shape != self.weight.shape[:-1]:
             raise DimensionError(
                 f"bias shape {self.bias.shape} does not match out dim "
-                f"{self.weight.shape[0]}"
+                f"{self.weight.shape[:-1]}"
             )
         check_finite(self.weight, "dense weight")
         check_finite(self.bias, "dense bias")
 
     @property
     def in_dim(self) -> int:
-        return self.weight.shape[1]
+        return self.weight.shape[-1]
 
     @property
     def out_dim(self) -> int:
-        return self.weight.shape[0]
+        return self.weight.shape[-2]
 
     def params(self) -> list[Array]:
         return [self.weight, self.bias]
@@ -72,15 +77,15 @@ class Dense:
         self.weight, self.bias = weight, bias
 
     def forward(self, x: Array) -> Array:
-        if x.shape[1] != self.in_dim:
+        if x.shape[-1] != self.in_dim:
             raise DimensionError(
-                f"dense layer expects {self.in_dim} features, got {x.shape[1]}"
+                f"dense layer expects {self.in_dim} features, got {x.shape[-1]}"
             )
-        return x @ self.weight.T + self.bias
+        return x @ self.weight.swapaxes(-1, -2) + self.bias[..., None, :]
 
     def backward(self, x: Array, upstream: Array) -> tuple[list[Array], Array]:
-        grad_w = upstream.T @ x
-        grad_b = upstream.sum(axis=0)
+        grad_w = upstream.swapaxes(-1, -2) @ x
+        grad_b = upstream.sum(axis=-2)
         grad_x = upstream @ self.weight
         return [grad_w, grad_b], grad_x
 
@@ -160,12 +165,13 @@ class ActivationCache:
 def forward(layers: Sequence[Layer], x: Array) -> ActivationCache:
     """Run a batch through the stack, caching every layer input.
 
-    Raises ``DimensionError`` on shape mismatch and ``NumericError`` if any
-    activation goes non-finite.
+    ``x`` is [batch, features], or [clients, batch, features] for a client
+    stack. Raises ``DimensionError`` on shape mismatch and ``NumericError``
+    if any activation goes non-finite.
     """
     x = as_tensor(x)
-    if x.ndim != 2:
-        raise DimensionError(f"input must be [batch, features], got {x.shape}")
+    if x.ndim not in (2, 3):
+        raise DimensionError(f"input must be [(clients,) batch, features], got {x.shape}")
     check_finite(x, "network input")
     inputs: list[Array] = []
     for i, layer in enumerate(layers):
@@ -196,29 +202,33 @@ def backward(cache: ActivationCache, upstream: Array) -> tuple[list[list[Array]]
     return grads, g
 
 
-def loss_softmax_ce(logits: Array, labels) -> tuple[float, Array]:
+def loss_softmax_ce(logits: Array, labels) -> tuple[float | Array, Array]:
     """Mean softmax cross-entropy over the batch, with its logits gradient.
 
     loss = mean_i of -log softmax(logits_i)[labels_i]
     grad = (softmax(logits) - onehot(labels)) / batch
 
+    Stacked [clients, batch, classes] logits with [clients, batch] labels
+    give one mean per client (an array) and the stacked gradient.
     Numerically stable for |logit| up to ~1e6 (log-sum-exp with max shift).
     """
-    logits = as_tensor(logits)
+    logits = np.ascontiguousarray(logits, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
-    if logits.ndim != 2 or labels.shape != (logits.shape[0],):
-        raise DimensionError("logits must be [batch, classes] with one label per row")
-    n, k = logits.shape
+    if logits.ndim not in (2, 3) or labels.shape != logits.shape[:-1]:
+        raise DimensionError("logits must be [(clients,) batch, classes], a label per row")
+    n, k = logits.shape[-2:]
     if labels.min(initial=0) < 0 or labels.max(initial=0) >= k:
         raise InputError(f"labels must lie in [0, {k})")
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    log_z = np.log(np.exp(shifted).sum(axis=1))
-    per_row = log_z - shifted[np.arange(n), labels]
-    loss = float(per_row.mean())
-    grad = np.exp(shifted - log_z[:, None])
-    grad[np.arange(n), labels] -= 1.0
+    # Flat index of each row's label entry in the (contiguous) [..., k] arrays.
+    target = np.arange(0, labels.size * k, k) + labels.reshape(-1)
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    log_z = np.log(np.exp(shifted).sum(axis=-1))
+    per_row = log_z - shifted.reshape(-1)[target].reshape(labels.shape)
+    loss = per_row.mean(axis=-1)
+    grad = np.exp(shifted - log_z[..., None])
+    grad.reshape(-1)[target] -= 1.0
     grad /= n
-    return loss, grad
+    return (float(loss) if logits.ndim == 2 else loss), grad
 
 
 # ---------------------------------------------------------------------------
@@ -240,17 +250,6 @@ class OptimizerState:
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
-
-    def copy(self) -> "OptimizerState":
-        return OptimizerState(
-            kind=self.kind,
-            t=self.t,
-            m=None if self.m is None else [a.copy() for a in self.m],
-            v=None if self.v is None else [a.copy() for a in self.v],
-            beta1=self.beta1,
-            beta2=self.beta2,
-            eps=self.eps,
-        )
 
 
 def init_optimizer(kind: str, params: Sequence[Array]) -> OptimizerState:
@@ -279,24 +278,61 @@ def adam_step(
     state: OptimizerState,
     lr: float,
 ) -> tuple[list[Array], OptimizerState]:
-    """Bias-corrected Adam update; advances the step counter in ``state``."""
+    """Bias-corrected Adam update of copies of ``params``; the moments and
+    step counter in ``state`` advance in place (see ``adam_update``)."""
+    out = [np.array(p, dtype=np.float64) for p in params]
+    adam_update(out, grads, state, lr)
+    return out, state
+
+
+# Elements per pass of the Adam kernel: its two scratch rows (256 KiB) stay
+# in cache, where whole-array temporaries of a wide client stack would not.
+ADAM_CHUNK = 16_384
+
+
+def adam_update(
+    params: Sequence[Array],
+    grads: Sequence[Array],
+    state: OptimizerState,
+    lr: float,
+) -> None:
+    """In-place Adam over C-contiguous arrays, in ``ADAM_CHUNK`` pieces.
+
+    Every operation keeps the textbook association, ``((1-b2)*g)*g`` and
+    ``(lr*m_hat)/(sqrt(v_hat)+eps)``, so results equal it bit for bit."""
     if lr <= 0:
         raise InputError("learning rate must be positive")
     _check_aligned(params, grads)
     if state.m is None or state.v is None:
         raise InputError("adam state is uninitialized")
+    flats = [
+        (_writable_flat(p), np.ravel(g), _writable_flat(m), _writable_flat(v))
+        for p, g, m, v in zip(params, grads, state.m, state.v)
+    ]
     state.t += 1
-    b1, b2 = state.beta1, state.beta2
-    bc1 = 1.0 - b1 ** state.t
-    bc2 = 1.0 - b2 ** state.t
-    out = []
-    for i, (p, g) in enumerate(zip(params, grads)):
-        state.m[i] = b1 * state.m[i] + (1.0 - b1) * g
-        state.v[i] = b2 * state.v[i] + (1.0 - b2) * g * g
-        m_hat = state.m[i] / bc1
-        v_hat = state.v[i] / bc2
-        out.append(p - lr * m_hat / (np.sqrt(v_hat) + state.eps))
-    return out, state
+    b1, b2, eps = state.beta1, state.beta2, state.eps
+    bc1 = 1.0 - b1**state.t
+    bc2 = 1.0 - b2**state.t
+    scratch = np.empty((2, min(ADAM_CHUNK, max((p.size for p in params), default=0))))
+    for p, g, m, v in flats:
+        for lo in range(0, p.size, ADAM_CHUNK):
+            hi = min(lo + ADAM_CHUNK, p.size)
+            pc, gc, mc, vc = p[lo:hi], g[lo:hi], m[lo:hi], v[lo:hi]
+            t1, t2 = scratch[0, : hi - lo], scratch[1, : hi - lo]
+            mc *= b1
+            np.multiply(gc, 1.0 - b1, out=t1)
+            mc += t1
+            vc *= b2
+            np.multiply(gc, 1.0 - b2, out=t1)
+            t1 *= gc
+            vc += t1
+            np.divide(mc, bc1, out=t1)
+            t1 *= lr
+            np.divide(vc, bc2, out=t2)
+            np.sqrt(t2, out=t2)
+            t2 += eps
+            t1 /= t2
+            pc -= t1
 
 
 def optimizer_step(
@@ -305,11 +341,22 @@ def optimizer_step(
     state: OptimizerState,
     lr: float,
 ) -> list[Array]:
-    """Dispatch on ``state.kind``; returns the updated parameter list."""
-    if state.kind == "sgd":
-        return sgd_step(params, grads, lr)
-    new_params, _ = adam_step(params, grads, state, lr)
-    return new_params
+    """Dispatch on ``state.kind``; updates ``params`` in place and returns them."""
+    if state.kind == "adam":
+        adam_update(params, grads, state, lr)
+    elif lr <= 0:
+        raise InputError("learning rate must be positive")
+    else:
+        _check_aligned(params, grads)
+        for p, g in zip([_writable_flat(p) for p in params], grads):
+            p -= lr * np.ravel(g)
+    return list(params)
+
+
+def _writable_flat(a: Array) -> Array:
+    if not isinstance(a, np.ndarray) or not a.flags.c_contiguous:
+        raise DimensionError("optimizer arrays must be C-contiguous ndarrays")
+    return a.reshape(-1)
 
 
 def _check_aligned(params: Sequence[Array], grads: Sequence[Array]) -> None:
@@ -357,6 +404,62 @@ def param_count(layers: Sequence[Layer]) -> int:
 
 def copy_layers(layers: Sequence[Layer]) -> list[Layer]:
     return [layer.copy() for layer in layers]
+
+
+class LayerStack:
+    """``slots`` copies of one layer segment in one flat [slots, P] buffer.
+
+    ``layers`` runs every copy at once on [slots, batch, features] input.
+    ``slot_layers(s)`` and ``slot_optimizer(s)`` are views of copy ``s``, so
+    no copy of the weights or optimizer moments exists beside the buffer."""
+
+    def __init__(self, layers: Sequence[Layer], slots: int, optimizer: str):
+        params = collect_params(layers)
+        self._template = list(layers)
+        self._shapes = [p.shape for p in params]
+        self.flat = np.empty((slots, sum(p.size for p in params)))
+        self.flat[:] = np.concatenate([p.reshape(-1) for p in params])
+        self.opt = init_optimizer(optimizer, [self.flat])
+        self.layers = self._bind(self.flat)
+
+    def slot_layers(self, slot: int) -> list[Layer]:
+        return self._bind(self.flat[slot])
+
+    def slot_optimizer(self, slot: int) -> OptimizerState:
+        m, v = self.opt.m, self.opt.v
+        return replace(
+            self.opt,
+            m=None if m is None else self._split(m[0][slot]),
+            v=None if v is None else self._split(v[0][slot]),
+        )
+
+    def step(self, param_grads: Sequence[Sequence[Array]], lr: float) -> None:
+        """One optimizer step for every copy, from stacked ``backward`` grads."""
+        grads = [g.reshape(len(self.flat), -1) for g in collect_grads(param_grads)]
+        optimizer_step([self.flat], [np.concatenate(grads, axis=1)], self.opt, lr)
+
+    def average(self, weights: Array) -> None:
+        """Set every copy to the ``weights``-weighted sum over copies. numpy
+        sums axis 0 of [slots, P] slot by slot when P > 1, which holds for
+        any segment with a Dense layer, so it accumulates in slot order."""
+        self.flat[:] = (weights[:, None] * self.flat).sum(axis=0)
+
+    def _split(self, buf: Array) -> list[Array]:
+        """Views of the parameters packed along the last axis of ``buf``."""
+        out, start = [], 0
+        for shape in self._shapes:
+            stop = start + math.prod(shape)
+            out.append(buf[..., start:stop].reshape(buf.shape[:-1] + shape))
+            start = stop
+        return out
+
+    def _bind(self, buf: Array) -> list[Layer]:
+        views = iter(self._split(buf))
+        return [
+            type(layer)(*(next(views) for _ in layer.params())) if layer.params()
+            else layer.copy()
+            for layer in self._template
+        ]
 
 
 # ---------------------------------------------------------------------------

@@ -14,10 +14,11 @@ Supported protocol kinds:
           server-side combination, broadcast in common
     sglr  slr and sgl combined
 
-psl, slr, sgl, sglr and the per-round part of sfl all execute the same
-``_parallel_round`` with the two mechanisms (learning-rate scaling, gradient
-averaging) enabled or disabled, so the degenerate cases collapse bitwise:
-sglr with active_fraction 0 and lr_exponent 0 runs exactly psl's arithmetic.
+All seven kinds execute the same client-stacked round, ``_parallel_round``
+(see ``SplitTrainer``), with the two mechanisms (learning-rate scaling,
+gradient averaging) enabled or disabled, so the degenerate cases collapse
+bitwise: sglr with active_fraction 0 and lr_exponent 0 runs exactly psl's
+arithmetic.
 
 All randomness flows through ``keyed_rng``: every consumer (weight init,
 per-client batch shuffles, active-set sampling) owns an independent stream
@@ -29,7 +30,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -113,18 +114,24 @@ class ProtocolConfig:
 
 @dataclass
 class ClientState:
-    """One client's segment copy, local data, data share, optimizer state."""
+    """One client's local data and data share, plus views of its slot in
+    the trainer's client stack: ``layers`` and ``opt``."""
 
     client_id: int
     layers: list
     features: Array
     labels: np.ndarray
     delta: float
-    opt: nn.OptimizerState
+    stack: nn.LayerStack
+    slot: int
 
     @property
     def sample_count(self) -> int:
         return self.features.shape[0]
+
+    @property
+    def opt(self) -> nn.OptimizerState:
+        return self.stack.slot_optimizer(self.slot)
 
 
 @dataclass
@@ -285,9 +292,12 @@ class SplitTrainer:
     """Drives one protocol over a set of clients and a shared server.
 
     ``client_data`` is one (features, labels) pair per client; delta weights
-    come from the realized sample counts. For ``fl`` each client holds a
-    copy of the full stack and there is no server segment. All cross-client
-    reductions run in ascending client id.
+    come from the realized sample counts. The client segments are the rows
+    of one ``nn.LayerStack`` and every kind runs ``_parallel_round`` over
+    it: the psl family with every client per round, sfl adding LocAvg (the
+    delta-weighted mean over the rows), fl likewise over full models with
+    no server, and ssl over a single row that travels from client to
+    client. All cross-client reductions run in ascending client id.
     """
 
     def __init__(
@@ -313,29 +323,34 @@ class SplitTrainer:
             raise InputError("no training data")
 
         full_model = config.kind == "fl"
-        segment = model.layers if full_model else model.client_segment
+        travelling = config.kind == "ssl"
+        self.stack = nn.LayerStack(
+            model.layers if full_model else model.client_segment,
+            1 if travelling else config.clients,
+            config.optimizer,
+        )
+        views = [self.stack.slot_layers(s) for s in range(len(self.stack.flat))]
         self.clients: list[ClientState] = []
         for cid, (x, y) in enumerate(client_data):
-            layers = nn.copy_layers(segment)
+            slot = 0 if travelling else cid
             self.clients.append(
                 ClientState(
                     client_id=cid,
-                    layers=layers,
+                    layers=views[slot],
                     features=nn.as_tensor(x),
                     labels=np.asarray(y, dtype=np.int64),
                     delta=x.shape[0] / total,
-                    opt=nn.init_optimizer(config.optimizer, nn.collect_params(layers)),
+                    stack=self.stack,
+                    slot=slot,
                 )
             )
+        self.deltas = {c.client_id: c.delta for c in self.clients}
+        self._delta_array = np.array([c.delta for c in self.clients])
 
-        if full_model:
-            self.server_layers = None
-            self.server_opt = None
-        else:
-            self.server_layers = nn.copy_layers(model.server_segment)
-            self.server_opt = nn.init_optimizer(
-                config.optimizer, nn.collect_params(self.server_layers)
-            )
+        self.server, self.server_layers = None, None
+        if not full_model:
+            self.server = nn.LayerStack(model.server_segment, 1, config.optimizer)
+            self.server_layers = self.server.slot_layers(0)
 
         self.eta_c, self.eta_s = split_lr(
             config.base_lr,
@@ -351,11 +366,8 @@ class SplitTrainer:
         return [self.run_epoch(e) for e in range(epochs or self.config.epochs)]
 
     def run_epoch(self, epoch: int) -> RoundMetrics:
-        cfg = self.config
-        if cfg.kind == "ssl":
+        if self.config.kind == "ssl":
             loss, active = self._ssl_epoch(epoch), []
-        elif cfg.kind == "fl":
-            loss, active = self._fl_epoch(epoch), []
         else:
             loss, active = self._parallel_epoch(epoch)
         return RoundMetrics(
@@ -369,17 +381,14 @@ class SplitTrainer:
 
     def evaluate_on(self, features: Array, labels) -> float:
         """Accuracy through client 0's segment (or full model for fl)."""
-        if self.config.kind == "fl":
-            return evaluate(self.clients[0].layers, features, labels)
-        return evaluate(
-            (self.clients[0].layers, self.server_layers), features, labels
-        )
-
-    # -- shared plumbing ------------------------------------------------------
+        return evaluate((self.clients[0].layers, self.server_layers or []), features, labels)
 
     @property
-    def deltas(self) -> dict[int, float]:
-        return {c.client_id: c.delta for c in self.clients}
+    def server_opt(self) -> nn.OptimizerState | None:
+        """View of the server segment's optimizer state (None for fl)."""
+        return None if self.server is None else self.server.slot_optimizer(0)
+
+    # -- shared plumbing ------------------------------------------------------
 
     def _validation_accuracy(self) -> float:
         if self.val_data is None:
@@ -390,17 +399,11 @@ class SplitTrainer:
         rng = keyed_rng(self.config.seed, STREAM_BATCH, epoch, client.client_id)
         return _epoch_batches(client.sample_count, self.config.batch_size, rng)
 
-    def _client_step(self, client: ClientState, cache, upstream: Array) -> None:
-        grads, _ = nn.backward(cache, upstream)
-        params = nn.collect_params(client.layers)
-        new = nn.optimizer_step(params, nn.collect_grads(grads), client.opt, self.eta_c)
-        nn.set_params(client.layers, new)
-
     def _log(self, direction, kind, client_id, nbytes, round_index):
         if self.ledger is not None:
             self.ledger.record(direction, kind, client_id, nbytes, round_index)
 
-    # -- parallel family: psl / slr / sgl / sglr / sfl ------------------------
+    # -- the round engine -------------------------------------------------------
 
     def _parallel_epoch(self, epoch: int) -> tuple[float, list[int]]:
         cfg = self.config
@@ -420,153 +423,64 @@ class SplitTrainer:
         for r in range(rounds):
             batch_ix = {c.client_id: per_client[c.client_id][r] for c in self.clients}
             losses.append(self._parallel_round(batch_ix, active))
-            if cfg.kind == "sfl":
+            if cfg.kind in ("sfl", "fl"):
                 self._local_weight_average()
         return float(np.mean(losses)) if losses else 0.0, active
 
     def _parallel_round(self, batch_ix: dict[int, Array], active: list[int]) -> float:
-        smashed, caches = [], {}
-        for client in self.clients:
-            ix = batch_ix[client.client_id]
-            sb, cache = splitting.client_forward(
-                client.layers,
-                client.features[ix],
-                client.labels[ix],
-                client.client_id,
-            )
-            smashed.append(sb)
-            caches[client.client_id] = cache
-            self._log("up", "smashed", client.client_id, sb.smashed.size * 8, self.steps)
-
-        result = splitting.server_forward_backward(
-            self.server_layers,
-            splitting.concat(smashed),
-            self.deltas,
-            self.eta_s,
-            self.server_opt,
-        )
-
-        if active:
-            common, assignment = split_avg(
-                result.cut_grads, active, self.config.splitavg_mean
-            )
-            self._log("down", "cut-grad", None, common.size * 8, self.steps)
-            for client in self.clients:
-                if client.client_id not in active:
-                    g = assignment[client.client_id]
-                    self._log("down", "cut-grad", client.client_id, g.size * 8, self.steps)
+        """One round over the client stack, a row per ``batch_ix`` entry
+        (client id -> batch rows, ascending ids): every client, so row i is
+        client i, or for ssl the one client holding the travelling segment."""
+        x = np.array([self.clients[cid].features[ix] for cid, ix in batch_ix.items()])
+        y = np.array([self.clients[cid].labels[ix] for cid, ix in batch_ix.items()])
+        cache = nn.forward(self.stack.layers, x)
+        if self.server is None:
+            losses, upstream = nn.loss_softmax_ce(cache.output, y)
+            loss = splitting.combine_losses(self._delta_array, losses)
         else:
-            assignment = result.cut_grads
-            for client in self.clients:
-                g = assignment[client.client_id]
-                self._log("down", "cut-grad", client.client_id, g.size * 8, self.steps)
-
-        for client in self.clients:
-            self._client_step(
-                client, caches[client.client_id], assignment[client.client_id]
+            row_bytes = cache.output[0].size * 8
+            for cid in batch_ix:
+                self._log("up", "smashed", cid, row_bytes, self.steps)
+            weights = np.ones(1) if self.config.kind == "ssl" else self._delta_array
+            loss, upstream, server_grads = splitting.server_gradients(
+                self.server_layers, cache.output, y, weights
             )
+            self.server.step(server_grads, self.eta_s)
+            if active:
+                common, _ = split_avg(
+                    {cid: upstream[cid] for cid in active}, active, self.config.splitavg_mean
+                )
+                upstream[active] = common
+                self._log("down", "cut-grad", None, common.size * 8, self.steps)
+            for cid in batch_ix:
+                if cid not in active:
+                    self._log("down", "cut-grad", cid, row_bytes, self.steps)
+        grads, _ = nn.backward(cache, upstream)
+        self.stack.step(grads, self.eta_c)
         self.steps += 1
-        return result.loss
+        return loss
 
     def _local_weight_average(self) -> None:
         """LocAvg: delta-weighted, layer-wise average of client segments."""
-        averaged = None
+        nbytes = self.stack.flat.shape[1] * 8
         for client in self.clients:
-            scaled = [client.delta * p for p in nn.collect_params(client.layers)]
-            averaged = (
-                scaled if averaged is None else [a + s for a, s in zip(averaged, scaled)]
-            )
-            self._log(
-                "up", "model-weights", client.client_id,
-                nn.param_count(client.layers) * 8, self.steps,
-            )
+            self._log("up", "model-weights", client.client_id, nbytes, self.steps)
+        self.stack.average(self._delta_array)
         for client in self.clients:
-            nn.set_params(client.layers, [a.copy() for a in averaged])
-            self._log(
-                "down", "model-weights", client.client_id,
-                nn.param_count(client.layers) * 8, self.steps,
-            )
-
-    # -- ssl ------------------------------------------------------------------
+            self._log("down", "model-weights", client.client_id, nbytes, self.steps)
 
     def _ssl_epoch(self, epoch: int) -> float:
         """Visit clients in id order; the segment travels client to client."""
         losses = []
-        travel_layers = self.clients[0].layers
-        travel_opt = self.clients[0].opt
+        nbytes = self.stack.flat.shape[1] * 8
         for client in self.clients:
             for ix in self._batches_for(client, epoch):
-                sb, cache = splitting.client_forward(
-                    travel_layers,
-                    client.features[ix],
-                    client.labels[ix],
-                    client.client_id,
-                )
-                self._log("up", "smashed", client.client_id, sb.smashed.size * 8, self.steps)
-                result = splitting.server_forward_backward(
-                    self.server_layers,
-                    splitting.concat([sb]),
-                    {client.client_id: 1.0},
-                    self.eta_s,
-                    self.server_opt,
-                )
-                g = result.cut_grads[client.client_id]
-                self._log("down", "cut-grad", client.client_id, g.size * 8, self.steps)
-                grads, _ = nn.backward(cache, g)
-                params = nn.collect_params(travel_layers)
-                new = nn.optimizer_step(
-                    params, nn.collect_grads(grads), travel_opt, self.eta_c
-                )
-                nn.set_params(travel_layers, new)
-                losses.append(result.loss)
-                self.steps += 1
+                losses.append(self._parallel_round({client.client_id: ix}, []))
             # Hand the segment to the next client (cyclic at epoch end).
-            seg_bytes = nn.param_count(travel_layers) * 8
             nxt = (client.client_id + 1) % self.config.clients
-            self._log("up", "model-weights", client.client_id, seg_bytes, self.steps)
-            self._log("down", "model-weights", nxt, seg_bytes, self.steps)
-        # Every client ends the epoch holding the traveled weights.
-        final_params = nn.collect_params(travel_layers)
-        for client in self.clients:
-            if client.layers is not travel_layers:
-                nn.set_params(client.layers, [p.copy() for p in final_params])
-                client.opt = travel_opt.copy()
-        return float(np.mean(losses)) if losses else 0.0
-
-    # -- fl ---------------------------------------------------------------------
-
-    def _fl_epoch(self, epoch: int) -> float:
-        per_client = [self._batches_for(c, epoch) for c in self.clients]
-        rounds = min(len(b) for b in per_client)
-        losses = []
-        for r in range(rounds):
-            losses.append(
-                self._fl_round({c.client_id: per_client[c.client_id][r] for c in self.clients})
-            )
-        return float(np.mean(losses)) if losses else 0.0
-
-    def _fl_round(self, batch_ix: dict[int, Array]) -> float:
-        round_loss = 0.0
-        for client in self.clients:
-            ix = batch_ix[client.client_id]
-            cache = nn.forward(client.layers, client.features[ix])
-            loss, up = nn.loss_softmax_ce(cache.output, client.labels[ix])
-            round_loss += client.delta * loss
-            self._client_step(client, cache, up)
-
-        nbytes = nn.param_count(self.clients[0].layers) * 8
-        averaged = None
-        for client in self.clients:
-            scaled = [client.delta * p for p in nn.collect_params(client.layers)]
-            averaged = (
-                scaled if averaged is None else [a + s for a, s in zip(averaged, scaled)]
-            )
             self._log("up", "model-weights", client.client_id, nbytes, self.steps)
-        for client in self.clients:
-            nn.set_params(client.layers, [a.copy() for a in averaged])
-            self._log("down", "model-weights", client.client_id, nbytes, self.steps)
-        self.steps += 1
-        return round_loss
+            self._log("down", "model-weights", nxt, nbytes, self.steps)
+        return float(np.mean(losses)) if losses else 0.0
 
 
 def train_monolithic(
@@ -595,9 +509,7 @@ def train_monolithic(
             cache = nn.forward(layers, features[ix])
             loss, up = nn.loss_softmax_ce(cache.output, labels[ix])
             grads, _ = nn.backward(cache, up)
-            params = nn.collect_params(layers)
-            new = nn.optimizer_step(params, nn.collect_grads(grads), state, lr)
-            nn.set_params(layers, new)
+            nn.optimizer_step(nn.collect_params(layers), nn.collect_grads(grads), state, lr)
             losses.append(loss)
         epoch_losses.append(float(np.mean(losses)) if losses else 0.0)
     return epoch_losses

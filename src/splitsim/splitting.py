@@ -154,8 +154,34 @@ class ServerStepResult:
     """Outcome of one server forward/backward/update round."""
 
     loss: float
-    per_client_loss: dict[int, float]
     cut_grads: dict[int, Array]
+
+
+def combine_losses(deltas: Array, losses: Array) -> float:
+    """sum_i delta_i * loss_i, accumulated in client order from 0.0."""
+    total = 0.0
+    for weighted in (deltas * losses).tolist():
+        total += weighted
+    return total
+
+
+def server_gradients(
+    server_layers: Sequence, smashed: Array, labels: Array, deltas: Array
+) -> tuple[float, Array, list[list[Array]]]:
+    """Backprop client-stacked smashed data [clients, batch, cut_width] and
+    labels [clients, batch] as one concatenated batch, without an update.
+
+    The upstream row for client i's sample j is ``delta_i * (softmax -
+    onehot)_j / b``, so one backward pass gives the delta-weighted sum of
+    per-client server gradients. Returns the delta-weighted loss, the
+    stacked (delta-scaled) cut gradient and the parameter gradients."""
+    c, b, width = smashed.shape
+    cache = nn.forward(server_layers, smashed.reshape(c * b, width))
+    logits = cache.output
+    losses, grad = nn.loss_softmax_ce(logits.reshape(c, b, -1), labels)
+    grad *= deltas[:, None, None]
+    param_grads, input_grad = nn.backward(cache, grad.reshape(logits.shape))
+    return combine_losses(deltas, losses), input_grad.reshape(c, b, width), param_grads
 
 
 def server_forward_backward(
@@ -165,49 +191,23 @@ def server_forward_backward(
     lr: float,
     opt_state: nn.OptimizerState,
 ) -> ServerStepResult:
-    """One server round: forward the concat batch, backprop, update weights.
-
-    The upstream gradient row for client i's sample j is
-    ``delta_i * (softmax - onehot)_j / b_i``, which makes a single backward
-    pass over the concatenated batch equal the delta-weighted sum of
-    per-client server gradients. ``cut_grads[i]`` is client i's slice of the
-    input gradient (delta-scaled, see module docstring). The optimizer step
-    is applied after gradients are extracted, so the returned cut gradients
-    reflect pre-update weights.
-    """
+    """One server round: ``server_gradients`` on a batch with the same row
+    count per client, then an in-place optimizer step. ``cut_grads[i]`` is
+    client i's cut gradient, taken before the update."""
     missing = [cid for cid in batch.client_ids if cid not in deltas]
     if missing:
         raise InputError(f"missing delta weights for clients {missing}")
     d = np.array([deltas[cid] for cid in batch.client_ids])
     if np.any(d < 0) or abs(d.sum() - 1.0) > DELTA_TOL:
         raise InputError("delta weights must be nonnegative and sum to 1")
-
-    cache = nn.forward(server_layers, batch.smashed)
-    logits = cache.output
-
-    per_client_loss: dict[int, float] = {}
-    upstream = np.zeros_like(logits)
-    total = 0.0
-    for cid, (start, stop) in zip(batch.client_ids, batch.offsets):
-        loss_i, grad_i = nn.loss_softmax_ce(
-            logits[start:stop], batch.labels[start:stop]
-        )
-        per_client_loss[cid] = loss_i
-        upstream[start:stop] = deltas[cid] * grad_i
-        total += deltas[cid] * loss_i
-
-    param_grads, input_grad = nn.backward(cache, upstream)
-    cut_grads = {
-        cid: input_grad[start:stop]
-        for cid, (start, stop) in zip(batch.client_ids, batch.offsets)
-    }
-
-    params = nn.collect_params(server_layers)
-    new_params = nn.optimizer_step(
-        params, nn.collect_grads(param_grads), opt_state, lr
+    c = len(batch.client_ids)
+    b = batch.effective_size // c
+    if any(stop - start != b for start, stop in batch.offsets):
+        raise DimensionError("every client must send the same number of rows")
+    loss, cut_grad, param_grads = server_gradients(
+        server_layers, batch.smashed.reshape(c, b, -1), batch.labels.reshape(c, b), d
     )
-    nn.set_params(server_layers, new_params)
-
-    return ServerStepResult(
-        loss=total, per_client_loss=per_client_loss, cut_grads=cut_grads
+    nn.optimizer_step(
+        nn.collect_params(server_layers), nn.collect_grads(param_grads), opt_state, lr
     )
+    return ServerStepResult(loss=loss, cut_grads=dict(zip(batch.client_ids, cut_grad)))

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from splitsim import nn, splitting
 from splitsim.comm import (
@@ -145,6 +147,24 @@ class TestLedger:
     def test_unknown_kind_rejected(self):
         with pytest.raises(InputError):
             CommLedger().record("up", "carrier-pigeon", 0, 1, 0)
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["up", "down"]),
+                st.sampled_from(["smashed", "cut-grad", "model-weights"]),
+                st.one_of(st.none(), st.integers(0, 9)),
+                st.integers(0, 10**12),
+            ),
+            max_size=60,
+        )
+    )
+    def test_running_total_equals_entry_sum(self, records):
+        ledger = CommLedger()
+        for r, (direction, kind, client, nbytes) in enumerate(records):
+            ledger.record(direction, kind, client, nbytes, r)
+            assert ledger.total_bytes() == sum(e.nbytes for e in ledger.entries)
+        assert CommLedger(entries=list(ledger.entries)).total_bytes() == ledger.total_bytes()
 
 
 def run_with_ledger(kind, clients, rounds, batch, cut_width, seed=0, **cfg_kw):

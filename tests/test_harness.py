@@ -1,12 +1,15 @@
 """Experiment runner, sweep aggregation, cost report, and CLI surface."""
 
+import gc
 import json
 import subprocess
 import sys
+import weakref
 
 import numpy as np
 import pytest
 
+from splitsim import harness
 from splitsim.cli import main as cli_main
 from splitsim.errors import ConfigError
 from splitsim.harness import (
@@ -212,6 +215,22 @@ class TestSweep:
                 )
                 finals.append(run_experiment(ExperimentConfig.from_dict(raw)).final_accuracy)
             assert row["mean_final_accuracy"] == pytest.approx(np.mean(finals), rel=1e-12)
+
+    def test_finished_runs_are_released(self, monkeypatch):
+        """A sweep keeps only each run's finals, not its trainer."""
+        finished = []
+        original = harness.run_experiment
+
+        def tracked(cfg, out_dir=None):
+            gc.collect()
+            assert all(ref() is None for ref in finished)
+            result = original(cfg, out_dir)
+            finished.append(weakref.ref(result.trainer))
+            return result
+
+        monkeypatch.setattr(harness, "run_experiment", tracked)
+        rows = sweep(base_config(), grid={"protocol.kind": ["psl", "fl"]}, seeds=[1, 2])
+        assert len(finished) == 4 and len(rows) == 2
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ConfigError):
