@@ -182,7 +182,7 @@ def cost_table_csv(methods, params_list, names=None) -> str:
 PAYLOAD_KINDS = ("smashed", "cut-grad", "model-weights")
 
 
-@dataclass
+@dataclass(slots=True)
 class LedgerEntry:
     direction: str  # "up" | "down"
     kind: str

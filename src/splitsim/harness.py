@@ -13,6 +13,7 @@ import csv
 import io
 import json
 import os
+import re
 import time
 from dataclasses import asdict, dataclass, field
 from itertools import product
@@ -374,7 +375,9 @@ def sweep(
     ``base`` is a raw experiment-config dict; grid keys are dotted paths
     into it. Returns one row per cell with per-seed finals plus mean and
     standard deviation, and writes ``sweep.csv`` when ``out_dir`` is given.
-    Runs execute one after another in grid order.
+    Runs execute one after another in grid order. Runs whose ids collide
+    (the default id does not encode every grid key) get their grid cell
+    appended, so no run overwrites another's files.
     """
     if not grid:
         raise ConfigError("sweep grid is empty", field="grid")
@@ -392,6 +395,13 @@ def sweep(
                 set_by_path(raw, key, value)
             set_by_path(raw, "protocol.seed", seed)
             jobs.append((cell, ExperimentConfig.from_dict(raw)))
+    ids = [cfg.resolved_run_id() for _, cfg in jobs]
+    for cell, cfg in jobs:
+        if ids.count(cfg.resolved_run_id()) > 1:
+            suffix = "-".join(f"{k.rsplit('.', 1)[-1]}{v}" for k, v in zip(keys, cell))
+            cfg.run_id = cfg.resolved_run_id() + "-" + re.sub(r"[^A-Za-z0-9_.-]+", "_", suffix)
+    if len({cfg.resolved_run_id() for _, cfg in jobs}) < len(jobs):
+        raise ConfigError("sweep runs share a run id even with their grid cell", field="grid")
 
     run_dir = Path(out_dir) / "runs" if out_dir is not None else None
     by_cell: dict[tuple, list] = {cell: [] for cell in cells}

@@ -73,6 +73,32 @@ def mi_from_joint(joint: Array) -> float:
     return max(value, 0.0)
 
 
+def bin_index(column: Array, bins: int) -> Array | None:
+    """Equal-width bin of every entry over the column's observed range,
+    exactly as ``np.histogram2d`` bins it (the maximum falls in the last
+    bin); None for a constant column, which has no observable range."""
+    if bins < 2 or len(column) < bins:
+        raise InputError("need at least 2 bins and as many samples as bins")
+    lo, hi = column.min(), column.max()
+    if not (np.isfinite(lo) and np.isfinite(hi)):
+        raise InputError("samples must be finite")
+    if lo == hi:
+        return None
+    edges = np.linspace(lo, hi, bins + 1)
+    index = np.searchsorted(edges, column, side="right") - 1
+    index[column == edges[-1]] -= 1
+    return index
+
+
+def joint_histogram(ix: Array, iy: Array, bins: int) -> Array:
+    """[bins, bins] counts of the (x bin, y bin) pairs from ``bin_index``."""
+    return np.bincount(ix * bins + iy, minlength=bins * bins).reshape(bins, bins)
+
+
+def _binned_mi(ix: Array | None, iy: Array | None, bins: int) -> float:
+    return 0.0 if ix is None or iy is None else mi_from_joint(joint_histogram(ix, iy, bins))
+
+
 def mutual_information(x: Sequence[float], y: Sequence[float], bins: int = 16) -> MIEstimate:
     """Plug-in MI between two scalar sample vectors.
 
@@ -84,14 +110,8 @@ def mutual_information(x: Sequence[float], y: Sequence[float], bins: int = 16) -
     y = np.asarray(y, dtype=np.float64).ravel()
     if len(x) != len(y):
         raise DimensionError("x and y must have the same length")
-    if bins < 2:
-        raise InputError("need at least 2 bins")
-    if len(x) < bins:
-        raise InputError("need at least as many samples as bins")
-    if np.ptp(x) == 0.0 or np.ptp(y) == 0.0:
-        return MIEstimate(0.0, bins, len(x), degenerate=True)
-    joint, _, _ = np.histogram2d(x, y, bins=bins)
-    return MIEstimate(mi_from_joint(joint), bins, len(x))
+    ix, iy = bin_index(x, bins), bin_index(y, bins)
+    return MIEstimate(_binned_mi(ix, iy, bins), bins, len(x), degenerate=ix is None or iy is None)
 
 
 @dataclass
@@ -112,8 +132,9 @@ def smashed_leakage_score(
     """Mean pairwise MI between input features and cut-layer units.
 
     Pairs are ``n_pairs`` random (feature index, unit index) draws from a
-    seeded stream unless given explicitly. Accumulation follows the pair
-    list order, so scores are deterministic.
+    seeded stream unless given explicitly. Each column is binned and each
+    distinct pair scored once; a pair's MI equals ``mutual_information``.
+    Accumulation follows the pair list order, so scores are deterministic.
     """
     probe_features = nn.as_tensor(probe_features)
     if probe_features.shape[0] == 0:
@@ -127,8 +148,8 @@ def smashed_leakage_score(
             (int(rng.integers(d_in)), int(rng.integers(d_out)))
             for _ in range(n_pairs)
         ]
-    values = [
-        mutual_information(probe_features[:, f], smashed[:, u], bins).value
-        for f, u in pairs
-    ]
+    x_bins = {f: bin_index(probe_features[:, f], bins) for f in {f for f, _ in pairs}}
+    y_bins = {u: bin_index(smashed[:, u], bins) for u in {u for _, u in pairs}}
+    mi = {(f, u): _binned_mi(x_bins[f], y_bins[u], bins) for f, u in {*map(tuple, pairs)}}
+    values = [mi[f, u] for f, u in pairs]
     return LeakageScore(value=float(np.mean(values)), pairs=len(pairs), bins=bins)

@@ -36,7 +36,7 @@ def as_tensor(x) -> Array:
 
 def check_finite(x: Array, where: str) -> None:
     """Reject NaN/Inf; layer boundaries call this on their outputs."""
-    if not np.isfinite(x).all():
+    if not np.logical_and.reduce(np.isfinite(x), axis=None):
         raise NumericError(f"non-finite values in {where}")
 
 
@@ -77,17 +77,17 @@ class Dense:
         self.weight, self.bias = weight, bias
 
     def forward(self, x: Array) -> Array:
-        if x.shape[-1] != self.in_dim:
+        if x.shape[-1] != self.weight.shape[-1]:
             raise DimensionError(
                 f"dense layer expects {self.in_dim} features, got {x.shape[-1]}"
             )
         return x @ self.weight.swapaxes(-1, -2) + self.bias[..., None, :]
 
-    def backward(self, x: Array, upstream: Array) -> tuple[list[Array], Array]:
-        grad_w = upstream.swapaxes(-1, -2) @ x
-        grad_b = upstream.sum(axis=-2)
-        grad_x = upstream @ self.weight
-        return [grad_w, grad_b], grad_x
+    def backward(self, x: Array, upstream: Array, out=None, input_grad=True):
+        grad_w, grad_b = out or (None, None)
+        grad_w = np.matmul(upstream.swapaxes(-1, -2), x, out=grad_w)
+        grad_b = np.add.reduce(upstream, axis=-2, out=grad_b)
+        return [grad_w, grad_b], (upstream @ self.weight if input_grad else None)
 
     def copy(self) -> "Dense":
         return Dense(self.weight.copy(), self.bias.copy())
@@ -108,7 +108,7 @@ class Relu:
     def forward(self, x: Array) -> Array:
         return np.maximum(x, 0.0)
 
-    def backward(self, x: Array, upstream: Array) -> tuple[list[Array], Array]:
+    def backward(self, x: Array, upstream: Array, *_) -> tuple[list[Array], Array]:
         return [], upstream * (x > 0.0)
 
     def copy(self) -> "Relu":
@@ -135,7 +135,7 @@ class Softmax:
     def forward(self, x: Array) -> Array:
         return _softmax(x)
 
-    def backward(self, x: Array, upstream: Array) -> tuple[list[Array], Array]:
+    def backward(self, x: Array, upstream: Array, *_) -> tuple[list[Array], Array]:
         p = _softmax(x)
         inner = (upstream * p).sum(axis=1, keepdims=True)
         return [], p * (upstream - inner)
@@ -153,56 +153,60 @@ def _softmax(z: Array) -> Array:
     return e / e.sum(axis=1, keepdims=True)
 
 
-@dataclass
+@dataclass(slots=True)
 class ActivationCache:
     """Per-layer inputs recorded during ``forward``, plus the final output."""
 
-    layers: tuple
+    layers: Sequence[Layer]
     inputs: list[Array]
     output: Array
 
 
-def forward(layers: Sequence[Layer], x: Array) -> ActivationCache:
+def forward(layers: Sequence[Layer], x: Array, *, validate: bool = True) -> ActivationCache:
     """Run a batch through the stack, caching every layer input.
 
     ``x`` is [batch, features], or [clients, batch, features] for a client
     stack. Raises ``DimensionError`` on shape mismatch and ``NumericError``
-    if any activation goes non-finite.
-    """
-    x = as_tensor(x)
-    if x.ndim not in (2, 3):
-        raise DimensionError(f"input must be [(clients,) batch, features], got {x.shape}")
-    check_finite(x, "network input")
+    if the input or a Dense output is non-finite (parameter-free layers map
+    finite to finite). ``validate=False`` skips the input checks."""
+    if validate:
+        x = as_tensor(x)
+        if x.ndim not in (2, 3):
+            raise DimensionError(f"input must be [(clients,) batch, features], got {x.shape}")
+        check_finite(x, "network input")
     inputs: list[Array] = []
     for i, layer in enumerate(layers):
         inputs.append(x)
         x = layer.forward(x)
-        check_finite(x, f"output of layer {i} ({layer.kind})")
-    return ActivationCache(layers=tuple(layers), inputs=inputs, output=x)
+        if layer.kind == "dense":
+            check_finite(x, f"output of layer {i} (dense)")
+    return ActivationCache(layers, inputs, x)
 
 
-def backward(cache: ActivationCache, upstream: Array) -> tuple[list[list[Array]], Array]:
+def backward(cache: ActivationCache, upstream: Array, out=None, input_grad: bool = True):
     """Backpropagate ``upstream`` (d loss / d output) through a cached stack.
 
     Returns per-layer parameter gradients (aligned with the layer list; empty
     for parameter-free layers) and the gradient w.r.t. the network input.
     For a server segment the input gradient is exactly the cut-layer
-    gradient handed back to clients.
-    """
+    gradient handed back to clients. ``out`` (as ``LayerStack.grads``)
+    receives the parameter gradients in place; ``input_grad=False`` skips
+    the input gradient of a Dense first layer."""
     upstream = as_tensor(upstream)
     if upstream.shape != cache.output.shape:
         raise DimensionError(
             f"upstream shape {upstream.shape} does not match cached output "
             f"{cache.output.shape}"
         )
-    grads: list[list[Array]] = [[] for _ in cache.layers]
+    layers, inputs = cache.layers, cache.inputs
+    grads: list[list[Array]] = [[] for _ in layers]
     g = upstream
-    for i in range(len(cache.layers) - 1, -1, -1):
-        grads[i], g = cache.layers[i].backward(cache.inputs[i], g)
+    for i in range(len(layers) - 1, -1, -1):
+        grads[i], g = layers[i].backward(inputs[i], g, out and out[i], input_grad or i > 0)
     return grads, g
 
 
-def loss_softmax_ce(logits: Array, labels) -> tuple[float | Array, Array]:
+def loss_softmax_ce(logits: Array, labels, *, validate: bool = True) -> tuple[float | Array, Array]:
     """Mean softmax cross-entropy over the batch, with its logits gradient.
 
     loss = mean_i of -log softmax(logits_i)[labels_i]
@@ -211,20 +215,22 @@ def loss_softmax_ce(logits: Array, labels) -> tuple[float | Array, Array]:
     Stacked [clients, batch, classes] logits with [clients, batch] labels
     give one mean per client (an array) and the stacked gradient.
     Numerically stable for |logit| up to ~1e6 (log-sum-exp with max shift).
-    """
-    logits = np.ascontiguousarray(logits, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
-    if logits.ndim not in (2, 3) or labels.shape != logits.shape[:-1]:
-        raise DimensionError("logits must be [(clients,) batch, classes], a label per row")
+    ``validate=False`` skips the checks, for labels checked already."""
+    if validate:
+        logits = np.ascontiguousarray(logits, dtype=np.float64)
+        labels = np.asarray(labels, dtype=np.int64)
+        if logits.ndim not in (2, 3) or labels.shape != logits.shape[:-1]:
+            raise DimensionError("logits must be [(clients,) batch, classes], a label per row")
+        if labels.min(initial=0) < 0 or labels.max(initial=0) >= logits.shape[-1]:
+            raise InputError(f"labels must lie in [0, {logits.shape[-1]})")
     n, k = logits.shape[-2:]
-    if labels.min(initial=0) < 0 or labels.max(initial=0) >= k:
-        raise InputError(f"labels must lie in [0, {k})")
     # Flat index of each row's label entry in the (contiguous) [..., k] arrays.
+    # The ufunc reductions are what ndarray max/sum/mean run, minus wrappers.
     target = np.arange(0, labels.size * k, k) + labels.reshape(-1)
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    log_z = np.log(np.exp(shifted).sum(axis=-1))
-    per_row = log_z - shifted.reshape(-1)[target].reshape(labels.shape)
-    loss = per_row.mean(axis=-1)
+    shifted = logits - np.maximum.reduce(logits, axis=-1, keepdims=True)
+    log_z = np.log(np.add.reduce(np.exp(shifted), axis=-1))
+    per_row = log_z - shifted.take(target).reshape(labels.shape)
+    loss = np.add.reduce(per_row, axis=-1) / n
     grad = np.exp(shifted - log_z[..., None])
     grad.reshape(-1)[target] -= 1.0
     grad /= n
@@ -266,9 +272,7 @@ def init_optimizer(kind: str, params: Sequence[Array]) -> OptimizerState:
 
 def sgd_step(params: Sequence[Array], grads: Sequence[Array], lr: float) -> list[Array]:
     """Plain gradient descent: w' = w - lr * g."""
-    if lr <= 0:
-        raise InputError("learning rate must be positive")
-    _check_aligned(params, grads)
+    _learning_rates(lr, params, grads)
     return [p - lr * g for p, g in zip(params, grads)]
 
 
@@ -294,31 +298,29 @@ def adam_update(
     params: Sequence[Array],
     grads: Sequence[Array],
     state: OptimizerState,
-    lr: float,
+    lr: float | Sequence[float],
 ) -> None:
-    """In-place Adam over C-contiguous arrays, in ``ADAM_CHUNK`` pieces.
-
-    Every operation keeps the textbook association, ``((1-b2)*g)*g`` and
-    ``(lr*m_hat)/(sqrt(v_hat)+eps)``, so results equal it bit for bit."""
-    if lr <= 0:
-        raise InputError("learning rate must be positive")
-    _check_aligned(params, grads)
+    """In-place Adam over C-contiguous arrays, in ``ADAM_CHUNK`` pieces, with
+    one ``lr`` or one per array. Every operation keeps the textbook
+    association, ``((1-b2)*g)*g`` and ``(lr*m_hat)/(sqrt(v_hat)+eps)``, so
+    results equal it bit for bit."""
+    lrs = _learning_rates(lr, params, grads)
     if state.m is None or state.v is None:
         raise InputError("adam state is uninitialized")
     flats = [
-        (_writable_flat(p), np.ravel(g), _writable_flat(m), _writable_flat(v))
-        for p, g, m, v in zip(params, grads, state.m, state.v)
+        (_writable_flat(p), g.reshape(-1), _writable_flat(m), _writable_flat(v), rate)
+        for p, g, m, v, rate in zip(params, grads, state.m, state.v, lrs, strict=True)
     ]
     state.t += 1
     b1, b2, eps = state.beta1, state.beta2, state.eps
     bc1 = 1.0 - b1**state.t
     bc2 = 1.0 - b2**state.t
-    scratch = np.empty((2, min(ADAM_CHUNK, max((p.size for p in params), default=0))))
-    for p, g, m, v in flats:
+    for p, g, m, v, rate in flats:
+        t1, t2 = np.empty(min(p.size, ADAM_CHUNK)), np.empty(min(p.size, ADAM_CHUNK))
         for lo in range(0, p.size, ADAM_CHUNK):
-            hi = min(lo + ADAM_CHUNK, p.size)
-            pc, gc, mc, vc = p[lo:hi], g[lo:hi], m[lo:hi], v[lo:hi]
-            t1, t2 = scratch[0, : hi - lo], scratch[1, : hi - lo]
+            pc, gc, mc, vc = (p, g, m, v) if p.size <= ADAM_CHUNK else (
+                a[lo : lo + ADAM_CHUNK] for a in (p, g, m, v))
+            t1, t2 = t1[: pc.size], t2[: pc.size]
             mc *= b1
             np.multiply(gc, 1.0 - b1, out=t1)
             mc += t1
@@ -327,7 +329,7 @@ def adam_update(
             t1 *= gc
             vc += t1
             np.divide(mc, bc1, out=t1)
-            t1 *= lr
+            t1 *= rate
             np.divide(vc, bc2, out=t2)
             np.sqrt(t2, out=t2)
             t2 += eps
@@ -339,32 +341,36 @@ def optimizer_step(
     params: Sequence[Array],
     grads: Sequence[Array],
     state: OptimizerState,
-    lr: float,
+    lr: float | Sequence[float],
 ) -> list[Array]:
-    """Dispatch on ``state.kind``; updates ``params`` in place and returns them."""
+    """Dispatch on ``state.kind``; updates ``params`` in place (one ``lr``
+    or one per array) and returns them."""
     if state.kind == "adam":
         adam_update(params, grads, state, lr)
-    elif lr <= 0:
-        raise InputError("learning rate must be positive")
     else:
-        _check_aligned(params, grads)
-        for p, g in zip([_writable_flat(p) for p in params], grads):
-            p -= lr * np.ravel(g)
+        lrs = _learning_rates(lr, params, grads)
+        for p, g, rate in zip([_writable_flat(p) for p in params], grads, lrs):
+            p -= rate * g.reshape(-1)
     return list(params)
+
+
+def _learning_rates(lr, params: Sequence[Array], grads: Sequence[Array]) -> list[float]:
+    """One positive learning rate per array, after checking the arrays align."""
+    lrs = list(lr) if isinstance(lr, (list, tuple)) else [lr] * len(params)
+    if not len(params) == len(grads) == len(lrs):
+        raise DimensionError("need a grad and a learning rate (or one for all) per param")
+    for p, g in zip(params, grads):
+        if p.shape != g.shape:
+            raise DimensionError(f"param shape {p.shape} vs grad shape {g.shape}")
+    if min(lrs, default=1.0) <= 0:
+        raise InputError("learning rate must be positive")
+    return lrs
 
 
 def _writable_flat(a: Array) -> Array:
     if not isinstance(a, np.ndarray) or not a.flags.c_contiguous:
         raise DimensionError("optimizer arrays must be C-contiguous ndarrays")
-    return a.reshape(-1)
-
-
-def _check_aligned(params: Sequence[Array], grads: Sequence[Array]) -> None:
-    if len(params) != len(grads):
-        raise DimensionError("params and grads differ in length")
-    for p, g in zip(params, grads):
-        if p.shape != g.shape:
-            raise DimensionError(f"param shape {p.shape} vs grad shape {g.shape}")
+    return a if a.ndim == 1 else a.reshape(-1)
 
 
 # ---------------------------------------------------------------------------
@@ -406,37 +412,66 @@ def copy_layers(layers: Sequence[Layer]) -> list[Layer]:
     return [layer.copy() for layer in layers]
 
 
+class ParamBuffer:
+    """Flat parameters, gradients and optimizer moments, cut into segments
+    that each take their own learning rate in ``step``. ``LayerStack``s
+    claim consecutive views, so one step updates every stack in it."""
+
+    def __init__(self, sizes: Sequence[int], optimizer: str):
+        self.params, self.grads = np.empty(sum(sizes)), np.zeros(sum(sizes))
+        self.opt = init_optimizer(optimizer, [self.params])
+        self._whole = [self.params, self.grads, *(self.opt.m or []), *(self.opt.v or [])]
+        ends = np.cumsum([0, *sizes]).tolist()
+        cut = [[a[lo:hi] for lo, hi in zip(ends, ends[1:])] for a in self._whole]
+        self._params, self._grads, *moments = cut
+        self.opt.m, self.opt.v = moments or (None, None)
+        self._claimed = 0
+
+    def claim(self, size: int) -> list[Array]:
+        """Views of the next ``size`` elements of params, grads and moments."""
+        lo, self._claimed = self._claimed, self._claimed + size
+        return [a[lo : self._claimed] for a in self._whole]
+
+    def step(self, lr: float | Sequence[float]) -> None:
+        """One optimizer step from ``grads``; one lr, or one per segment."""
+        optimizer_step(self._params, self._grads, self.opt, lr)
+
+
 class LayerStack:
-    """``slots`` copies of one layer segment in one flat [slots, P] buffer.
+    """``slots`` copies of one layer segment as [slots, P] views of a
+    ``ParamBuffer``: its own one for an ``optimizer`` kind, or a shared one.
 
-    ``layers`` runs every copy at once on [slots, batch, features] input.
-    ``slot_layers(s)`` and ``slot_optimizer(s)`` are views of copy ``s``, so
-    no copy of the weights or optimizer moments exists beside the buffer."""
+    ``layers`` runs every copy at once on [slots, batch, features] input;
+    ``grads`` are the matching gradient views, for ``backward(..., out=)``.
+    ``slot_layers(s)`` and ``slot_optimizer(s)`` view copy ``s``: no copy of
+    weights, gradients or moments exists beside the buffer."""
 
-    def __init__(self, layers: Sequence[Layer], slots: int, optimizer: str):
+    def __init__(self, layers: Sequence[Layer], slots: int, optimizer: str | ParamBuffer):
         params = collect_params(layers)
         self._template = list(layers)
         self._shapes = [p.shape for p in params]
-        self.flat = np.empty((slots, sum(p.size for p in params)))
+        size = slots * sum(p.size for p in params)
+        if isinstance(optimizer, str):
+            optimizer = ParamBuffer([size], optimizer)
+        self.buffer, self.opt = optimizer, optimizer.opt
+        self.flat, self.grad, *self._moments = [a.reshape(slots, -1) for a in optimizer.claim(size)]
         self.flat[:] = np.concatenate([p.reshape(-1) for p in params])
-        self.opt = init_optimizer(optimizer, [self.flat])
         self.layers = self._bind(self.flat)
+        self.grads = self._group(self.grad)
 
     def slot_layers(self, slot: int) -> list[Layer]:
         return self._bind(self.flat[slot])
 
     def slot_optimizer(self, slot: int) -> OptimizerState:
-        m, v = self.opt.m, self.opt.v
-        return replace(
-            self.opt,
-            m=None if m is None else self._split(m[0][slot]),
-            v=None if v is None else self._split(v[0][slot]),
-        )
+        m, v = [self._split(a[slot]) for a in self._moments] or [None, None]
+        return replace(self.opt, m=m, v=v)
 
-    def step(self, param_grads: Sequence[Sequence[Array]], lr: float) -> None:
-        """One optimizer step for every copy, from stacked ``backward`` grads."""
-        grads = [g.reshape(len(self.flat), -1) for g in collect_grads(param_grads)]
-        optimizer_step([self.flat], [np.concatenate(grads, axis=1)], self.opt, lr)
+    def step(self, param_grads: Sequence[Sequence[Array]], lr: float | Sequence[float]) -> None:
+        """Copy stacked ``backward`` grads to ``grads``, then step the buffer."""
+        for view, g in zip(collect_grads(self.grads), collect_grads(param_grads), strict=True):
+            if g is not view:
+                view[...] = g
+        self.buffer.step(lr)
 
     def average(self, weights: Array) -> None:
         """Set every copy to the ``weights``-weighted sum over copies. numpy
@@ -453,12 +488,15 @@ class LayerStack:
             start = stop
         return out
 
-    def _bind(self, buf: Array) -> list[Layer]:
+    def _group(self, buf: Array) -> list[list[Array]]:
+        """``_split(buf)`` grouped per layer, as ``backward`` returns grads."""
         views = iter(self._split(buf))
+        return [[next(views) for _ in layer.params()] for layer in self._template]
+
+    def _bind(self, buf: Array) -> list[Layer]:
         return [
-            type(layer)(*(next(views) for _ in layer.params())) if layer.params()
-            else layer.copy()
-            for layer in self._template
+            type(layer)(*views) if views else layer.copy()
+            for layer, views in zip(self._template, self._group(buf))
         ]
 
 

@@ -298,6 +298,8 @@ class SplitTrainer:
     delta-weighted mean over the rows), fl likewise over full models with
     no server, and ssl over a single row that travels from client to
     client. All cross-client reductions run in ascending client id.
+
+    Client rows, then the server, share one ``nn.ParamBuffer``: one step a round.
     """
 
     def __init__(
@@ -316,6 +318,7 @@ class SplitTrainer:
         self.model = model
         self.val_data = val_data
         self.ledger = ledger
+        self._log = (lambda *entry: None) if ledger is None else ledger.record
         self.steps = 0
 
         total = sum(x.shape[0] for x, _ in client_data)
@@ -324,41 +327,43 @@ class SplitTrainer:
 
         full_model = config.kind == "fl"
         travelling = config.kind == "ssl"
-        self.stack = nn.LayerStack(
-            model.layers if full_model else model.client_segment,
-            1 if travelling else config.clients,
-            config.optimizer,
-        )
-        views = [self.stack.slot_layers(s) for s in range(len(self.stack.flat))]
-        self.clients: list[ClientState] = []
+        classes = next(l.out_dim for l in reversed(model.layers) if l.kind == "dense")
+        checked = []
         for cid, (x, y) in enumerate(client_data):
-            slot = 0 if travelling else cid
-            self.clients.append(
-                ClientState(
-                    client_id=cid,
-                    layers=views[slot],
-                    features=nn.as_tensor(x),
-                    labels=np.asarray(y, dtype=np.int64),
-                    delta=x.shape[0] / total,
-                    stack=self.stack,
-                    slot=slot,
-                )
-            )
-        self.deltas = {c.client_id: c.delta for c in self.clients}
-        self._delta_array = np.array([c.delta for c in self.clients])
-
-        self.server, self.server_layers = None, None
-        if not full_model:
-            self.server = nn.LayerStack(model.server_segment, 1, config.optimizer)
-            self.server_layers = self.server.slot_layers(0)
+            x, y = nn.as_tensor(x), np.asarray(y, dtype=np.int64)
+            nn.check_finite(x, f"features of client {cid}")
+            in_range = 0 <= y.min(initial=0) and y.max(initial=0) < classes
+            if x.ndim != 2 or y.shape != x.shape[:1] or not in_range:
+                raise InputError(f"client {cid} needs a label in [0, {classes}) per feature row")
+            checked.append((x, y))
 
         self.eta_c, self.eta_s = split_lr(
-            config.base_lr,
-            config.clients,
-            config.effective_mechanisms()[1],
-            batch_size=config.batch_size,
-            basis=config.lr_scale_basis,
+            config.base_lr, config.clients, config.effective_mechanisms()[1],
+            batch_size=config.batch_size, basis=config.lr_scale_basis,
         )
+        segment = model.layers if full_model else model.client_segment
+        rows = 1 if travelling else config.clients
+        sizes = [rows * nn.param_count(segment)]
+        sizes.append(0 if full_model else nn.param_count(model.server_segment))
+        one_lr = self.eta_c == self.eta_s
+        self._lr = self.eta_c if one_lr else [self.eta_c, self.eta_s]
+        self.buffer = nn.ParamBuffer([sum(sizes)] if one_lr else sizes, config.optimizer)
+        self.stack = nn.LayerStack(segment, rows, self.buffer)
+        views = [self.stack.slot_layers(s) for s in range(rows)]
+        slots = [0] * config.clients if travelling else range(config.clients)
+        self.clients = [
+            ClientState(cid, views[slot], x, y, x.shape[0] / total, self.stack, slot)
+            for (cid, (x, y)), slot in zip(enumerate(checked), slots)
+        ]
+        self.deltas = {c.client_id: c.delta for c in self.clients}
+        self._delta_array = np.array([c.delta for c in self.clients])
+        self._server_weights = np.ones(1) if travelling else self._delta_array
+
+        self.server, self.server_layers, self._server_grads = None, None, None
+        if not full_model:
+            self.server = nn.LayerStack(model.server_segment, 1, self.buffer)
+            self.server_layers = self.server.slot_layers(0)
+            self._server_grads = [[g[0] for g in grads] for grads in self.server.grads]
 
     # -- public API ---------------------------------------------------------
 
@@ -399,23 +404,14 @@ class SplitTrainer:
         rng = keyed_rng(self.config.seed, STREAM_BATCH, epoch, client.client_id)
         return _epoch_batches(client.sample_count, self.config.batch_size, rng)
 
-    def _log(self, direction, kind, client_id, nbytes, round_index):
-        if self.ledger is not None:
-            self.ledger.record(direction, kind, client_id, nbytes, round_index)
-
     # -- the round engine -------------------------------------------------------
 
     def _parallel_epoch(self, epoch: int) -> tuple[float, list[int]]:
         cfg = self.config
         phi, _ = cfg.effective_mechanisms()
-        averaging_on = phi > 0 and phased_schedule(epoch, cfg.epochs, cfg.phase)
-        active = (
-            sample_active_clients(
-                cfg.clients, phi, keyed_rng(cfg.seed, STREAM_ACTIVE, epoch)
-            )
-            if averaging_on
-            else []
-        )
+        on = phi > 0 and phased_schedule(epoch, cfg.epochs, cfg.phase)
+        rng = keyed_rng(cfg.seed, STREAM_ACTIVE, epoch) if on else None
+        active = sample_active_clients(cfg.clients, phi, rng) if on else []
 
         per_client = [self._batches_for(c, epoch) for c in self.clients]
         rounds = min(len(b) for b in per_client)
@@ -431,32 +427,31 @@ class SplitTrainer:
         """One round over the client stack, a row per ``batch_ix`` entry
         (client id -> batch rows, ascending ids): every client, so row i is
         client i, or for ssl the one client holding the travelling segment."""
-        x = np.array([self.clients[cid].features[ix] for cid, ix in batch_ix.items()])
-        y = np.array([self.clients[cid].labels[ix] for cid, ix in batch_ix.items()])
-        cache = nn.forward(self.stack.layers, x)
+        rows = [(self.clients[cid], ix) for cid, ix in batch_ix.items()]
+        x = np.concatenate([c.features.take(ix, 0) for c, ix in rows])
+        y = np.concatenate([c.labels.take(ix) for c, ix in rows]).reshape(len(rows), -1)
+        cache = nn.forward(self.stack.layers, x.reshape(*y.shape, -1), validate=False)
         if self.server is None:
-            losses, upstream = nn.loss_softmax_ce(cache.output, y)
+            losses, upstream = nn.loss_softmax_ce(cache.output, y, validate=False)
             loss = splitting.combine_losses(self._delta_array, losses)
         else:
             row_bytes = cache.output[0].size * 8
             for cid in batch_ix:
                 self._log("up", "smashed", cid, row_bytes, self.steps)
-            weights = np.ones(1) if self.config.kind == "ssl" else self._delta_array
-            loss, upstream, server_grads = splitting.server_gradients(
-                self.server_layers, cache.output, y, weights
-            )
-            self.server.step(server_grads, self.eta_s)
+            loss, upstream, _ = splitting.server_gradients(
+                self.server_layers, cache.output, y, self._server_weights, self._server_grads,
+                validate=False)
             if active:
-                common, _ = split_avg(
-                    {cid: upstream[cid] for cid in active}, active, self.config.splitavg_mean
-                )
-                upstream[active] = common
+                # split_avg's arithmetic: 0.0 plus each active row in id order.
+                common = np.add.reduce(upstream[active], axis=0, initial=0.0)
+                upstream[active] = common / len(active) if self.config.splitavg_mean else common
                 self._log("down", "cut-grad", None, common.size * 8, self.steps)
+            shared = set(active)
             for cid in batch_ix:
-                if cid not in active:
+                if cid not in shared:
                     self._log("down", "cut-grad", cid, row_bytes, self.steps)
-        grads, _ = nn.backward(cache, upstream)
-        self.stack.step(grads, self.eta_c)
+        nn.backward(cache, upstream, self.stack.grads, input_grad=False)
+        self.buffer.step(self._lr)
         self.steps += 1
         return loss
 

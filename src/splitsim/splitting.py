@@ -166,7 +166,8 @@ def combine_losses(deltas: Array, losses: Array) -> float:
 
 
 def server_gradients(
-    server_layers: Sequence, smashed: Array, labels: Array, deltas: Array
+    server_layers: Sequence, smashed: Array, labels: Array, deltas: Array, out=None,
+    *, validate: bool = True,
 ) -> tuple[float, Array, list[list[Array]]]:
     """Backprop client-stacked smashed data [clients, batch, cut_width] and
     labels [clients, batch] as one concatenated batch, without an update.
@@ -174,13 +175,15 @@ def server_gradients(
     The upstream row for client i's sample j is ``delta_i * (softmax -
     onehot)_j / b``, so one backward pass gives the delta-weighted sum of
     per-client server gradients. Returns the delta-weighted loss, the
-    stacked (delta-scaled) cut gradient and the parameter gradients."""
+    stacked (delta-scaled) cut gradient and the parameter gradients, written
+    into ``out`` as by ``nn.backward``. ``validate`` is passed on to
+    ``nn.forward`` and ``nn.loss_softmax_ce``."""
     c, b, width = smashed.shape
-    cache = nn.forward(server_layers, smashed.reshape(c * b, width))
+    cache = nn.forward(server_layers, smashed.reshape(c * b, width), validate=validate)
     logits = cache.output
-    losses, grad = nn.loss_softmax_ce(logits.reshape(c, b, -1), labels)
+    losses, grad = nn.loss_softmax_ce(logits.reshape(c, b, -1), labels, validate=validate)
     grad *= deltas[:, None, None]
-    param_grads, input_grad = nn.backward(cache, grad.reshape(logits.shape))
+    param_grads, input_grad = nn.backward(cache, grad.reshape(logits.shape), out)
     return combine_losses(deltas, losses), input_grad.reshape(c, b, width), param_grads
 
 

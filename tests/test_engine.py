@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from splitsim import nn, protocols, splitting
-from splitsim.errors import NumericError
+from splitsim.errors import InputError, NumericError
 from splitsim.protocols import STREAM_ACTIVE, ProtocolConfig, SplitTrainer, keyed_rng
 
 BATCHES = [1, 7, 8, 9, 13, 32]
@@ -353,3 +353,89 @@ def test_per_layer_check_catches_inf_that_relu_clamps():
         assert np.isneginf(pre[:, 0]).all() and np.isfinite(relu.forward(pre)).all()
         with pytest.raises(NumericError, match=r"output of layer 0 \(dense\)"):
             t._parallel_round(batch_ix, [])
+
+
+SEGMENT_SIZES = [1, 7, nn.ADAM_CHUNK - 3, nn.ADAM_CHUNK + 5, 2 * nn.ADAM_CHUNK + 11]
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    optimizer=st.sampled_from(["sgd", "adam"]),
+    sizes=st.lists(st.sampled_from(SEGMENT_SIZES), min_size=2, max_size=2),
+    steps=st.integers(1, 3),
+    seed=st.integers(0, 2**16),
+)
+def test_buffer_step_equals_per_segment_steps(optimizer, sizes, steps, seed):
+    """One step over a two-segment buffer with two learning rates equals
+    adam_step/sgd_step on each segment alone; segments straddle chunks."""
+    rng = np.random.default_rng(seed)
+    lrs = [1e-2, 3.7e-2]
+    buf = nn.ParamBuffer(sizes, optimizer)
+    buf.params[:] = rng.normal(size=buf.params.size)
+    bounds = [(0, sizes[0]), (sizes[0], sum(sizes))]
+    want = [buf.params[lo:hi].copy() for lo, hi in bounds]
+    states = [nn.init_optimizer(optimizer, [w]) for w in want]
+    for _ in range(steps):
+        buf.grads[:] = rng.normal(size=buf.grads.size)
+        buf.step(lrs)
+        for i, (lo, hi) in enumerate(bounds):
+            g = [buf.grads[lo:hi]]
+            if optimizer == "adam":
+                (want[i],), _ = nn.adam_step([want[i]], g, states[i], lrs[i])
+            else:
+                (want[i],) = nn.sgd_step([want[i]], g, lrs[i])
+    for i, (lo, hi) in enumerate(bounds):
+        assert np.array_equal(buf.params[lo:hi], want[i])
+        if optimizer == "adam":
+            assert buf.opt.t == states[i].t == steps
+            assert np.array_equal(buf.opt.m[i], states[i].m[0])
+            assert np.array_equal(buf.opt.v[i], states[i].v[0])
+
+
+def test_trainer_packs_client_rows_then_server():
+    """Both segments are views of one buffer, each gradient lands in it,
+    and slr steps its two segments with eta_c and eta_s."""
+    rng = np.random.default_rng(6)
+    model = splitting.SplitModel(nn.build_mlp([5, 6, 4, 3], rng), 2)
+    data = [(rng.normal(size=(8, 5)), rng.integers(0, 3, size=8)) for _ in range(3)]
+    cfg = ProtocolConfig(kind="slr", clients=3, batch_size=4, lr_exponent=0.5)
+    t = SplitTrainer(model, data, cfg)
+    client_size = t.stack.flat.size
+    assert np.shares_memory(t.stack.flat, t.buffer.params[:client_size])
+    assert np.shares_memory(t.server.flat, t.buffer.params[client_size:])
+    assert [p.size for p in t.buffer.opt.m] == [client_size, t.server.flat.size]
+    assert t._lr == [t.eta_c, t.eta_s] and t.eta_c != t.eta_s
+    t.run_epoch(0)
+    assert np.any(t.stack.grad) and np.any(t.server.grad)
+    assert t.buffer.opt.t == t.server_opt.t == 2
+
+
+def test_overflowing_dense_output_raises():
+    rng = np.random.default_rng(7)
+    model = splitting.SplitModel(nn.build_mlp([3, 4, 2], rng), 2)
+    data = [(np.abs(rng.normal(size=(4, 3))) + 1.0, rng.integers(0, 2, size=4))
+            for _ in range(2)]
+    t = SplitTrainer(model, data, ProtocolConfig(kind="psl", clients=2, batch_size=4))
+    t.clients[0].layers[0].weight[:] = 1e308
+    with np.errstate(over="ignore"):
+        with pytest.raises(NumericError, match=r"output of layer 0 \(dense\)"):
+            t.run_epoch(0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_nonfinite_client_features_rejected_at_build(bad):
+    rng = np.random.default_rng(8)
+    model = splitting.SplitModel(nn.build_mlp([3, 4, 2], rng), 2)
+    data = [(rng.normal(size=(4, 3)), rng.integers(0, 2, size=4)) for _ in range(2)]
+    data[1][0][2, 1] = bad
+    with pytest.raises(NumericError, match="features of client 1"):
+        SplitTrainer(model, data, ProtocolConfig(kind="psl", clients=2, batch_size=4))
+
+
+@pytest.mark.parametrize("label", [-1, 2])
+def test_out_of_range_labels_rejected_at_build(label):
+    rng = np.random.default_rng(9)
+    model = splitting.SplitModel(nn.build_mlp([3, 4, 2], rng), 2)
+    data = [(rng.normal(size=(4, 3)), np.array([0, 1, label, 0])) for _ in range(2)]
+    with pytest.raises(InputError, match="client 0 needs a label in"):
+        SplitTrainer(model, data, ProtocolConfig(kind="ssl", clients=2, batch_size=4))

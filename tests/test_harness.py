@@ -232,6 +232,28 @@ class TestSweep:
         rows = sweep(base_config(), grid={"protocol.kind": ["psl", "fl"]}, seeds=[1, 2])
         assert len(finished) == 4 and len(rows) == 2
 
+    def test_colliding_run_ids_keep_every_run(self, tmp_path):
+        """base_lr and cut_index are not in the default run id; each run
+        still writes its own files, named after its grid cell."""
+        grid = {"protocol.base_lr": [1e-3, 1e-2], "model.cut_index": [1, 2]}
+        sweep(base_config(), grid=grid, seeds=[1, 2], out_dir=tmp_path)
+        names = sorted(p.name for p in (tmp_path / "runs").glob("*.metrics.jsonl"))
+        assert len(names) == 8
+        assert "sglr-c2-phi0.5-a0.5-seed2-base_lr0.01-cut_index2.metrics.jsonl" in names
+        for name in names:
+            run_id = name.removesuffix(".metrics.jsonl")
+            record = json.loads((tmp_path / "runs" / name).read_text().splitlines()[0])
+            assert record["run_id"] == run_id
+
+    def test_distinct_run_ids_keep_their_names(self, tmp_path):
+        sweep(base_config(), grid={"protocol.kind": ["psl", "fl"]}, seeds=[1, 2],
+              out_dir=tmp_path)
+        names = {p.name for p in (tmp_path / "runs").glob("*.metrics.jsonl")}
+        assert names == {
+            f"{kind}-c2-phi0.5-a0.5-seed{seed}.metrics.jsonl"
+            for kind in ("psl", "fl") for seed in (1, 2)
+        }
+
     def test_empty_grid_rejected(self):
         with pytest.raises(ConfigError):
             sweep(base_config(), grid={}, seeds=[1])

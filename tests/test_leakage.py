@@ -2,10 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from splitsim import nn
 from splitsim.errors import InputError
 from splitsim.leakage import (
+    bin_index,
+    joint_histogram,
     mi_from_joint,
     mutual_information,
     smashed_leakage_score,
@@ -184,3 +188,65 @@ class TestDataProcessingTrend:
                 smashed_leakage_score(deep, probe, bins=8, pairs=pairs).value
             )
         assert np.mean(deep_scores) <= np.mean(shallow_scores) + 0.02
+
+
+def tied_column(rng, n, levels):
+    """``levels`` distinct values, each repeated, the maximum included."""
+    values = rng.normal(size=levels) * 10.0 ** rng.integers(-3, 3)
+    return values[rng.integers(0, levels, size=n)]
+
+
+def histogram2d_score(layers, probe, bins, pairs):
+    """The per-pair reference: np.histogram2d on every pair's columns."""
+    smashed = nn.forward(layers, probe).output
+    values = []
+    for f, u in pairs:
+        x, y = probe[:, f], smashed[:, u]
+        if np.ptp(x) == 0.0 or np.ptp(y) == 0.0:
+            values.append(0.0)
+        else:
+            values.append(mi_from_joint(np.histogram2d(x, y, bins=bins)[0]))
+    return float(np.mean(values))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(16, 200),
+    bins=st.integers(2, 16),
+    x_levels=st.integers(1, 6),
+    seed=st.integers(0, 2**16),
+)
+def test_bincount_joint_equals_histogram2d(n, bins, x_levels, seed):
+    rng = np.random.default_rng(seed)
+    x = tied_column(rng, n, x_levels)
+    y = np.round(rng.normal(size=n), 1)
+    y[rng.integers(0, n, size=3)] = y.max()
+    ix, iy = bin_index(x, bins), bin_index(y, bins)
+    if np.ptp(x) == 0.0:
+        assert ix is None
+        est = mutual_information(x, y, bins)
+        assert est.value == 0.0 and est.degenerate
+        return
+    assert np.array_equal(joint_histogram(ix, iy, bins), np.histogram2d(x, y, bins)[0])
+    want = mi_from_joint(np.histogram2d(x, y, bins)[0])
+    assert mutual_information(x, y, bins).value == want
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    rows=st.integers(16, 120),
+    bins=st.integers(2, 16),
+    n_pairs=st.integers(1, 40),
+    seed=st.integers(0, 2**16),
+)
+def test_score_equals_per_pair_histogram2d(rows, bins, n_pairs, seed):
+    """Columns with ties, a constant probe column and dead ReLU units
+    (constant zero columns) all score as the per-pair reference does."""
+    rng = np.random.default_rng(seed)
+    probe = np.column_stack([tied_column(rng, rows, 3), np.full(rows, 2.5),
+                             rng.normal(size=(rows, 3))])
+    layers = nn.build_mlp([5, 6, 2], rng)[:2]
+    layers[0].bias[:2] = -100.0
+    pairs = [(int(rng.integers(5)), int(rng.integers(6))) for _ in range(n_pairs)]
+    got = smashed_leakage_score(layers, probe, bins=bins, pairs=pairs).value
+    assert got == histogram2d_score(layers, probe, bins, pairs)
