@@ -285,7 +285,7 @@ def reconcile(
     per round, the run's physical payload, so the itemized comparison is
     exact while the formula total stays the published one.
     """
-    if method not in ("psl", "sglr", "fl", "sfl", "ssl"):
+    if method not in METHODS:
         raise InputError(f"unknown method {method!r}")
     sl_bytes = cut_width * BYTES_PER_SCALAR
     per_client_samples = rounds * batch_size

@@ -1,5 +1,6 @@
 """Dataset ingestion (IDX binary format), a synthetic generator, IID
-partitioning, and validation splits. Everything is seed-deterministic."""
+partitioning, and validation splits. Everything is seed-deterministic.
+Rows move in place (``permute_rows``), so a run keeps one copy of its data."""
 
 from __future__ import annotations
 
@@ -74,7 +75,8 @@ def load_idx(images_path, labels_path) -> Dataset:
         if len(raw) != count * rows * cols:
             raise FormatError(f"{images_path}: truncated pixel data")
         pixels = np.frombuffer(raw, dtype=np.uint8)
-    features = pixels.reshape(count, rows * cols).astype(np.float64) / 255.0
+    features = pixels.reshape(count, rows * cols).astype(np.float64)
+    features /= 255.0
 
     with open(labels_path, "rb") as f:
         magic = _read_be32(f, labels_path)
@@ -132,34 +134,73 @@ def synth_dataset(
     for k in range(n_classes):
         mean = np.zeros(dim)
         mean[k] = scale
-        block = slice(k * per_class, (k + 1) * per_class)
-        features[block] = mean + rng.normal(size=(per_class, dim))
-        labels[block] = k
+        block = features[k * per_class : (k + 1) * per_class]
+        # Same bits as mean + rng.normal(size=...): normal(0, 1) is 0.0 + z.
+        np.add(rng.standard_normal(out=block), mean, out=block)
+        labels[k * per_class : (k + 1) * per_class] = k
     order = rng.permutation(len(labels))
-    return Dataset(features[order], labels[order], n_classes)
+    permute_rows(features, order)
+    return Dataset(features, labels[order], n_classes)
+
+
+def permute_rows(a: np.ndarray, order: np.ndarray, block_bytes: int = 1 << 22) -> None:
+    """``a[:] = a[order]`` in place for a permutation ``order``, one block of
+    destination rows (at most ``block_bytes``) at a time: the rows a block
+    takes are staged, and the rows it displaces move into the freed slots."""
+    n = len(order)
+    rows = max(1, block_bytes // max(1, a[:1].nbytes))
+    at, pos = np.arange(n), np.arange(n)  # original row at a slot; slot of a row
+    for start in range(0, n, rows):
+        stop = min(start + rows, n)
+        src = pos[order[start:stop]]  # all >= start: earlier slots are final
+        staged = a[src]
+        displaced = np.ones(stop - start, dtype=bool)
+        displaced[src[src < stop] - start] = False
+        moved, freed = np.flatnonzero(displaced) + start, src[src >= stop]
+        a[freed] = a[moved]
+        at[freed] = at[moved]
+        pos[at[freed]] = freed
+        a[start:stop] = staged
 
 
 def partition_iid(dataset: Dataset, clients: int, per_client: int, seed: int) -> Partition:
     """Disjoint uniform draws without replacement, ``per_client`` each."""
-    need = clients * per_client
-    if need > len(dataset):
-        raise InputError(
-            f"need {need} samples for {clients} clients but dataset has {len(dataset)}"
-        )
-    rng = np.random.default_rng(seed)
-    drawn = rng.permutation(len(dataset))[:need]
-    return Partition(
-        client_indices=[
-            drawn[i * per_client : (i + 1) * per_client] for i in range(clients)
-        ],
-        seed=seed,
-    )
+    drawn = partition_draw(len(dataset), clients, per_client, seed)
+    chunks = [drawn[i * per_client : (i + 1) * per_client] for i in range(clients)]
+    return Partition(client_indices=chunks, seed=seed)
 
 
 def split_validation(dataset: Dataset, n_val: int, seed: int) -> tuple[Dataset, Dataset]:
     """Uniformly draw ``n_val`` rows out as the validation set."""
-    if n_val >= len(dataset):
-        raise InputError("validation size must be smaller than the dataset")
-    rng = np.random.default_rng(seed)
-    perm = rng.permutation(len(dataset))
+    perm = validation_draw(len(dataset), n_val, seed)
     return dataset.subset(perm[n_val:]), dataset.subset(perm[:n_val])
+
+
+def partition_draw(n: int, clients: int, per_client: int, seed) -> np.ndarray:
+    """``partition_iid``'s permutation: client i takes entries [i*per_client, (i+1)*per_client)."""
+    need = clients * per_client
+    if need > n:
+        raise InputError(f"need {need} samples for {clients} clients but dataset has {n}")
+    return np.random.default_rng(seed).permutation(n)
+
+
+def validation_draw(n: int, n_val: int, seed) -> np.ndarray:
+    """``split_validation``'s permutation: the first ``n_val`` entries are validation."""
+    if n_val >= n:
+        raise InputError("validation size must be smaller than the dataset")
+    return np.random.default_rng(seed).permutation(n)
+
+
+def arrange(dataset: Dataset, n_val: int, clients: int, per_client: int,
+            val_seed, part_seed) -> tuple[Dataset, list[Dataset]]:
+    """Move the rows in place into [validation | client 0 | ... | client C-1 |
+    unused] and return (validation, clients) as views of ``dataset``. The rows
+    are those ``split_validation`` (skipped if ``n_val`` is 0) then
+    ``partition_iid`` draw with the same seeds."""
+    n = len(dataset)
+    order = validation_draw(n, n_val, val_seed) if n_val else np.arange(n)
+    order[n_val:] = order[n_val:][partition_draw(n - n_val, clients, per_client, part_seed)]
+    permute_rows(dataset.features, order)
+    permute_rows(dataset.labels, order)
+    starts = [n_val + i * per_client for i in range(clients)]
+    return dataset.subset(slice(n_val)), [dataset.subset(slice(s, s + per_client)) for s in starts]

@@ -229,23 +229,28 @@ class ExperimentResult:
         return row
 
 
-def build_dataset(cfg: ExperimentConfig) -> tuple[data.Dataset, data.Dataset]:
-    """(train, validation) per the dataset spec, seeded from the run seed."""
+def build_dataset(cfg: ExperimentConfig) -> tuple[list, data.Dataset, np.ndarray | None]:
+    """(clients, validation, leakage probe) per the dataset spec, seeded from
+    the run seed; clients and validation are views of one array (``data.arrange``).
+    The probe is the first validation rows, or without validation the first rows
+    as built, copied before the move; None with leakage off or for fl."""
     ds_spec = cfg.dataset
     seed = cfg.protocol.seed
     if ds_spec.kind == "idx":
         full = data.load_idx(ds_spec.images, ds_spec.labels)
     else:
-        full = data.synth_dataset(
-            ds_spec.classes,
-            ds_spec.per_class,
-            ds_spec.dim,
-            ds_spec.separation,
-            seed=[seed, STREAM_SYNTH],
-        )
-    if ds_spec.validation:
-        return data.split_validation(full, ds_spec.validation, seed=[seed, STREAM_VALSPLIT])
-    return full, full.subset(np.arange(0))
+        full = data.synth_dataset(ds_spec.classes, ds_spec.per_class, ds_spec.dim,
+                                  ds_spec.separation, seed=[seed, STREAM_SYNTH])
+    leak = cfg.leakage.enabled and cfg.protocol.kind != "fl"
+    head = slice(cfg.leakage.probe)
+    probe = full.features[head].copy() if leak and not ds_spec.validation else None
+    val, clients = data.arrange(
+        full, ds_spec.validation, cfg.protocol.clients, ds_spec.per_client,
+        val_seed=[seed, STREAM_VALSPLIT], part_seed=[seed, STREAM_PARTITION],
+    )
+    if leak and ds_spec.validation:
+        probe = val.features[head]
+    return clients, val, probe
 
 
 def build_model(cfg: ExperimentConfig, input_dim: int, n_classes: int) -> splitting.SplitModel:
@@ -260,25 +265,12 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> ExperimentResult:
     Writes ``<run_id>.metrics.jsonl`` (one record per epoch),
     ``<run_id>.summary.csv`` and ``<run_id>.config.json`` under ``out_dir``.
     """
-    train, val = build_dataset(cfg)
-    part = data.partition_iid(
-        train,
-        cfg.protocol.clients,
-        cfg.dataset.per_client,
-        seed=[cfg.protocol.seed, STREAM_PARTITION],
-    )
-    client_data = [
-        (train.features[ix], train.labels[ix]) for ix in part.client_indices
-    ]
-    model = build_model(cfg, train.features.shape[1], train.n_classes)
+    clients, val, probe = build_dataset(cfg)
+    client_data = [(c.features, c.labels) for c in clients]
+    model = build_model(cfg, val.features.shape[1], val.n_classes)
     ledger = comm.CommLedger()
     val_pair = (val.features, val.labels) if len(val) else None
     trainer = SplitTrainer(model, client_data, cfg.protocol, val_data=val_pair, ledger=ledger)
-
-    probe = None
-    if cfg.leakage.enabled and cfg.protocol.kind != "fl":
-        source = val if len(val) else train
-        probe = source.features[: cfg.leakage.probe]
 
     records: list[MetricsRecord] = []
     run_id = cfg.resolved_run_id()

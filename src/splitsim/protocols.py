@@ -261,8 +261,9 @@ def phased_schedule(epoch: int, total_epochs: int, spec: str) -> bool:
     return epoch >= math.floor((1.0 - p) * total_epochs)
 
 
-def evaluate(model, features: Array, labels) -> float:
-    """Top-1 accuracy; ``model`` is a layer list or (client, server) pair."""
+def evaluate(model, features: Array, labels, validate: bool = True) -> float:
+    """Top-1 accuracy; ``model`` is a layer list or (client, server) pair;
+    ``validate=False`` skips the feature check."""
     if isinstance(model, tuple):
         client_seg, server_seg = model
         layers = list(client_seg) + list(server_seg)
@@ -272,7 +273,7 @@ def evaluate(model, features: Array, labels) -> float:
     labels = np.asarray(labels, dtype=np.int64)
     if features.shape[0] == 0:
         raise InputError("cannot evaluate on an empty dataset")
-    logits = nn.forward(layers, features).output
+    logits = nn.forward(layers, features, validate=validate).output
     predictions = np.argmax(logits, axis=1)
     return float(np.mean(predictions == labels))
 
@@ -316,7 +317,6 @@ class SplitTrainer:
             )
         self.config = config
         self.model = model
-        self.val_data = val_data
         self.ledger = ledger
         self._log = (lambda *entry: None) if ledger is None else ledger.record
         self.steps = 0
@@ -328,14 +328,17 @@ class SplitTrainer:
         full_model = config.kind == "fl"
         travelling = config.kind == "ssl"
         classes = next(l.out_dim for l in reversed(model.layers) if l.kind == "dense")
-        checked = []
-        for cid, (x, y) in enumerate(client_data):
+
+        def check(x, y, owner):
             x, y = nn.as_tensor(x), np.asarray(y, dtype=np.int64)
-            nn.check_finite(x, f"features of client {cid}")
+            nn.check_finite(x, f"features of {owner}")
             in_range = 0 <= y.min(initial=0) and y.max(initial=0) < classes
             if x.ndim != 2 or y.shape != x.shape[:1] or not in_range:
-                raise InputError(f"client {cid} needs a label in [0, {classes}) per feature row")
-            checked.append((x, y))
+                raise InputError(f"{owner} needs a label in [0, {classes}) per feature row")
+            return x, y
+
+        checked = [check(x, y, f"client {cid}") for cid, (x, y) in enumerate(client_data)]
+        self.val_data = None if val_data is None else check(*val_data, "validation")
 
         self.eta_c, self.eta_s = split_lr(
             config.base_lr, config.clients, config.effective_mechanisms()[1],
@@ -384,9 +387,10 @@ class SplitTrainer:
             steps=self.steps,
         )
 
-    def evaluate_on(self, features: Array, labels) -> float:
+    def evaluate_on(self, features: Array, labels, validate: bool = True) -> float:
         """Accuracy through client 0's segment (or full model for fl)."""
-        return evaluate((self.clients[0].layers, self.server_layers or []), features, labels)
+        segments = (self.clients[0].layers, self.server_layers or [])
+        return evaluate(segments, features, labels, validate)
 
     @property
     def server_opt(self) -> nn.OptimizerState | None:
@@ -398,7 +402,7 @@ class SplitTrainer:
     def _validation_accuracy(self) -> float:
         if self.val_data is None:
             return 0.0
-        return self.evaluate_on(*self.val_data)
+        return self.evaluate_on(*self.val_data, validate=False)  # checked at build
 
     def _batches_for(self, client: ClientState, epoch: int) -> list[Array]:
         rng = keyed_rng(self.config.seed, STREAM_BATCH, epoch, client.client_id)
