@@ -13,6 +13,7 @@ from .errors import FormatError, InputError
 
 IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
+ROW_BLOCK_BYTES = 1 << 22  # ``permute_rows`` moves at most this much per block
 
 
 @dataclass
@@ -143,12 +144,12 @@ def synth_dataset(
     return Dataset(features, labels[order], n_classes)
 
 
-def permute_rows(a: np.ndarray, order: np.ndarray, block_bytes: int = 1 << 22) -> None:
+def permute_rows(a: np.ndarray, order: np.ndarray) -> None:
     """``a[:] = a[order]`` in place for a permutation ``order``, one block of
-    destination rows (at most ``block_bytes``) at a time: the rows a block
+    destination rows (at most ``ROW_BLOCK_BYTES``) at a time: the rows a block
     takes are staged, and the rows it displaces move into the freed slots."""
     n = len(order)
-    rows = max(1, block_bytes // max(1, a[:1].nbytes))
+    rows = max(1, ROW_BLOCK_BYTES // max(1, a[:1].nbytes))
     at, pos = np.arange(n), np.arange(n)  # original row at a slot; slot of a row
     for start in range(0, n, rows):
         stop = min(start + rows, n)

@@ -387,10 +387,9 @@ class SplitTrainer:
             steps=self.steps,
         )
 
-    def evaluate_on(self, features: Array, labels, validate: bool = True) -> float:
+    def evaluate_on(self, features: Array, labels) -> float:
         """Accuracy through client 0's segment (or full model for fl)."""
-        segments = (self.clients[0].layers, self.server_layers or [])
-        return evaluate(segments, features, labels, validate)
+        return evaluate((self.clients[0].layers, self.server_layers or []), features, labels)
 
     @property
     def server_opt(self) -> nn.OptimizerState | None:
@@ -402,7 +401,8 @@ class SplitTrainer:
     def _validation_accuracy(self) -> float:
         if self.val_data is None:
             return 0.0
-        return self.evaluate_on(*self.val_data, validate=False)  # checked at build
+        segments = (self.clients[0].layers, self.server_layers or [])
+        return evaluate(segments, *self.val_data, validate=False)  # checked at build
 
     def _batches_for(self, client: ClientState, epoch: int) -> list[Array]:
         rng = keyed_rng(self.config.seed, STREAM_BATCH, epoch, client.client_id)

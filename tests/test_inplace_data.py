@@ -19,8 +19,8 @@ from splitsim.protocols import (
 )
 
 WIDTH = 3
-BLOCK = 5  # rows per permute_rows block at BLOCK_BYTES for WIDTH-wide float64 rows
-BLOCK_BYTES = BLOCK * WIDTH * 8
+BLOCK = 5  # rows per permute_rows block when ROW_BLOCK_BYTES is BLOCK_BYTES
+BLOCK_BYTES = BLOCK * WIDTH * 8  # for WIDTH-wide float64 rows
 SIZES = [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7]
 ORDERS = ["random", "identity", "reversed", "cycle"]
 
@@ -62,17 +62,21 @@ def test_permute_rows_equals_gather(n, kind, seed):
     a = rng.normal(size=(n, WIDTH))
     order = make_order(kind, n, rng)
     expected = a[order]
-    data.permute_rows(a, order, BLOCK_BYTES)
+    with pytest.MonkeyPatch.context() as mp:  # fixtures are not reset per hypothesis example
+        mp.setattr(data, "ROW_BLOCK_BYTES", BLOCK_BYTES)
+        data.permute_rows(a, order)
     assert np.array_equal(bits(a), bits(expected))
 
 
 @pytest.mark.parametrize("kind", ORDERS)
-def test_permute_rows_on_labels_and_default_block(kind):
+def test_permute_rows_on_labels_and_default_block(kind, monkeypatch):
     rng = np.random.default_rng(4)
     labels = rng.integers(0, 9, size=3 * BLOCK + 7)
     order = make_order(kind, len(labels), rng)
     expected = labels[order]
-    data.permute_rows(labels, order, block_bytes=8 * BLOCK)
+    with monkeypatch.context() as mp:
+        mp.setattr(data, "ROW_BLOCK_BYTES", 8 * BLOCK)
+        data.permute_rows(labels, order)
     assert np.array_equal(labels, expected)
     wide = rng.normal(size=(600, 2000))  # 16 000-byte rows: 262 rows per default block
     order = make_order(kind, len(wide), rng)
