@@ -10,7 +10,7 @@ import json
 import sys
 from pathlib import Path
 
-from .comm import CostParams
+from .comm import METHODS, CostParams
 from .errors import ConfigError, SplitSimError
 from .harness import (
     ExperimentConfig,
@@ -19,6 +19,7 @@ from .harness import (
     set_by_path,
     sweep,
 )
+from .protocols import KINDS
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -84,11 +85,17 @@ def cmd_sweep(args) -> int:
 def cmd_cost(args) -> int:
     if args.config:
         raw = load_config_dict(args.config, None, args.set)
-        methods = raw.get("methods", ["fl", "ssl", "sfl", "sglr", "psl"])
+        methods = raw.get("methods", list(METHODS))
+        if not isinstance(methods, list) or not set(methods) <= set(METHODS):
+            raise ConfigError(f"must be a list of {', '.join(METHODS)}", field="methods")
         settings, names = None, None
         if "settings" in raw:
+            if not isinstance(raw["settings"], list):
+                raise ConfigError("must be a list of objects", field="settings")
             settings, names = [], []
             for i, entry in enumerate(raw["settings"]):
+                if not isinstance(entry, dict):
+                    raise ConfigError("must be an object", field=f"settings[{i}]")
                 name = entry.pop("name", f"setting_{i}")
                 try:
                     settings.append(CostParams(**entry))
@@ -112,11 +119,9 @@ def cmd_leakage(args) -> int:
     raw = load_config_dict(args.config, args.seed, args.set)
     set_by_path(raw, "leakage.enabled", True)
     cfg = ExperimentConfig.from_dict(raw)
-    if cfg.protocol.kind == "fl":
-        raise ConfigError(
-            "fl exchanges no smashed data; pick a split protocol",
-            field="protocol.kind",
-        )
+    if not KINDS[cfg.protocol.kind].server:
+        raise ConfigError(f"{cfg.protocol.kind} exchanges no smashed data; pick a split protocol",
+                          field="protocol.kind")
     result = run_experiment(cfg, args.out)
     scores = [r.leakage_score for r in result.records]
     print(

@@ -15,7 +15,7 @@ import json
 import os
 import re
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from itertools import product
 from pathlib import Path
 
@@ -63,10 +63,7 @@ class LeakageSpec:
 
 
 # Protocol kinds -> analytic cost-model rows.
-COST_METHOD = {
-    "fl": "fl", "ssl": "ssl", "sfl": "sfl",
-    "psl": "psl", "slr": "psl", "sgl": "sglr", "sglr": "sglr",
-}
+COST_METHOD = {name: kind.cost for name, kind in protocols.KINDS.items()}
 
 
 @dataclass
@@ -87,9 +84,7 @@ class ExperimentConfig:
                 raise ConfigError("must be an object", field=path)
             try:
                 return cls(**payload)
-            except TypeError as exc:
-                raise ConfigError(str(exc), field=path) from exc
-            except InputError as exc:
+            except (TypeError, InputError) as exc:
                 raise ConfigError(str(exc), field=path) from exc
 
         if "protocol" not in raw:
@@ -156,6 +151,12 @@ class ExperimentConfig:
                 f"cut_index must be < {n_layers} for this model",
                 field="model.cut_index",
             )
+        leak = self.leakage
+        probe_rows = min(leak.probe, ds.validation or leak.probe)  # validation caps the probe
+        for name, value, least in (("bins", leak.bins, 2), ("pairs", leak.pairs, 1),
+                                   ("probe", probe_rows, leak.bins)):
+            if leak.enabled and value < least:
+                raise ConfigError(f"needs at least {least}, got {value}", field=f"leakage.{name}")
 
     def to_dict(self) -> dict:
         return {
@@ -241,7 +242,7 @@ def build_dataset(cfg: ExperimentConfig) -> tuple[list, data.Dataset, np.ndarray
     else:
         full = data.synth_dataset(ds_spec.classes, ds_spec.per_class, ds_spec.dim,
                                   ds_spec.separation, seed=[seed, STREAM_SYNTH])
-    leak = cfg.leakage.enabled and cfg.protocol.kind != "fl"
+    leak = cfg.leakage.enabled and protocols.KINDS[cfg.protocol.kind].server
     head = slice(cfg.leakage.probe)
     probe = full.features[head].copy() if leak and not ds_spec.validation else None
     val, clients = data.arrange(
@@ -446,7 +447,7 @@ DATASET_GRID = (50_000, 500_000, 2_000_000)
 
 
 def emit_cost_report(
-    methods=("fl", "ssl", "sfl", "sglr", "psl"),
+    methods=comm.METHODS,
     settings: list[comm.CostParams] | None = None,
     names: list[str] | None = None,
 ) -> str:
@@ -456,17 +457,7 @@ def emit_cost_report(
         settings = [REFERENCE_COST]
         names = ["reference-100clients"]
         for d in DATASET_GRID:
-            settings.append(
-                comm.CostParams(
-                    cut_size_mb=REFERENCE_COST.cut_size_mb,
-                    model_size_mb=REFERENCE_COST.model_size_mb,
-                    client_size_mb=REFERENCE_COST.client_size_mb,
-                    dataset_size=d,
-                    clients=REFERENCE_COST.clients,
-                    active_fraction=REFERENCE_COST.active_fraction,
-                    link_rate=10.0,
-                    compute_time=1.0,
-                )
-            )
+            settings.append(replace(REFERENCE_COST, dataset_size=d, link_rate=10.0,
+                                    compute_time=1.0))
             names.append(f"dataset-{d}")
     return comm.cost_table_csv(list(methods), settings, names)

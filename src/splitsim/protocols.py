@@ -1,6 +1,6 @@
 """Round-based engines for the split/federated training protocols.
 
-Supported protocol kinds:
+Supported protocol kinds, one row each of ``KINDS``:
 
     ssl   sequential split learning: one traveling client segment, clients
           visited in id order, weights handed to the next client
@@ -14,11 +14,12 @@ Supported protocol kinds:
           server-side combination, broadcast in common
     sglr  slr and sgl combined
 
-All seven kinds execute the same client-stacked round, ``_parallel_round``
-(see ``SplitTrainer``), with the two mechanisms (learning-rate scaling,
-gradient averaging) enabled or disabled, so the degenerate cases collapse
-bitwise: sglr with active_fraction 0 and lr_exponent 0 runs exactly psl's
-arithmetic.
+A kind is a row of switches (``Kind``): gradient averaging, server learning
+rate scaling, a server or none, one travelling segment, LocAvg after each
+round. ``SplitTrainer.run_epoch`` is one epoch loop for all of them over the
+same client-stacked round, ``_parallel_round``, so the degenerate cases
+collapse bitwise: sglr with active_fraction 0 and lr_exponent 0 runs exactly
+psl's arithmetic.
 
 All randomness flows through ``keyed_rng``: every consumer (weight init,
 per-client batch shuffles, active-set sampling) owns an independent stream
@@ -41,7 +42,29 @@ from .errors import DimensionError, InputError
 
 Array = np.ndarray
 
-PROTOCOL_KINDS = ("ssl", "psl", "fl", "sfl", "slr", "sgl", "sglr")
+
+@dataclass(frozen=True)
+class Kind:
+    """A protocol kind as switches over the shared round; ``cost`` is its ``comm.METHODS`` row."""
+
+    cost: str
+    grad_avg: bool = False  # active clients' cut gradients are averaged (phi)
+    lr_scale: bool = False  # the server learning rate is scaled (alpha)
+    server: bool = True  # False: full client models, no smashed data (fl)
+    travelling: bool = False  # one segment visits the clients in turn (ssl)
+    loc_avg: bool = False  # LocAvg after every round
+
+
+KINDS = {
+    "ssl": Kind("ssl", travelling=True),
+    "psl": Kind("psl"),
+    "fl": Kind("fl", server=False, loc_avg=True),
+    "sfl": Kind("sfl", loc_avg=True),
+    "slr": Kind("psl", lr_scale=True),
+    "sgl": Kind("sglr", grad_avg=True),
+    "sglr": Kind("sglr", grad_avg=True, lr_scale=True),
+}
+PROTOCOL_KINDS = tuple(KINDS)
 
 # Stream ids for keyed_rng; fixed so runs stay reproducible across versions.
 STREAM_INIT = 0
@@ -81,7 +104,7 @@ class ProtocolConfig:
     lr_scale_basis: str = "clients"
 
     def __post_init__(self):
-        if self.kind not in PROTOCOL_KINDS:
+        if self.kind not in KINDS:
             raise InputError(f"unknown protocol kind {self.kind!r}")
         if self.clients < 1:
             raise InputError("need at least one client")
@@ -101,15 +124,9 @@ class ProtocolConfig:
 
     def effective_mechanisms(self) -> tuple[float, float]:
         """(phi, alpha) actually applied, given the protocol kind."""
-        if self.kind in ("psl", "sfl"):
-            return 0.0, 0.0
-        if self.kind == "slr":
-            return 0.0, self.lr_exponent
-        if self.kind == "sgl":
-            return self.active_fraction, 0.0
-        if self.kind == "sglr":
-            return self.active_fraction, self.lr_exponent
-        return 0.0, 0.0  # ssl, fl
+        kind = KINDS[self.kind]
+        return (self.active_fraction if kind.grad_avg else 0.0,
+                self.lr_exponent if kind.lr_scale else 0.0)
 
 
 @dataclass
@@ -261,21 +278,28 @@ def phased_schedule(epoch: int, total_epochs: int, spec: str) -> bool:
     return epoch >= math.floor((1.0 - p) * total_epochs)
 
 
+def _checked(x, y, layers, owner: str) -> tuple[Array, np.ndarray]:
+    """(features, labels) as arrays: finite 2-D features and one label per
+    row in [0, classes), classes being the width of the last Dense layer."""
+    classes = next(l.out_dim for l in reversed(layers) if l.kind == "dense")
+    x, y = nn.as_tensor(x), np.asarray(y, dtype=np.int64)
+    nn.check_finite(x, f"features of {owner}")
+    in_range = 0 <= y.min(initial=0) and y.max(initial=0) < classes
+    if x.ndim != 2 or y.shape != x.shape[:1] or not in_range:
+        raise InputError(f"{owner} needs a label in [0, {classes}) per feature row")
+    return x, y
+
+
 def evaluate(model, features: Array, labels, validate: bool = True) -> float:
     """Top-1 accuracy; ``model`` is a layer list or (client, server) pair;
-    ``validate=False`` skips the feature check."""
-    if isinstance(model, tuple):
-        client_seg, server_seg = model
-        layers = list(client_seg) + list(server_seg)
-    else:
-        layers = list(model)
-    features = nn.as_tensor(features)
-    labels = np.asarray(labels, dtype=np.int64)
+    ``validate=False`` takes features and labels as already checked arrays."""
+    layers = [*model[0], *model[1]] if isinstance(model, tuple) else list(model)
+    if validate:
+        features, labels = _checked(features, labels, layers, "evaluation data")
     if features.shape[0] == 0:
         raise InputError("cannot evaluate on an empty dataset")
-    logits = nn.forward(layers, features, validate=validate).output
-    predictions = np.argmax(logits, axis=1)
-    return float(np.mean(predictions == labels))
+    logits = nn.forward(layers, features, validate=False).output
+    return float(np.mean(np.argmax(logits, axis=1) == labels))
 
 
 # ---------------------------------------------------------------------------
@@ -295,10 +319,11 @@ class SplitTrainer:
     ``client_data`` is one (features, labels) pair per client; delta weights
     come from the realized sample counts. The client segments are the rows
     of one ``nn.LayerStack`` and every kind runs ``_parallel_round`` over
-    it: the psl family with every client per round, sfl adding LocAvg (the
-    delta-weighted mean over the rows), fl likewise over full models with
-    no server, and ssl over a single row that travels from client to
-    client. All cross-client reductions run in ascending client id.
+    it, as its row of ``KINDS`` says: every client per round, or (ssl) a
+    single row that travels from client to client; LocAvg (the
+    delta-weighted mean over the rows) after each round for sfl and fl, fl
+    over full models with no server. All cross-client reductions run in
+    ascending client id.
 
     Client rows, then the server, share one ``nn.ParamBuffer``: one step a round.
     """
@@ -316,6 +341,7 @@ class SplitTrainer:
                 f"config says {config.clients} clients, got {len(client_data)}"
             )
         self.config = config
+        self.kind = kind = KINDS[config.kind]
         self.model = model
         self.ledger = ledger
         self._log = (lambda *entry: None) if ledger is None else ledger.record
@@ -325,45 +351,35 @@ class SplitTrainer:
         if total == 0:
             raise InputError("no training data")
 
-        full_model = config.kind == "fl"
-        travelling = config.kind == "ssl"
-        classes = next(l.out_dim for l in reversed(model.layers) if l.kind == "dense")
-
-        def check(x, y, owner):
-            x, y = nn.as_tensor(x), np.asarray(y, dtype=np.int64)
-            nn.check_finite(x, f"features of {owner}")
-            in_range = 0 <= y.min(initial=0) and y.max(initial=0) < classes
-            if x.ndim != 2 or y.shape != x.shape[:1] or not in_range:
-                raise InputError(f"{owner} needs a label in [0, {classes}) per feature row")
-            return x, y
-
-        checked = [check(x, y, f"client {cid}") for cid, (x, y) in enumerate(client_data)]
-        self.val_data = None if val_data is None else check(*val_data, "validation")
+        checked = [_checked(x, y, model.layers, f"client {cid}")
+                   for cid, (x, y) in enumerate(client_data)]
+        self.val_data = (None if val_data is None
+                         else _checked(*val_data, model.layers, "validation"))
 
         self.eta_c, self.eta_s = split_lr(
             config.base_lr, config.clients, config.effective_mechanisms()[1],
             batch_size=config.batch_size, basis=config.lr_scale_basis,
         )
-        segment = model.layers if full_model else model.client_segment
-        rows = 1 if travelling else config.clients
+        segment = model.client_segment if kind.server else model.layers
+        rows = 1 if kind.travelling else config.clients
         sizes = [rows * nn.param_count(segment)]
-        sizes.append(0 if full_model else nn.param_count(model.server_segment))
+        sizes.append(nn.param_count(model.server_segment) if kind.server else 0)
         one_lr = self.eta_c == self.eta_s
         self._lr = self.eta_c if one_lr else [self.eta_c, self.eta_s]
         self.buffer = nn.ParamBuffer([sum(sizes)] if one_lr else sizes, config.optimizer)
         self.stack = nn.LayerStack(segment, rows, self.buffer)
         views = [self.stack.slot_layers(s) for s in range(rows)]
-        slots = [0] * config.clients if travelling else range(config.clients)
+        slots = [0] * config.clients if kind.travelling else range(config.clients)
         self.clients = [
             ClientState(cid, views[slot], x, y, x.shape[0] / total, self.stack, slot)
             for (cid, (x, y)), slot in zip(enumerate(checked), slots)
         ]
         self.deltas = {c.client_id: c.delta for c in self.clients}
         self._delta_array = np.array([c.delta for c in self.clients])
-        self._server_weights = np.ones(1) if travelling else self._delta_array
+        self._server_weights = np.ones(1) if kind.travelling else self._delta_array
 
         self.server, self.server_layers, self._server_grads = None, None, None
-        if not full_model:
+        if kind.server:
             self.server = nn.LayerStack(model.server_segment, 1, self.buffer)
             self.server_layers = self.server.slot_layers(0)
             self._server_grads = [[g[0] for g in grads] for grads in self.server.grads]
@@ -374,13 +390,31 @@ class SplitTrainer:
         return [self.run_epoch(e) for e in range(epochs or self.config.epochs)]
 
     def run_epoch(self, epoch: int) -> RoundMetrics:
-        if self.config.kind == "ssl":
-            loss, active = self._ssl_epoch(epoch), []
-        else:
-            loss, active = self._parallel_epoch(epoch)
+        """Each round every client takes its next batch; a travelling segment
+        instead takes one client's batches in turn, then is handed to the
+        next client (cyclic at epoch end)."""
+        cfg, kind = self.config, self.kind
+        phi, _ = cfg.effective_mechanisms()
+        on = phi > 0 and phased_schedule(epoch, cfg.epochs, cfg.phase)
+        rng = keyed_rng(cfg.seed, STREAM_ACTIVE, epoch) if on else None
+        active = sample_active_clients(cfg.clients, phi, rng) if on else []
+
+        batches = [self._batches_for(c, epoch) for c in self.clients]
+        everyone = range(cfg.clients)
+        turns = [[cid] for cid in everyone] if kind.travelling else [everyone]
+        losses = []
+        for ids in turns:
+            for r in range(min(len(batches[cid]) for cid in ids)):
+                losses.append(self._parallel_round({cid: batches[cid][r] for cid in ids}, active))
+                if kind.loc_avg:
+                    self._local_weight_average()
+            if kind.travelling:
+                nbytes = self.stack.flat.shape[1] * 8
+                self._log("up", "model-weights", ids[0], nbytes, self.steps)
+                self._log("down", "model-weights", (ids[0] + 1) % cfg.clients, nbytes, self.steps)
         return RoundMetrics(
             epoch=epoch,
-            train_loss=loss,
+            train_loss=float(np.mean(losses)) if losses else 0.0,
             val_accuracy=self._validation_accuracy(),
             server_lr=self.eta_s,
             active_ids=active,
@@ -409,23 +443,6 @@ class SplitTrainer:
         return _epoch_batches(client.sample_count, self.config.batch_size, rng)
 
     # -- the round engine -------------------------------------------------------
-
-    def _parallel_epoch(self, epoch: int) -> tuple[float, list[int]]:
-        cfg = self.config
-        phi, _ = cfg.effective_mechanisms()
-        on = phi > 0 and phased_schedule(epoch, cfg.epochs, cfg.phase)
-        rng = keyed_rng(cfg.seed, STREAM_ACTIVE, epoch) if on else None
-        active = sample_active_clients(cfg.clients, phi, rng) if on else []
-
-        per_client = [self._batches_for(c, epoch) for c in self.clients]
-        rounds = min(len(b) for b in per_client)
-        losses = []
-        for r in range(rounds):
-            batch_ix = {c.client_id: per_client[c.client_id][r] for c in self.clients}
-            losses.append(self._parallel_round(batch_ix, active))
-            if cfg.kind in ("sfl", "fl"):
-                self._local_weight_average()
-        return float(np.mean(losses)) if losses else 0.0, active
 
     def _parallel_round(self, batch_ix: dict[int, Array], active: list[int]) -> float:
         """One round over the client stack, a row per ``batch_ix`` entry
@@ -467,19 +484,6 @@ class SplitTrainer:
         self.stack.average(self._delta_array)
         for client in self.clients:
             self._log("down", "model-weights", client.client_id, nbytes, self.steps)
-
-    def _ssl_epoch(self, epoch: int) -> float:
-        """Visit clients in id order; the segment travels client to client."""
-        losses = []
-        nbytes = self.stack.flat.shape[1] * 8
-        for client in self.clients:
-            for ix in self._batches_for(client, epoch):
-                losses.append(self._parallel_round({client.client_id: ix}, []))
-            # Hand the segment to the next client (cyclic at epoch end).
-            nxt = (client.client_id + 1) % self.config.clients
-            self._log("up", "model-weights", client.client_id, nbytes, self.steps)
-            self._log("down", "model-weights", nxt, nbytes, self.steps)
-        return float(np.mean(losses)) if losses else 0.0
 
 
 def train_monolithic(

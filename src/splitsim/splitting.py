@@ -90,10 +90,6 @@ class ConcatBatch:
         """|B_s|: the server-side effective batch size."""
         return self.smashed.shape[0]
 
-    def rows(self, client_id: int) -> slice:
-        start, stop = self.offsets[self.client_ids.index(client_id)]
-        return slice(start, stop)
-
 
 def client_forward(
     client_layers: Sequence,

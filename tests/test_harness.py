@@ -351,6 +351,47 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out)
         assert payload["final_leakage_score"] is not None
 
+    @pytest.mark.parametrize("overrides", [
+        {"leakage.bins": 1},
+        {"leakage.pairs": 0},
+        {"leakage.probe": 0},
+        {"leakage.probe": 256, "dataset.validation": 10},  # 10 probe rows < 16 bins
+        {"leakage.probe": 8, "dataset.validation": 0},
+    ], ids=["bins", "pairs", "probe", "probe-capped-by-validation", "probe-no-validation"])
+    def test_bad_leakage_settings_exit_2_before_training(self, tmp_path, capsys, overrides):
+        raw = base_config(**{"leakage.enabled": True, **overrides})
+        cfg = self._write_config(tmp_path, raw)
+        out = tmp_path / "out"
+        assert cli_main(["run", "--config", cfg, "--out", str(out)]) == 2
+        assert "leakage." in capsys.readouterr().err
+        assert not out.exists()
+        raw["leakage"]["enabled"] = False
+        ExperimentConfig.from_dict(raw)  # only checked when scoring is on
+
+    def test_probe_as_large_as_bins_accepted(self):
+        ExperimentConfig.from_dict(base_config(**{
+            "leakage.enabled": True, "leakage.bins": 10, "leakage.probe": 256,
+            "dataset.validation": 10}))
+
+    @pytest.mark.parametrize("raw, field", [
+        ({"settings": [5]}, "settings[0]"),
+        ({"settings": [{"cut_size_mb": 1, "model_size_mb": 2, "client_size_mb": 1,
+                        "dataset_size": 10, "clients": 2}, "x"]}, "settings[1]"),
+        ({"settings": {"cut_size_mb": 1}}, "settings"),
+        ({"methods": ["fl", "sgl"]}, "methods"),
+        ({"methods": "fl"}, "methods"),
+    ])
+    def test_malformed_cost_config_exits_2(self, tmp_path, capsys, raw, field):
+        cfg = self._write_config(tmp_path, raw)
+        assert cli_main(["cost", "--config", cfg]) == 2
+        assert f"config error: {field}: " in capsys.readouterr().err
+
+    def test_cost_config_methods_subset(self, tmp_path, capsys):
+        cfg = self._write_config(tmp_path, {"methods": ["psl", "fl"]})
+        assert cli_main(["cost", "--config", cfg]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert {row.split(",")[1] for row in rows} == {"psl", "fl"}
+
     def test_console_script_installed(self):
         proc = subprocess.run(
             [sys.executable, "-m", "splitsim.cli", "cost"],

@@ -1,0 +1,86 @@
+"""The epoch loop's ledger for every protocol kind: itemized reconciliation
+against the cost model, the ssl hand-off sequence, and the kind -> cost-row
+map the benchmark's checker reads."""
+
+import math
+
+import numpy as np
+import pytest
+
+from splitsim import comm, harness, nn, protocols, splitting
+from splitsim.comm import CommLedger
+from splitsim.data import synth_dataset
+from splitsim.protocols import PROTOCOL_KINDS, ProtocolConfig, SplitTrainer
+
+
+def make_model(seed=0, widths=(6, 10, 8, 4), cut=2):
+    rng = protocols.keyed_rng(seed, protocols.STREAM_INIT)
+    return splitting.SplitModel(nn.build_mlp(list(widths), rng), cut)
+
+
+def make_clients(counts, seed=0, dim=6, classes=4):
+    ds = synth_dataset(classes, sum(counts), dim, 4.0, seed)
+    bounds = np.cumsum([0, *counts])
+    return [(ds.features[lo:hi], ds.labels[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+
+
+def test_kinds_table_drives_mechanisms():
+    assert PROTOCOL_KINDS == ("ssl", "psl", "fl", "sfl", "slr", "sgl", "sglr")
+    want = {"ssl": (0, 0), "psl": (0, 0), "fl": (0, 0), "sfl": (0, 0),
+            "slr": (0, 0.5), "sgl": (0.25, 0), "sglr": (0.25, 0.5)}
+    for kind in PROTOCOL_KINDS:
+        cfg = ProtocolConfig(kind=kind, clients=4, active_fraction=0.25, lr_exponent=0.5)
+        assert cfg.effective_mechanisms() == want[kind]
+    assert [k for k, row in protocols.KINDS.items() if not row.server] == ["fl"]
+    assert [k for k, row in protocols.KINDS.items() if row.travelling] == ["ssl"]
+    assert [k for k, row in protocols.KINDS.items() if row.loc_avg] == ["fl", "sfl"]
+
+
+def test_cost_method_covers_every_kind():
+    assert set(harness.COST_METHOD) == set(PROTOCOL_KINDS)
+    assert all(harness.COST_METHOD[kind] in comm.METHODS for kind in PROTOCOL_KINDS)
+
+
+@pytest.mark.parametrize("kind", PROTOCOL_KINDS)
+def test_one_epoch_ledger_reconciles_exactly(kind):
+    clients, batch, rounds = 4, 4, 3
+    model = make_model(seed=5)
+    cfg = ProtocolConfig(kind=kind, clients=clients, active_fraction=0.5,
+                         lr_exponent=0.5, batch_size=batch, epochs=1, seed=9)
+    ledger = CommLedger()
+    trainer = SplitTrainer(model, make_clients([rounds * batch] * clients, seed=2), cfg,
+                           ledger=ledger)
+    trainer.run_epoch(0)
+    phi, _ = cfg.effective_mechanisms()
+    segment = model.layers if kind == "fl" else model.client_segment
+    report = comm.reconcile(
+        ledger, harness.COST_METHOD[kind], clients=clients, rounds=rounds,
+        batch_size=batch, cut_width=model.client_segment[0].out_dim,
+        active_count=int(math.floor(phi * clients + 1e-9)),
+        param_counts={"segment": nn.param_count(segment),
+                      "model": nn.param_count(model.layers)},
+    )
+    assert report.items
+    for item in report.items:
+        assert item.measured_bytes == item.expected_bytes, item.kind
+    assert trainer.steps == (rounds * clients if kind == "ssl" else rounds)
+
+
+def test_ssl_hands_off_after_each_clients_batches():
+    counts, batch = [8, 12, 4, 9], 4
+    model = make_model(seed=3)
+    ledger = CommLedger()
+    trainer = SplitTrainer(model, make_clients(counts, seed=4),
+                           ProtocolConfig(kind="ssl", clients=len(counts), batch_size=batch),
+                           ledger=ledger)
+    trainer.run_epoch(0)
+    nbytes = nn.param_count(model.client_segment) * 8
+    after = np.cumsum([n // batch for n in counts]).tolist()
+    want = []
+    for cid, steps in enumerate(after):
+        want.append(("up", cid, nbytes, steps))
+        want.append(("down", (cid + 1) % len(counts), nbytes, steps))
+    got = [(e.direction, e.client_id, e.nbytes, e.round_index)
+           for e in ledger.entries if e.kind == "model-weights"]
+    assert got == want
+    assert trainer.steps == after[-1]

@@ -6,7 +6,7 @@ import pytest
 
 from splitsim import nn, protocols, splitting
 from splitsim.data import synth_dataset
-from splitsim.errors import InputError
+from splitsim.errors import InputError, NumericError
 from splitsim.protocols import (
     STREAM_ACTIVE,
     STREAM_BATCH,
@@ -189,6 +189,46 @@ class TestEvaluate:
             (model.client_segment, model.server_segment), x, y
         )
         assert joined == paired
+
+
+class TestEvaluateLabels:
+    """With ``validate`` on (the default, and ``evaluate_on``), labels must
+    be one in-range class per feature row."""
+
+    def _layers(self):
+        return nn.build_mlp([4, 5, 3], np.random.default_rng(8))
+
+    @pytest.mark.parametrize("labels", [[0], [0, 1, 2, 0, 1], [0, 1, 2, 0, 1, 3],
+                                        [0, 1, 2, 0, 1, -1], [[0, 1, 2, 0, 1, 2]]],
+                             ids=["one-label", "short", "above", "negative", "2-d"])
+    def test_bad_labels_rejected(self, labels):
+        x = np.random.default_rng(9).normal(size=(6, 4))
+        with pytest.raises(InputError, match=r"evaluation data needs a label in \[0, 3\)"):
+            protocols.evaluate(self._layers(), x, labels)
+
+    def test_non_finite_features_rejected(self):
+        x = np.random.default_rng(9).normal(size=(6, 4))
+        x[2, 1] = np.nan
+        with pytest.raises(NumericError, match="features of evaluation data"):
+            protocols.evaluate(self._layers(), x, [0] * 6)
+
+    def test_evaluate_on_checks_labels(self):
+        data = make_clients(2, seed=3)
+        t = SplitTrainer(make_model(seed=4), data, config("psl", 2))
+        x, y = data[0]
+        assert 0.0 <= t.evaluate_on(x, y) <= 1.0
+        with pytest.raises(InputError, match="needs a label in"):
+            t.evaluate_on(x, y[:1])
+
+    def test_features_checked_once(self, monkeypatch):
+        layers, x = self._layers(), np.random.default_rng(9).normal(size=(6, 4))
+        checked = []
+        original = nn.check_finite
+        monkeypatch.setattr(nn, "check_finite",
+                            lambda a, where: (checked.append(where), original(a, where)))
+        protocols.evaluate(layers, x, [0, 1, 2, 0, 1, 2])
+        assert checked == ["features of evaluation data",
+                           "output of layer 0 (dense)", "output of layer 2 (dense)"]
 
 
 class TestCollapseIdentities:

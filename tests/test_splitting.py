@@ -109,9 +109,8 @@ class TestConcat:
         counts = [1, 7, 3, 9]
         cb = splitting.concat(self._batches(rng, counts))
         assert cb.effective_size == sum(counts)
-        for cid, n in enumerate(counts):
-            s = cb.rows(cid)
-            assert s.stop - s.start == n
+        assert cb.client_ids == list(range(len(counts)))
+        assert [stop - start for start, stop in cb.offsets] == counts
 
     def test_width_mismatch(self):
         rng = np.random.default_rng(8)
