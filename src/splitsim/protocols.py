@@ -65,6 +65,7 @@ KINDS = {
     "sglr": Kind("sglr", grad_avg=True, lr_scale=True),
 }
 PROTOCOL_KINDS = tuple(KINDS)
+EVAL_ROWS = 1024  # most rows one ``evaluate`` block sends through ``nn.forward``
 
 # Stream ids for keyed_rng; fixed so runs stay reproducible across versions.
 STREAM_INIT = 0
@@ -246,7 +247,7 @@ def split_avg(
     return common, assignment
 
 
-_PHASE_RE = re.compile(r"^(initial|final)\((0\.\d+|\.\d+|0?\.?\d*e-?\d+)\)$")
+_PHASE_RE = re.compile(r"^(initial|final)\(((?:\d+\.?\d*|\.\d+)(?:e[-+]?\d+)?)\)$")
 
 
 def parse_phase(spec: str) -> tuple[str, float]:
@@ -292,14 +293,20 @@ def _checked(x, y, layers, owner: str) -> tuple[Array, np.ndarray]:
 
 def evaluate(model, features: Array, labels, validate: bool = True) -> float:
     """Top-1 accuracy; ``model`` is a layer list or (client, server) pair;
-    ``validate=False`` takes features and labels as already checked arrays."""
+    ``validate=False`` takes features and labels as already checked arrays.
+    Rows go through ``nn.forward`` in even blocks, so no short tail rounds apart."""
     layers = [*model[0], *model[1]] if isinstance(model, tuple) else list(model)
     if validate:
         features, labels = _checked(features, labels, layers, "evaluation data")
-    if features.shape[0] == 0:
+    n = features.shape[0]
+    if n == 0:
         raise InputError("cannot evaluate on an empty dataset")
-    logits = nn.forward(layers, features, validate=False).output
-    return float(np.mean(np.argmax(logits, axis=1) == labels))
+    blocks = math.ceil(n / EVAL_ROWS)
+    hits = 0
+    for x, y in zip(np.array_split(features, blocks), np.array_split(labels, blocks)):
+        logits = nn.forward(layers, x, validate=False).output
+        hits += int(np.count_nonzero(np.argmax(logits, axis=1) == y))
+    return hits / n
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +394,8 @@ class SplitTrainer:
     # -- public API ---------------------------------------------------------
 
     def run(self, epochs: int | None = None) -> list[RoundMetrics]:
-        return [self.run_epoch(e) for e in range(epochs or self.config.epochs)]
+        epochs = self.config.epochs if epochs is None else epochs
+        return [self.run_epoch(e) for e in range(epochs)]
 
     def run_epoch(self, epoch: int) -> RoundMetrics:
         """Each round every client takes its next batch; a travelling segment
@@ -463,8 +471,10 @@ class SplitTrainer:
                 self.server_layers, cache.output, y, self._server_weights, self._server_grads,
                 validate=False)
             if active:
-                # split_avg's arithmetic: 0.0 plus each active row in id order.
-                common = np.add.reduce(upstream[active], axis=0, initial=0.0)
+                # split_avg's sum, row by row in id order; np.add.reduce pairs up 1-element rows.
+                common = np.zeros(upstream.shape[1:])
+                for cid in active:
+                    common += upstream[cid]
                 upstream[active] = common / len(active) if self.config.splitavg_mean else common
                 self._log("down", "cut-grad", None, common.size * 8, self.steps)
             shared = set(active)

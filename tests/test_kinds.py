@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from splitsim import comm, harness, nn, protocols, splitting
 from splitsim.comm import CommLedger
@@ -64,6 +66,35 @@ def test_one_epoch_ledger_reconciles_exactly(kind):
     for item in report.items:
         assert item.measured_bytes == item.expected_bytes, item.kind
     assert trainer.steps == (rounds * clients if kind == "ssl" else rounds)
+
+
+@pytest.mark.parametrize("kind", PROTOCOL_KINDS)
+@settings(max_examples=25, deadline=None)
+@given(clients=st.integers(1, 6), batch=st.integers(1, 8), rows=st.integers(1, 40),
+       phi=st.floats(0.0, 1.0), seed=st.integers(0, 2**16))
+def test_one_epoch_ledger_reconciles_over_random_geometry(kind, clients, batch, rows, phi, seed):
+    """One epoch only: ssl hands its segment on once per epoch, which reconcile
+    does not yet scale by the epoch count."""
+    model = make_model(seed=seed)
+    cfg = ProtocolConfig(kind=kind, clients=clients, active_fraction=phi,
+                         lr_exponent=0.5, batch_size=batch, epochs=1, seed=seed)
+    ledger = CommLedger()
+    trainer = SplitTrainer(model, make_clients([rows] * clients, seed=seed), cfg,
+                           ledger=ledger)
+    record = trainer.run_epoch(0)
+    segment = model.layers if kind == "fl" else model.client_segment
+    report = comm.reconcile(
+        ledger, harness.COST_METHOD[kind], clients=clients, rounds=rows // batch,
+        batch_size=batch, cut_width=model.client_segment[0].out_dim,
+        active_count=len(record.active_ids),
+        param_counts={"segment": nn.param_count(segment),
+                      "model": nn.param_count(model.layers)},
+    )
+    assert report.items
+    for item in report.items:
+        assert item.measured_bytes == item.expected_bytes, item.kind
+    phi, _ = cfg.effective_mechanisms()
+    assert len(record.active_ids) == int(math.floor(phi * clients + 1e-9))
 
 
 def test_ssl_hands_off_after_each_clients_batches():

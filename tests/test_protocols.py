@@ -1,8 +1,13 @@
 """Protocol engine tests: collapse identities, handoff laws, averaging
 mechanisms, and scripted-trace oracles built from nn/splitting primitives."""
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from splitsim import nn, protocols, splitting
 from splitsim.data import synth_dataset
@@ -13,6 +18,7 @@ from splitsim.protocols import (
     ProtocolConfig,
     SplitTrainer,
     keyed_rng,
+    parse_phase,
     phased_schedule,
     sample_active_clients,
     split_avg,
@@ -122,6 +128,60 @@ class TestSplitAvg:
         common, _ = split_avg(g, [0, 1], mean=False)
         assert np.allclose(common, 2.0)
 
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), clients=st.integers(1, 12), rows=st.integers(1, 3),
+           width=st.integers(1, 3), mean=st.booleans(), seed=st.integers(0, 2**16))
+    def test_order_independent(self, data, clients, rows, width, mean, seed):
+        rng = np.random.default_rng(seed)
+        scale = 10.0 ** rng.integers(-6, 7, size=(clients, 1, 1))
+        stack = rng.standard_normal((clients, rows, width)) * scale
+        active = data.draw(st.lists(st.integers(0, clients - 1), unique=True), "active")
+        order = data.draw(st.permutations(range(clients)), "insertion order")
+        want, want_assign = split_avg({cid: stack[cid] for cid in range(clients)},
+                                      sorted(active), mean)
+        grads = {cid: stack[cid] for cid in order}
+        got, got_assign = split_avg(grads, active, mean)
+        assert (got is None) == (want is None) == (not active)
+        if active:
+            assert np.array_equal(got, want)
+        assert sorted(got_assign) == list(range(clients))
+        for cid in range(clients):
+            assert np.array_equal(got_assign[cid], want_assign[cid])
+            assert got_assign[cid] is (got if cid in active else grads[cid])
+
+    @settings(max_examples=40, deadline=None)
+    @given(clients=st.integers(1, 12), batch=st.integers(1, 3), width=st.integers(1, 3),
+           phi=st.floats(0.0, 1.0), mean=st.booleans())
+    @example(clients=8, batch=1, width=1, phi=1.0, mean=True)  # one-element rows
+    def test_trainer_round_equals_split_avg(self, clients, batch, width, phi, mean):
+        """Each round's cut gradients after averaging, as the client stack's
+        backward receives them, are split_avg of the server's, bitwise."""
+        raw, assigned = [], []
+        server_gradients, backward = splitting.server_gradients, nn.backward
+
+        def spy_server(*args, **kw):
+            out = server_gradients(*args, **kw)
+            raw.append(out[1].copy())
+            return out
+
+        def spy_backward(cache, upstream, *args, **kw):
+            if kw.get("input_grad") is False:
+                assigned.append(upstream.copy())
+            return backward(cache, upstream, *args, **kw)
+
+        cfg = config("sgl", clients, batch_size=batch, active_fraction=phi,
+                     splitavg_mean=mean)
+        trainer = SplitTrainer(make_model(seed=4, widths=(6, width, 4)),
+                               make_clients(clients, per_client=2 * batch, seed=5), cfg)
+        with pytest.MonkeyPatch.context() as mp:  # fixtures are not reset per example
+            mp.setattr(splitting, "server_gradients", spy_server)
+            mp.setattr(nn, "backward", spy_backward)
+            active = trainer.run_epoch(0).active_ids
+        assert len(raw) == len(assigned) == 2
+        for before, after in zip(raw, assigned):
+            _, assignment = split_avg(dict(enumerate(before)), active, mean)
+            assert np.array_equal(after, np.stack([assignment[c] for c in range(clients)]))
+
 
 class TestPhasedSchedule:
     def test_always(self):
@@ -141,6 +201,20 @@ class TestPhasedSchedule:
     def test_bad_spec(self):
         with pytest.raises(InputError):
             phased_schedule(0, 10, "initial(1.5)")
+
+    @settings(max_examples=200, deadline=None)
+    @given(total=st.integers(1, 60),
+           p=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    def test_bounds(self, total, p):
+        assert parse_phase(f"initial({p!r})") == ("initial", p)
+        first = math.ceil(p * total)
+        assert [phased_schedule(e, total, f"initial({p!r})") for e in range(total)] == (
+            [True] * first + [False] * (total - first))
+        start = math.floor((1.0 - p) * total)
+        assert [phased_schedule(e, total, f"final({p!r})") for e in range(total)] == (
+            [False] * start + [True] * (total - start))
+        assert all(phased_schedule(e, total, "always") for e in range(total))
+        assert not any(phased_schedule(e, total, "never") for e in range(total))
 
 
 class TestEvaluate:
@@ -189,6 +263,60 @@ class TestEvaluate:
             (model.client_segment, model.server_segment), x, y
         )
         assert joined == paired
+
+
+class TestBlockedEvaluate:
+    """``evaluate`` sends at most ``EVAL_ROWS`` rows through ``nn.forward``
+    at a time, in blocks whose sizes differ by at most one."""
+
+    WIDTHS = [784, 128, 64, 10]
+
+    def _set(self, rows):
+        rng = np.random.default_rng(rows)
+        return rng.standard_normal((rows, self.WIDTHS[0])), rng.integers(0, 10, rows)
+
+    @pytest.mark.parametrize("rows", [1024, 1025, 2049, 10_000])
+    def test_blocked_logits_equal_one_forward(self, rows, monkeypatch):
+        layers = nn.build_mlp(self.WIDTHS, np.random.default_rng(11))
+        x, y = self._set(rows)
+        whole = nn.forward(layers, x).output
+        blocks, forward = [], nn.forward
+
+        def spy(layers, x, **kw):
+            cache = forward(layers, x, **kw)
+            blocks.append(cache.output)
+            return cache
+
+        monkeypatch.setattr(nn, "forward", spy)
+        accuracy = protocols.evaluate(layers, x, y, validate=False)
+        sizes = [b.shape[0] for b in blocks]
+        assert len(sizes) == math.ceil(rows / protocols.EVAL_ROWS)
+        assert max(sizes) <= protocols.EVAL_ROWS and max(sizes) - min(sizes) <= 1
+        assert np.array_equal(np.concatenate(blocks), whole)
+        assert accuracy == float(np.mean(np.argmax(whole, axis=1) == y))
+
+    def test_peak_memory_is_one_block(self):
+        layers = nn.build_mlp(self.WIDTHS, np.random.default_rng(11))
+        x, y = self._set(10_000)
+        tracemalloc.start()
+        try:
+            protocols.evaluate(layers, x, y, validate=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 2**20  # the whole set at once: 30.9 MiB
+
+    def test_every_block_checks_its_dense_outputs(self, monkeypatch):
+        layers = nn.build_mlp([4, 5, 3], np.random.default_rng(8))
+        x = np.random.default_rng(9).normal(size=(2049, 4))
+        x[2048, 0] = np.inf  # unchecked input; the last block's first Dense output
+        checked = []
+        original = nn.check_finite
+        monkeypatch.setattr(nn, "check_finite",
+                            lambda a, where: (checked.append(where), original(a, where)))
+        with pytest.raises(NumericError, match="output of layer 0"):
+            protocols.evaluate(layers, x, np.zeros(2049, dtype=np.int64), validate=False)
+        assert len(checked) == 2 * 2 + 1  # two clean blocks, then the failing layer
 
 
 class TestEvaluateLabels:
@@ -658,6 +786,14 @@ class TestDeltaHandling:
     def test_config_client_count_mismatch(self):
         with pytest.raises(InputError):
             SplitTrainer(make_model(), make_clients(2), config("psl", 3))
+
+
+class TestRun:
+    def test_zero_epochs_runs_none(self):
+        trainer = SplitTrainer(make_model(), make_clients(2), config("psl", 2, epochs=3))
+        assert trainer.run(0) == [] and trainer.steps == 0
+        assert [r.epoch for r in trainer.run()] == [0, 1, 2]
+        assert trainer.steps == 3 * 16 // 4
 
 
 class TestDeterminism:
