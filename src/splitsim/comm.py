@@ -202,13 +202,17 @@ class CommLedger:
         self._total = sum(e.nbytes for e in self.entries)
 
     def record(self, direction, kind, client_id, nbytes, round_index):
+        self.record_each(direction, kind, (client_id,), nbytes, round_index)
+
+    def record_each(self, direction, kind, client_ids, nbytes, round_index):
+        """One payload of ``nbytes`` for each of ``client_ids``, in order."""
         if kind not in PAYLOAD_KINDS:
             raise InputError(f"unknown payload kind {kind!r}")
         if nbytes < 0:
             raise InputError("byte counts must be nonnegative")
-        entry = LedgerEntry(direction, kind, client_id, int(nbytes), round_index)
-        self.entries.append(entry)
-        self._total += entry.nbytes
+        new = [LedgerEntry(direction, kind, cid, int(nbytes), round_index) for cid in client_ids]
+        self.entries += new
+        self._total += int(nbytes) * len(new)
 
     def total_bytes(self) -> int:
         return self._total
@@ -275,6 +279,7 @@ def reconcile(
     active_count: int = 0,
     param_counts: dict[str, int] | None = None,
     tolerance: float = 0.01,
+    epochs: int = 1,
 ) -> ReconcileReport:
     """Check measured bytes against the analytic model for a finished run.
 
@@ -283,7 +288,8 @@ def reconcile(
     8 bytes). The closed-form epoch total counts the averaged-gradient
     broadcast once per epoch; the per-kind expectation here counts it once
     per round, the run's physical payload, so the itemized comparison is
-    exact while the formula total stays the published one.
+    exact while the formula total stays the published one. ssl hands its
+    segment on once per client in each of the run's ``epochs``.
     """
     if method not in METHODS:
         raise InputError(f"unknown method {method!r}")
@@ -312,7 +318,7 @@ def reconcile(
         if method == "sfl":
             expected_weights = 2.0 * clients * rounds * seg
         elif method == "ssl":
-            expected_weights = 2.0 * clients * seg  # one hand-off per client
+            expected_weights = 2.0 * clients * epochs * seg  # a hand-off per client and epoch
         elif method == "fl":
             expected_weights = 2.0 * clients * rounds * seg
     if method in ("sfl", "ssl", "fl") or by_kind["model-weights"]:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import accumulate
 from typing import Callable, Sequence
 
 import numpy as np
@@ -299,42 +300,51 @@ def adam_update(
     grads: Sequence[Array],
     state: OptimizerState,
     lr: float | Sequence[float],
+    flat: Sequence[Array] | None = None,
 ) -> None:
     """In-place Adam over C-contiguous arrays, in ``ADAM_CHUNK`` pieces, with
     one ``lr`` or one per array. Every operation keeps the textbook
     association, ``((1-b2)*g)*g`` and ``(lr*m_hat)/(sqrt(v_hat)+eps)``, so
-    results equal it bit for bit."""
+    results equal it bit for bit. ``flat`` (params, grads, m, v) are whole
+    arrays that the arrays and moments tile in order: one walk covers them."""
     lrs = _learning_rates(lr, params, grads)
     if state.m is None or state.v is None:
         raise InputError("adam state is uninitialized")
-    flats = [
-        (_writable_flat(p), g.reshape(-1), _writable_flat(m), _writable_flat(v), rate)
-        for p, g, m, v, rate in zip(params, grads, state.m, state.v, lrs, strict=True)
-    ]
+    walks = [(*flat, [p.size for p in params], lrs)] if flat is not None else [
+        (_writable_flat(p), g.reshape(-1), _writable_flat(m), _writable_flat(v), [p.size], [rate])
+        for p, g, m, v, rate in zip(params, grads, state.m, state.v, lrs, strict=True)]
     state.t += 1
+    for walk in walks:
+        _adam_walk(*walk, state)
+
+
+def _adam_walk(p, g, m, v, sizes: Sequence[int], rates: Sequence[float], state) -> None:
+    """Adam step ``state.t`` over flat ``p, g, m, v``, segment i of ``sizes`` at ``rates[i]``."""
     b1, b2, eps = state.beta1, state.beta2, state.eps
-    bc1 = 1.0 - b1**state.t
-    bc2 = 1.0 - b2**state.t
-    for p, g, m, v, rate in flats:
-        t1, t2 = np.empty(min(p.size, ADAM_CHUNK)), np.empty(min(p.size, ADAM_CHUNK))
-        for lo in range(0, p.size, ADAM_CHUNK):
-            pc, gc, mc, vc = (p, g, m, v) if p.size <= ADAM_CHUNK else (
-                a[lo : lo + ADAM_CHUNK] for a in (p, g, m, v))
-            t1, t2 = t1[: pc.size], t2[: pc.size]
-            mc *= b1
-            np.multiply(gc, 1.0 - b1, out=t1)
-            mc += t1
-            vc *= b2
-            np.multiply(gc, 1.0 - b2, out=t1)
-            t1 *= gc
-            vc += t1
-            np.divide(mc, bc1, out=t1)
-            t1 *= rate
-            np.divide(vc, bc2, out=t2)
-            np.sqrt(t2, out=t2)
-            t2 += eps
-            t1 /= t2
-            pc -= t1
+    bc1, bc2 = 1.0 - b1**state.t, 1.0 - b2**state.t
+    ends, n = list(accumulate(sizes, initial=0)), p.size
+    t1, t2 = np.empty(min(n, ADAM_CHUNK)), np.empty(min(n, ADAM_CHUNK))
+    for lo in range(0, n, ADAM_CHUNK):
+        hi = min(lo + ADAM_CHUNK, n)
+        pc, gc, mc, vc = (p, g, m, v) if n <= ADAM_CHUNK else (a[lo:hi] for a in (p, g, m, v))
+        t1, t2 = t1[: hi - lo], t2[: hi - lo]
+        mc *= b1
+        np.multiply(gc, 1.0 - b1, out=t1)
+        mc += t1
+        vc *= b2
+        np.multiply(gc, 1.0 - b2, out=t1)
+        t1 *= gc
+        vc += t1
+        # x / 1.0 is x, so a bias correction that reached 1.0 is skipped.
+        m_hat = mc if bc1 == 1.0 else np.divide(mc, bc1, out=t1)
+        for a, b, rate in zip(ends, ends[1:], rates):
+            a, b = max(a, lo) - lo, min(b, hi) - lo
+            if a < b:
+                np.multiply(m_hat[a:b], rate, out=t1[a:b])
+        np.sqrt(vc if bc2 == 1.0 else np.divide(vc, bc2, out=t2), out=t2)
+        t2 += eps
+        t1 /= t2
+        pc -= t1
 
 
 def optimizer_step(
@@ -342,11 +352,12 @@ def optimizer_step(
     grads: Sequence[Array],
     state: OptimizerState,
     lr: float | Sequence[float],
+    flat: Sequence[Array] | None = None,
 ) -> list[Array]:
     """Dispatch on ``state.kind``; updates ``params`` in place (one ``lr``
-    or one per array) and returns them."""
+    or one per array; ``flat`` as in ``adam_update``) and returns them."""
     if state.kind == "adam":
-        adam_update(params, grads, state, lr)
+        adam_update(params, grads, state, lr, flat)
     else:
         lrs = _learning_rates(lr, params, grads)
         for p, g, rate in zip([_writable_flat(p) for p in params], grads, lrs):
@@ -433,8 +444,8 @@ class ParamBuffer:
         return [a[lo : self._claimed] for a in self._whole]
 
     def step(self, lr: float | Sequence[float]) -> None:
-        """One optimizer step from ``grads``; one lr, or one per segment."""
-        optimizer_step(self._params, self._grads, self.opt, lr)
+        """One optimizer step from ``grads``, in one walk; one lr, or one per segment."""
+        optimizer_step(self._params, self._grads, self.opt, lr, self._whole)
 
 
 class LayerStack:

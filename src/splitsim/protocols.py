@@ -17,7 +17,7 @@ Supported protocol kinds, one row each of ``KINDS``:
 A kind is a row of switches (``Kind``): gradient averaging, server learning
 rate scaling, a server or none, one travelling segment, LocAvg after each
 round. ``SplitTrainer.run_epoch`` is one epoch loop for all of them over the
-same client-stacked round, ``_parallel_round``, so the degenerate cases
+same client-stacked round, ``_round``, so the degenerate cases
 collapse bitwise: sglr with active_fraction 0 and lr_exponent 0 runs exactly
 psl's arithmetic.
 
@@ -313,11 +313,33 @@ def evaluate(model, features: Array, labels, validate: bool = True) -> float:
 # Trainer
 # ---------------------------------------------------------------------------
 
-def _epoch_batches(n: int, batch_size: int, rng: np.random.Generator) -> list[Array]:
-    """Seeded shuffle, then full batches only (partial tail is skipped)."""
-    perm = rng.permutation(n)
+def _epoch_batches(n: int, batch_size: int, rng: np.random.Generator) -> Array:
+    """Seeded shuffle, then full batches only (partial tail is skipped): a
+    [rounds, batch_size] array of row indices."""
     rounds = n // batch_size
-    return [perm[r * batch_size : (r + 1) * batch_size] for r in range(rounds)]
+    return rng.permutation(n)[: rounds * batch_size].reshape(rounds, batch_size)
+
+
+def _row_pool(pairs) -> tuple[Array, np.ndarray, Array]:
+    """(features, labels, each pair's first row): the base arrays of which
+    every pair is the same run of rows, or else the pairs concatenated once."""
+    bases = [a if a.base is None else a.base for a in pairs[0]]
+    first = _first_rows([x for x, _ in pairs], bases[0])
+    if None in first or first != _first_rows([y for _, y in pairs], bases[1]):
+        bases = [np.concatenate(a) for a in zip(*pairs)]
+        first = np.cumsum([0, *(len(y) for _, y in pairs[:-1])])
+    return *bases, np.array(first)
+
+
+def _first_rows(arrays, base) -> list[int | None]:
+    """Each array's first row in ``base``, or None where it is no run of its rows."""
+    if not (isinstance(base, np.ndarray) and base.flags.c_contiguous):
+        return [None]
+    start, row_bytes = base.__array_interface__["data"][0], max(1, base[:1].nbytes)
+    rows = [divmod(a.__array_interface__["data"][0] - start, row_bytes) for a in arrays]
+    return [row if rem == 0 and 0 <= row <= len(base) - len(a) and (a is base or a.base is base)
+            and a.flags.c_contiguous and a.dtype == base.dtype and a.shape[1:] == base.shape[1:]
+            else None for a, (row, rem) in zip(arrays, rows)]
 
 
 class SplitTrainer:
@@ -325,7 +347,7 @@ class SplitTrainer:
 
     ``client_data`` is one (features, labels) pair per client; delta weights
     come from the realized sample counts. The client segments are the rows
-    of one ``nn.LayerStack`` and every kind runs ``_parallel_round`` over
+    of one ``nn.LayerStack`` and every kind runs ``_round`` over
     it, as its row of ``KINDS`` says: every client per round, or (ssl) a
     single row that travels from client to client; LocAvg (the
     delta-weighted mean over the rows) after each round for sfl and fl, fl
@@ -351,7 +373,7 @@ class SplitTrainer:
         self.kind = kind = KINDS[config.kind]
         self.model = model
         self.ledger = ledger
-        self._log = (lambda *entry: None) if ledger is None else ledger.record
+        self._log = (lambda *payload: None) if ledger is None else ledger.record_each
         self.steps = 0
 
         total = sum(x.shape[0] for x, _ in client_data)
@@ -360,6 +382,7 @@ class SplitTrainer:
 
         checked = [_checked(x, y, model.layers, f"client {cid}")
                    for cid, (x, y) in enumerate(client_data)]
+        self._x, self._y, self._first = _row_pool(checked)
         self.val_data = (None if val_data is None
                          else _checked(*val_data, model.layers, "validation"))
 
@@ -378,8 +401,9 @@ class SplitTrainer:
         views = [self.stack.slot_layers(s) for s in range(rows)]
         slots = [0] * config.clients if kind.travelling else range(config.clients)
         self.clients = [
-            ClientState(cid, views[slot], x, y, x.shape[0] / total, self.stack, slot)
-            for (cid, (x, y)), slot in zip(enumerate(checked), slots)
+            ClientState(cid, views[slot], self._x[f : f + len(y)], self._y[f : f + len(y)],
+                        len(y) / total, self.stack, slot)
+            for (cid, (_, y)), f, slot in zip(enumerate(checked), self._first, slots)
         ]
         self.deltas = {c.client_id: c.delta for c in self.clients}
         self._delta_array = np.array([c.delta for c in self.clients])
@@ -412,14 +436,15 @@ class SplitTrainer:
         turns = [[cid] for cid in everyone] if kind.travelling else [everyone]
         losses = []
         for ids in turns:
-            for r in range(min(len(batches[cid]) for cid in ids)):
-                losses.append(self._parallel_round({cid: batches[cid][r] for cid in ids}, active))
+            rounds = min(len(batches[cid]) for cid in ids)
+            for rows in np.stack([batches[c][:rounds] for c in ids], 1) + self._first[ids, None]:
+                losses.append(self._round(ids, rows, active))
                 if kind.loc_avg:
                     self._local_weight_average()
             if kind.travelling:
                 nbytes = self.stack.flat.shape[1] * 8
-                self._log("up", "model-weights", ids[0], nbytes, self.steps)
-                self._log("down", "model-weights", (ids[0] + 1) % cfg.clients, nbytes, self.steps)
+                self._log("up", "model-weights", ids, nbytes, self.steps)
+                self._log("down", "model-weights", [(ids[0] + 1) % cfg.clients], nbytes, self.steps)
         return RoundMetrics(
             epoch=epoch,
             train_loss=float(np.mean(losses)) if losses else 0.0,
@@ -446,7 +471,7 @@ class SplitTrainer:
         segments = (self.clients[0].layers, self.server_layers or [])
         return evaluate(segments, *self.val_data, validate=False)  # checked at build
 
-    def _batches_for(self, client: ClientState, epoch: int) -> list[Array]:
+    def _batches_for(self, client: ClientState, epoch: int) -> Array:
         rng = keyed_rng(self.config.seed, STREAM_BATCH, epoch, client.client_id)
         return _epoch_batches(client.sample_count, self.config.batch_size, rng)
 
@@ -456,17 +481,19 @@ class SplitTrainer:
         """One round over the client stack, a row per ``batch_ix`` entry
         (client id -> batch rows, ascending ids): every client, so row i is
         client i, or for ssl the one client holding the travelling segment."""
-        rows = [(self.clients[cid], ix) for cid, ix in batch_ix.items()]
-        x = np.concatenate([c.features.take(ix, 0) for c, ix in rows])
-        y = np.concatenate([c.labels.take(ix) for c, ix in rows]).reshape(len(rows), -1)
-        cache = nn.forward(self.stack.layers, x.reshape(*y.shape, -1), validate=False)
+        rows = [self._first[cid] + ix for cid, ix in batch_ix.items()]
+        return self._round(list(batch_ix), np.stack(rows), active)
+
+    def _round(self, ids: list[int], rows: Array, active: list[int]) -> float:
+        """``_parallel_round`` in pool row numbers: row i is client ``ids[i]``'s batch."""
+        x, y = self._x.take(rows, 0), self._y.take(rows)
+        cache = nn.forward(self.stack.layers, x, validate=False)
         if self.server is None:
             losses, upstream = nn.loss_softmax_ce(cache.output, y, validate=False)
             loss = splitting.combine_losses(self._delta_array, losses)
         else:
-            row_bytes = cache.output[0].size * 8
-            for cid in batch_ix:
-                self._log("up", "smashed", cid, row_bytes, self.steps)
+            nbytes = cache.output[0].size * 8
+            self._log("up", "smashed", ids, nbytes, self.steps)
             loss, upstream, _ = splitting.server_gradients(
                 self.server_layers, cache.output, y, self._server_weights, self._server_grads,
                 validate=False)
@@ -476,11 +503,9 @@ class SplitTrainer:
                 for cid in active:
                     common += upstream[cid]
                 upstream[active] = common / len(active) if self.config.splitavg_mean else common
-                self._log("down", "cut-grad", None, common.size * 8, self.steps)
+                self._log("down", "cut-grad", [None], common.size * 8, self.steps)
             shared = set(active)
-            for cid in batch_ix:
-                if cid not in shared:
-                    self._log("down", "cut-grad", cid, row_bytes, self.steps)
+            self._log("down", "cut-grad", [c for c in ids if c not in shared], nbytes, self.steps)
         nn.backward(cache, upstream, self.stack.grads, input_grad=False)
         self.buffer.step(self._lr)
         self.steps += 1
@@ -488,12 +513,10 @@ class SplitTrainer:
 
     def _local_weight_average(self) -> None:
         """LocAvg: delta-weighted, layer-wise average of client segments."""
-        nbytes = self.stack.flat.shape[1] * 8
-        for client in self.clients:
-            self._log("up", "model-weights", client.client_id, nbytes, self.steps)
+        nbytes, everyone = self.stack.flat.shape[1] * 8, range(self.config.clients)
+        self._log("up", "model-weights", everyone, nbytes, self.steps)
         self.stack.average(self._delta_array)
-        for client in self.clients:
-            self._log("down", "model-weights", client.client_id, nbytes, self.steps)
+        self._log("down", "model-weights", everyone, nbytes, self.steps)
 
 
 def train_monolithic(

@@ -164,6 +164,35 @@ class TestLedger:
         for r, (direction, kind, client, nbytes) in enumerate(records):
             ledger.record(direction, kind, client, nbytes, r)
             assert ledger.total_bytes() == sum(e.nbytes for e in ledger.entries)
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["up", "down"]),
+                st.sampled_from(["smashed", "cut-grad", "model-weights"]),
+                st.lists(st.one_of(st.none(), st.integers(0, 9)), max_size=6),
+                st.integers(0, 10**12),
+            ),
+            max_size=20,
+        )
+    )
+    def test_record_each_equals_repeated_record(self, payloads):
+        each, one = CommLedger(), CommLedger()
+        for r, (direction, kind, clients, nbytes) in enumerate(payloads):
+            each.record_each(direction, kind, clients, nbytes, r)
+            for client in clients:
+                one.record(direction, kind, client, nbytes, r)
+        assert each.entries == one.entries
+        assert each.total_bytes() == one.total_bytes() == sum(e.nbytes for e in one.entries)
+
+    @pytest.mark.parametrize("kind, nbytes", [("carrier-pigeon", 1), ("smashed", -1)])
+    def test_record_each_rejects_bad_payloads(self, kind, nbytes):
+        ledger = CommLedger()
+        with pytest.raises(InputError):
+            ledger.record_each("up", kind, [0, 1], nbytes, 0)
+        with pytest.raises(InputError):
+            ledger.record("up", kind, 0, nbytes, 0)
+        assert ledger.entries == [] and ledger.total_bytes() == 0
         assert CommLedger(entries=list(ledger.entries)).total_bytes() == ledger.total_bytes()
 
 

@@ -439,3 +439,66 @@ def test_out_of_range_labels_rejected_at_build(label):
     data = [(rng.normal(size=(4, 3)), np.array([0, 1, label, 0])) for _ in range(2)]
     with pytest.raises(InputError, match="client 0 needs a label in"):
         SplitTrainer(model, data, ProtocolConfig(kind="ssl", clients=2, batch_size=4))
+
+
+# Segment sizes whose boundaries fall inside a chunk, on a chunk edge, and
+# past the first chunk.
+WALK_SIZES = [1, 5, nn.ADAM_CHUNK // 2 + 3, nn.ADAM_CHUNK - 1, nn.ADAM_CHUNK, nn.ADAM_CHUNK + 9]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    optimizer=st.sampled_from(["sgd", "adam"]),
+    sizes=st.lists(st.sampled_from(WALK_SIZES), min_size=1, max_size=3),
+    start=st.sampled_from([0, 1, 354, 355, 356, 400, 5000, 40_000]),
+    steps=st.integers(1, 2),
+    seed=st.integers(0, 2**16),
+)
+def test_one_walk_equals_per_segment_adam_update(optimizer, sizes, start, steps, seed):
+    """One buffer step over 1-3 segments equals ``adam_update`` (or an SGD
+    step) on each segment alone, and Adam equals the textbook formula, also
+    once 1 - beta1**t has rounded to 1.0 (t >= 356)."""
+    rng = np.random.default_rng(seed)
+    lrs = [1e-2, 3.7e-2, 2.5e-3][: len(sizes)]
+    buf = nn.ParamBuffer(sizes, optimizer)
+    buf.params[:] = rng.normal(size=buf.params.size)
+    ends = np.cumsum([0, *sizes]).tolist()
+    cuts = list(zip(ends, ends[1:]))
+    want = [buf.params[lo:hi].copy() for lo, hi in cuts]
+    states = [nn.init_optimizer(optimizer, [w]) for w in want]
+    books = [{"t": start, "m": [np.zeros(n)], "v": [np.zeros(n)]} for n in sizes]
+    if optimizer == "adam":
+        warm = [rng.random(n) for n in sizes]
+        for i, (lo, hi) in enumerate(cuts):
+            buf.opt.m[i][:], buf.opt.v[i][:] = warm[i], warm[i] ** 2
+            states[i].m[0][:], states[i].v[0][:] = warm[i], warm[i] ** 2
+            books[i]["m"][0], books[i]["v"][0] = warm[i].copy(), warm[i] ** 2
+            states[i].t = start
+        buf.opt.t = start
+    book = [w.copy() for w in want]
+    for _ in range(steps):
+        buf.grads[:] = rng.normal(size=buf.grads.size)
+        buf.step(lrs if len(sizes) > 1 else lrs[0])
+        for i, (lo, hi) in enumerate(cuts):
+            g = buf.grads[lo:hi]
+            if optimizer == "adam":
+                nn.adam_update([want[i]], [g], states[i], lrs[i])
+                (book[i],) = textbook_adam([book[i]], [g], books[i], lrs[i])
+            else:
+                want[i] -= lrs[i] * g
+                book[i] = want[i]
+    for i, (lo, hi) in enumerate(cuts):
+        assert np.array_equal(buf.params[lo:hi], want[i])
+        assert np.array_equal(buf.params[lo:hi], book[i])
+        if optimizer == "adam":
+            assert buf.opt.t == states[i].t == start + steps
+            assert np.array_equal(buf.opt.m[i], states[i].m[0])
+            assert np.array_equal(buf.opt.v[i], states[i].v[0])
+            assert np.array_equal(buf.opt.m[i], books[i]["m"][0])
+            assert np.array_equal(buf.opt.v[i], books[i]["v"][0])
+
+
+def test_bias_corrections_reach_one():
+    """The steps where ``adam_update`` starts to skip each divide."""
+    assert 1.0 - 0.9**355 != 1.0 and 1.0 - 0.9**356 == 1.0
+    assert 1.0 - 0.999**5000 != 1.0 and 1.0 - 0.999**40_000 == 1.0

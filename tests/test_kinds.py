@@ -97,6 +97,33 @@ def test_one_epoch_ledger_reconciles_over_random_geometry(kind, clients, batch, 
     assert len(record.active_ids) == int(math.floor(phi * clients + 1e-9))
 
 
+@pytest.mark.parametrize("kind", PROTOCOL_KINDS)
+@settings(max_examples=15, deadline=None)
+@given(clients=st.integers(1, 5), batch=st.integers(1, 6), rows=st.integers(1, 30),
+       phi=st.floats(0.0, 1.0), seed=st.integers(0, 2**16))
+def test_three_epoch_ledger_reconciles_over_random_geometry(kind, clients, batch, rows, phi, seed):
+    """With ``epochs`` passed, ssl's hand-off in every epoch reconciles too."""
+    epochs = 3
+    model = make_model(seed=seed)
+    cfg = ProtocolConfig(kind=kind, clients=clients, active_fraction=phi,
+                         lr_exponent=0.5, batch_size=batch, epochs=epochs, seed=seed)
+    ledger = CommLedger()
+    trainer = SplitTrainer(model, make_clients([rows] * clients, seed=seed), cfg,
+                           ledger=ledger)
+    records = trainer.run()
+    segment = model.layers if kind == "fl" else model.client_segment
+    report = comm.reconcile(
+        ledger, harness.COST_METHOD[kind], clients=clients, rounds=epochs * (rows // batch),
+        batch_size=batch, cut_width=model.client_segment[0].out_dim,
+        active_count=len(records[0].active_ids), epochs=epochs,
+        param_counts={"segment": nn.param_count(segment),
+                      "model": nn.param_count(model.layers)},
+    )
+    assert report.items
+    for item in report.items:
+        assert item.measured_bytes == item.expected_bytes, item.kind
+
+
 def test_ssl_hands_off_after_each_clients_batches():
     counts, batch = [8, 12, 4, 9], 4
     model = make_model(seed=3)
