@@ -310,6 +310,8 @@ def adam_update(
     lrs = _learning_rates(lr, params, grads)
     if state.m is None or state.v is None:
         raise InputError("adam state is uninitialized")
+    if flat is not None and {a.size for a in flat} != {sum(p.size for p in params)}:
+        raise InputError("flat arrays must be as long as the arrays they hold")
     walks = [(*flat, [p.size for p in params], lrs)] if flat is not None else [
         (_writable_flat(p), g.reshape(-1), _writable_flat(m), _writable_flat(v), [p.size], [rate])
         for p, g, m, v, rate in zip(params, grads, state.m, state.v, lrs, strict=True)]
@@ -335,13 +337,13 @@ def _adam_walk(p, g, m, v, sizes: Sequence[int], rates: Sequence[float], state) 
         np.multiply(gc, 1.0 - b2, out=t1)
         t1 *= gc
         vc += t1
-        # x / 1.0 is x, so a bias correction that reached 1.0 is skipped.
+        # x / 1.0 is x: skip the divide once 1 - beta1**t has rounded to 1.0.
         m_hat = mc if bc1 == 1.0 else np.divide(mc, bc1, out=t1)
         for a, b, rate in zip(ends, ends[1:], rates):
             a, b = max(a, lo) - lo, min(b, hi) - lo
             if a < b:
                 np.multiply(m_hat[a:b], rate, out=t1[a:b])
-        np.sqrt(vc if bc2 == 1.0 else np.divide(vc, bc2, out=t2), out=t2)
+        np.sqrt(np.divide(vc, bc2, out=t2), out=t2)
         t2 += eps
         t1 /= t2
         pc -= t1

@@ -323,7 +323,7 @@ def _epoch_batches(n: int, batch_size: int, rng: np.random.Generator) -> Array:
 def _row_pool(pairs) -> tuple[Array, np.ndarray, Array]:
     """(features, labels, each pair's first row): the base arrays of which
     every pair is the same run of rows, or else the pairs concatenated once."""
-    bases = [a if a.base is None else a.base for a in pairs[0]]
+    bases = [a.base if isinstance(a.base, np.ndarray) else a for a in pairs[0]]
     first = _first_rows([x for x, _ in pairs], bases[0])
     if None in first or first != _first_rows([y for _, y in pairs], bases[1]):
         bases = [np.concatenate(a) for a in zip(*pairs)]
@@ -333,13 +333,11 @@ def _row_pool(pairs) -> tuple[Array, np.ndarray, Array]:
 
 def _first_rows(arrays, base) -> list[int | None]:
     """Each array's first row in ``base``, or None where it is no run of its rows."""
-    if not (isinstance(base, np.ndarray) and base.flags.c_contiguous):
-        return [None]
-    start, row_bytes = base.__array_interface__["data"][0], max(1, base[:1].nbytes)
-    rows = [divmod(a.__array_interface__["data"][0] - start, row_bytes) for a in arrays]
-    return [row if rem == 0 and 0 <= row <= len(base) - len(a) and (a is base or a.base is base)
-            and a.flags.c_contiguous and a.dtype == base.dtype and a.shape[1:] == base.shape[1:]
-            else None for a, (row, rem) in zip(arrays, rows)]
+    start, row_bytes = base.ctypes.data, max(1, base[:1].nbytes)
+    rows = [divmod(a.ctypes.data - start, row_bytes) for a in arrays]
+    return [row if rem == 0 and (a is base or a.base is base) and a.flags.c_contiguous
+            and a.dtype == base.dtype and a.shape[1:] == base.shape[1:] else None
+            for a, (row, rem) in zip(arrays, rows)]
 
 
 class SplitTrainer:

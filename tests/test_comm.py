@@ -164,6 +164,7 @@ class TestLedger:
         for r, (direction, kind, client, nbytes) in enumerate(records):
             ledger.record(direction, kind, client, nbytes, r)
             assert ledger.total_bytes() == sum(e.nbytes for e in ledger.entries)
+        assert CommLedger(entries=list(ledger.entries)).total_bytes() == ledger.total_bytes()
 
     @given(
         st.lists(
@@ -193,7 +194,6 @@ class TestLedger:
         with pytest.raises(InputError):
             ledger.record("up", kind, 0, nbytes, 0)
         assert ledger.entries == [] and ledger.total_bytes() == 0
-        assert CommLedger(entries=list(ledger.entries)).total_bytes() == ledger.total_bytes()
 
 
 def run_with_ledger(kind, clients, rounds, batch, cut_width, seed=0, **cfg_kw):

@@ -7,7 +7,7 @@ axis existed.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from splitsim import nn, protocols, splitting
@@ -450,10 +450,11 @@ WALK_SIZES = [1, 5, nn.ADAM_CHUNK // 2 + 3, nn.ADAM_CHUNK - 1, nn.ADAM_CHUNK, nn
 @given(
     optimizer=st.sampled_from(["sgd", "adam"]),
     sizes=st.lists(st.sampled_from(WALK_SIZES), min_size=1, max_size=3),
-    start=st.sampled_from([0, 1, 354, 355, 356, 400, 5000, 40_000]),
+    start=st.sampled_from([0, 1, 50, 354, 355, 356, 400, 5000]),
     steps=st.integers(1, 2),
     seed=st.integers(0, 2**16),
 )
+@example(optimizer="adam", sizes=[5, nn.ADAM_CHUNK + 9], start=50, steps=2, seed=0)
 def test_one_walk_equals_per_segment_adam_update(optimizer, sizes, start, steps, seed):
     """One buffer step over 1-3 segments equals ``adam_update`` (or an SGD
     step) on each segment alone, and Adam equals the textbook formula, also
@@ -499,6 +500,17 @@ def test_one_walk_equals_per_segment_adam_update(optimizer, sizes, start, steps,
 
 
 def test_bias_corrections_reach_one():
-    """The steps where ``adam_update`` starts to skip each divide."""
+    """The step where ``adam_update`` starts to skip the beta1 divide."""
     assert 1.0 - 0.9**355 != 1.0 and 1.0 - 0.9**356 == 1.0
-    assert 1.0 - 0.999**5000 != 1.0 and 1.0 - 0.999**40_000 == 1.0
+
+
+@pytest.mark.parametrize("short", [0, 1, 2, 3])
+def test_one_walk_rejects_flat_arrays_the_arrays_do_not_tile(short):
+    """``flat`` must be exactly as long as the arrays it holds, so no element
+    outside every segment is stepped with a stale scratch value."""
+    buf = nn.ParamBuffer([4, 3], "adam")
+    flat = list(buf._whole)
+    flat[short] = np.zeros(flat[short].size + 1)
+    with pytest.raises(InputError, match="as long as"):
+        nn.adam_update(buf._params, buf._grads, buf.opt, 1e-3, flat)
+    assert buf.opt.t == 0

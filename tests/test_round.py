@@ -20,17 +20,50 @@ def make_model(seed=0, widths=(6, 10, 8, 4)):
 
 def make_clients(counts, layout, seed=0):
     """Client pairs as row slices of one dataset ("views", after ``skip``
-    leading rows), as separate copies ("copies"), or with the labels sliced
-    from other rows than the features ("shifted")."""
+    leading rows), or laid out so that the pool check must copy them: as
+    separate copies ("copies"); with the labels sliced from other rows than
+    the features ("shifted"); with features that start one element into a
+    row ("misaligned"), that live in a bytearray ("buffers"), that each own
+    the next slab of one buffer ("slabs"), that take every other row
+    ("strided"), that are rows of a [N, 2, 3] array ("reshaped") or that
+    are int64 bits read as floats ("retyped")."""
     skip = 3
     ds = synth_dataset(4, sum(counts) + skip + 1, 6, 4.0, seed)
     ends = np.cumsum([skip, *counts])
-    pairs = [(ds.features[lo:hi], ds.labels[lo:hi]) for lo, hi in zip(ends, ends[1:])]
+    spans = list(zip(ends, ends[1:]))
+    pairs = [(ds.features[lo:hi], ds.labels[lo:hi]) for lo, hi in spans]
+    xs = [x for x, _ in pairs]
     if layout == "copies":
         pairs = [(x.copy(), y.copy()) for x, y in pairs]
     elif layout == "shifted":
-        pairs = [(x, ds.labels[lo + 1 : hi + 1]) for (x, _), lo, hi in zip(pairs, ends, ends[1:])]
+        pairs = [(x, ds.labels[lo + 1 : hi + 1]) for x, (lo, hi) in zip(xs, spans)]
+    elif layout == "misaligned":
+        flat = ds.features.reshape(-1)
+        xs = [flat[lo * 6 + 1 : hi * 6 + 1].reshape(-1, 6) for lo, hi in spans]
+    elif layout == "buffers":
+        xs = [np.ndarray(x.shape, buffer=bytearray(x.tobytes())) for x in xs]
+    elif layout == "slabs":
+        pairs = list(zip(*(slabs(arrays) for arrays in zip(*pairs))))
+    elif layout == "strided":
+        pairs = [(ds.features[2 * lo : 2 * hi : 2], ds.labels[2 * lo : 2 * hi : 2])
+                 for lo, hi in spans]
+    elif layout == "reshaped":
+        cube = ds.features.reshape(-1, 2, 3).copy()
+        xs = [cube[lo:hi].reshape(-1, 6) for lo, hi in spans]
+    elif layout == "retyped":
+        bits = ds.features.view(np.int64).copy()
+        xs = [bits[lo:hi].view(np.float64) for lo, hi in spans]
+    if layout in ("misaligned", "buffers", "reshaped", "retyped"):
+        pairs = [(x, y) for x, (_, y) in zip(xs, pairs)]
     return pairs
+
+
+def slabs(arrays):
+    """Copies of ``arrays`` that each own the next slab of one bytearray, as
+    views: the first one's base knows nothing of the others."""
+    buf = bytearray(b"".join(a.tobytes() for a in arrays))
+    offsets = np.cumsum([0, *(a.nbytes for a in arrays[:-1])])
+    return [np.ndarray(a.shape, a.dtype, buf, int(o))[:] for a, o in zip(arrays, offsets)]
 
 
 def spy_round_inputs(monkeypatch):
@@ -53,7 +86,8 @@ def spy_round_inputs(monkeypatch):
 
 
 @pytest.mark.parametrize("kind", ["psl", "ssl"])
-@pytest.mark.parametrize("layout", ["views", "copies", "shifted"])
+@pytest.mark.parametrize("layout", ["views", "copies", "shifted", "misaligned", "buffers",
+                                    "slabs", "strided", "reshaped", "retyped"])
 @settings(max_examples=15, deadline=None)
 @given(counts=st.lists(st.integers(1, 13), min_size=1, max_size=4),
        batch=st.integers(1, 4), seed=st.integers(0, 2**16))
@@ -70,7 +104,7 @@ def test_pooled_gather_equals_per_client_take(kind, layout, counts, batch, seed)
         assert client.features.base is pool_x and client.labels.base is pool_y
     if layout == "views":
         assert pool_x is pairs[0][0].base and pool_y is pairs[0][1].base
-    else:
+    elif layout in ("copies", "shifted"):
         assert pool_x.base is None and len(pool_x) == sum(counts)
 
     batches = [trainer._batches_for(c, 0) for c in trainer.clients]
