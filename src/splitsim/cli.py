@@ -14,6 +14,7 @@ from .comm import METHODS, CostParams
 from .errors import ConfigError, SplitSimError
 from .harness import (
     ExperimentConfig,
+    build_section,
     emit_cost_report,
     run_experiment,
     set_by_path,
@@ -90,18 +91,13 @@ def cmd_cost(args) -> int:
             raise ConfigError(f"must be a list of {', '.join(METHODS)}", field="methods")
         settings, names = None, None
         if "settings" in raw:
-            if not isinstance(raw["settings"], list):
+            entries = raw["settings"]
+            if not isinstance(entries, list):
                 raise ConfigError("must be a list of objects", field="settings")
-            settings, names = [], []
-            for i, entry in enumerate(raw["settings"]):
-                if not isinstance(entry, dict):
-                    raise ConfigError("must be an object", field=f"settings[{i}]")
-                name = entry.pop("name", f"setting_{i}")
-                try:
-                    settings.append(CostParams(**entry))
-                except (TypeError, SplitSimError) as exc:
-                    raise ConfigError(str(exc), field=f"settings[{i}]")
-                names.append(name)
+            names = [e.pop("name", f"setting_{i}") if isinstance(e, dict) else None
+                     for i, e in enumerate(entries)]
+            settings = [build_section(CostParams, e, f"settings[{i}]")
+                        for i, e in enumerate(entries)]
         csv_text = emit_cost_report(methods, settings, names)
     else:
         csv_text = emit_cost_report()

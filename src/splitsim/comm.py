@@ -2,14 +2,14 @@
 ledger that records what a simulated run actually transmitted.
 
 Closed-form costs per epoch (sizes in MB, one epoch = one pass over the
-|D| training samples):
+|D| training samples), one total per method:
 
-    method   per client                          total
-    fl       2*S_w                               2*C*S_w
-    ssl      2*D*S_L/C + 2*S_wc                  2*D*S_L + 2*C*S_wc
-    sfl      2*D*S_L/C + 2*S_wc                  2*D*S_L + 2*C*S_wc
-    sglr     ((2-phi)*D*S_L + S_L)/C             (2-phi)*D*S_L + S_L
-    psl      2*D*S_L/C                           2*D*S_L
+    method   total
+    fl       2*C*S_w
+    ssl      2*D*S_L + 2*C*S_wc
+    sfl      2*D*S_L + 2*C*S_wc
+    sglr     (2-phi)*D*S_L + S_L
+    psl      2*D*S_L
 
 S_L is the cut-layer output size per sample, S_w the full model, S_wc the
 client segment. The sglr download side counts each inactive client's
@@ -17,8 +17,10 @@ unicast gradient (the (1-phi) share) plus the averaged gradient broadcast
 once. psl is not in the published table; it is sglr at phi=0 minus the
 broadcast term.
 
-Training time adds compute T and link rate R; the ssl row multiplies the
-model-exchange term by C while sfl's does not — both transcribed literally.
+Per-client cost is total / C. Training time is the compute time T plus
+the MB moved at link rate R: the whole total for ssl, whose clients take
+turns, and one client's share for every other method, whose clients send
+in parallel. These are the published per-client and time rows.
 """
 
 from __future__ import annotations
@@ -69,24 +71,12 @@ class CostParams:
         )
         if any(v < 0 for v in numeric):
             raise InputError("cost parameters must be nonnegative")
+        if self.link_rate <= 0:
+            raise InputError("link_rate must be positive")
         if self.clients < 1:
             raise InputError("clients must be >= 1")
         if not 0.0 <= self.active_fraction <= 1.0:
             raise InputError("active_fraction must lie in [0, 1]")
-
-
-def comm_per_client(method: str, p: CostParams) -> float:
-    """MB communicated per client per epoch."""
-    d, c, sl = p.dataset_size, p.clients, p.cut_size_mb
-    if method == "fl":
-        return 2.0 * p.model_size_mb
-    if method in ("ssl", "sfl"):
-        return 2.0 * d * sl / c + 2.0 * p.client_size_mb
-    if method == "sglr":
-        return ((2.0 - p.active_fraction) * d * sl + sl) / c
-    if method == "psl":
-        return 2.0 * d * sl / c
-    raise InputError(f"unknown method {method!r}")
 
 
 def total_comm(method: str, p: CostParams) -> float:
@@ -103,6 +93,11 @@ def total_comm(method: str, p: CostParams) -> float:
     raise InputError(f"unknown method {method!r}")
 
 
+def comm_per_client(method: str, p: CostParams) -> float:
+    """MB communicated per client per epoch: the total over C."""
+    return total_comm(method, p) / p.clients
+
+
 def reduction_percent(method_a: str, method_b: str, p: CostParams) -> float:
     """Percentage reduction of a's total communication relative to b's."""
     base = total_comm(method_b, p)
@@ -112,66 +107,27 @@ def reduction_percent(method_a: str, method_b: str, p: CostParams) -> float:
 
 
 def training_time(method: str, p: CostParams) -> float:
-    """Seconds per epoch: compute plus all transfers at the link rate."""
+    """Seconds per epoch: compute plus the transfers at the link rate, all
+    of the total for ssl (its clients take turns), one client's share else."""
     if p.link_rate <= 0:
         raise InputError("link rate must be positive")
-    d, c, sl, r, t = (
-        p.dataset_size,
-        p.clients,
-        p.cut_size_mb,
-        p.link_rate,
-        p.compute_time,
-    )
-    if method == "fl":
-        return t + 2.0 * p.model_size_mb / r
-    if method == "ssl":
-        return t + 2.0 * d * sl / r + 2.0 * c * p.client_size_mb / r
-    if method == "sfl":
-        return t + 2.0 * d * sl / (c * r) + 2.0 * p.client_size_mb / r
-    if method == "sglr":
-        return t + ((2.0 - p.active_fraction) * d * sl + sl) / (c * r)
-    if method == "psl":
-        return t + 2.0 * d * sl / (c * r)
-    raise InputError(f"unknown method {method!r}")
+    mb = total_comm(method, p) if method == "ssl" else comm_per_client(method, p)
+    return p.compute_time + mb / p.link_rate
 
 
 def cost_table_csv(methods, params_list, names=None) -> str:
     """CSV of (name, method, params, per-client MB, total MB, time s) rows."""
+    columns = ("clients", "active_fraction", "dataset_size", "cut_size_mb",
+               "model_size_mb", "client_size_mb")
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(
-        [
-            "name",
-            "method",
-            "clients",
-            "active_fraction",
-            "dataset_size",
-            "cut_size_mb",
-            "model_size_mb",
-            "client_size_mb",
-            "per_client_mb",
-            "total_mb",
-            "time_s",
-        ]
-    )
+    writer.writerow(["name", "method", *columns, "per_client_mb", "total_mb", "time_s"])
     for i, p in enumerate(params_list):
         name = names[i] if names else f"setting_{i}"
+        values = [getattr(p, col) for col in columns]
         for method in methods:
-            writer.writerow(
-                [
-                    name,
-                    method,
-                    p.clients,
-                    p.active_fraction,
-                    p.dataset_size,
-                    p.cut_size_mb,
-                    p.model_size_mb,
-                    p.client_size_mb,
-                    f"{comm_per_client(method, p):.6f}",
-                    f"{total_comm(method, p):.6f}",
-                    f"{training_time(method, p):.6f}",
-                ]
-            )
+            costs = [f"{f(method, p):.6f}" for f in (comm_per_client, total_comm, training_time)]
+            writer.writerow([name, method, *values, *costs])
     return buf.getvalue()
 
 
@@ -260,12 +216,8 @@ class ReconcileReport:
 
     @property
     def ok(self) -> bool:
-        if self.mismatches:
-            return False
-        if self.formula_total == 0:
-            return self.measured_total == 0
-        rel = abs(self.measured_total - self.formula_total) / self.formula_total
-        return rel <= self.tolerance
+        total = ReconcileItem("total", self.measured_total, self.formula_total)
+        return not self.mismatches and total.relative_error <= self.tolerance
 
 
 def reconcile(
@@ -315,12 +267,10 @@ def reconcile(
     expected_weights = 0.0
     if param_counts and "segment" in param_counts:
         seg = param_counts["segment"] * BYTES_PER_SCALAR
-        if method == "sfl":
+        if method in ("sfl", "fl"):
             expected_weights = 2.0 * clients * rounds * seg
         elif method == "ssl":
             expected_weights = 2.0 * clients * epochs * seg  # a hand-off per client and epoch
-        elif method == "fl":
-            expected_weights = 2.0 * clients * rounds * seg
     if method in ("sfl", "ssl", "fl") or by_kind["model-weights"]:
         items.append(
             ReconcileItem("model-weights", by_kind["model-weights"], expected_weights)

@@ -62,6 +62,17 @@ class LeakageSpec:
     probe: int = 256
 
 
+def build_section(cls, payload, field: str):
+    """``cls(**payload)``, with a payload that is no object or that ``cls``
+    rejects raised as a ConfigError naming ``field``."""
+    if not isinstance(payload, dict):
+        raise ConfigError("must be an object", field=field)
+    try:
+        return cls(**payload)
+    except (TypeError, InputError) as exc:
+        raise ConfigError(str(exc), field=field) from exc
+
+
 # Protocol kinds -> analytic cost-model rows.
 COST_METHOD = {name: kind.cost for name, kind in protocols.KINDS.items()}
 
@@ -78,30 +89,15 @@ class ExperimentConfig:
 
     @staticmethod
     def from_dict(raw: dict) -> "ExperimentConfig":
-        def build(section, cls, path):
-            payload = raw.get(section, {})
-            if not isinstance(payload, dict):
-                raise ConfigError("must be an object", field=path)
-            try:
-                return cls(**payload)
-            except (TypeError, InputError) as exc:
-                raise ConfigError(str(exc), field=path) from exc
-
         if "protocol" not in raw:
             raise ConfigError("missing section", field="protocol")
-        proto = build("protocol", ProtocolConfig, "protocol")
-        ds = build("dataset", DatasetSpec, "dataset")
-        model = build("model", ModelSpec, "model")
-        leak = build("leakage", LeakageSpec, "leakage")
-
+        proto, ds, model, leak = (
+            build_section(cls, raw.get(name, {}), name)
+            for name, cls in (("protocol", ProtocolConfig), ("dataset", DatasetSpec),
+                              ("model", ModelSpec), ("leakage", LeakageSpec)))
         cost = raw.get("cost")
         if cost is not None:
-            if not isinstance(cost, dict):
-                raise ConfigError("must be an object", field="cost")
-            try:
-                comm.CostParams(**cost)
-            except (TypeError, InputError) as exc:
-                raise ConfigError(str(exc), field="cost") from exc
+            build_section(comm.CostParams, cost, "cost")  # validates
 
         cfg = ExperimentConfig(
             protocol=proto,
@@ -159,15 +155,7 @@ class ExperimentConfig:
                 raise ConfigError(f"needs at least {least}, got {value}", field=f"leakage.{name}")
 
     def to_dict(self) -> dict:
-        return {
-            "protocol": asdict(self.protocol),
-            "dataset": asdict(self.dataset),
-            "model": asdict(self.model),
-            "leakage": asdict(self.leakage),
-            "cost": self.cost,
-            "include_timestamps": self.include_timestamps,
-            "run_id": self.run_id,
-        }
+        return asdict(self)
 
     def resolved_run_id(self) -> str:
         if self.run_id:

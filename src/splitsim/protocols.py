@@ -260,6 +260,8 @@ def parse_phase(spec: str) -> tuple[str, float]:
     p = float(m.group(2))
     if not 0.0 < p < 1.0:
         raise InputError("phase fraction must lie in (0, 1)")
+    if 1.0 - p == 1.0:  # final(p) would start at floor(1.0 * E) and never run
+        raise InputError(f"phase fraction {p!r} is indistinguishable from 0")
     return m.group(1), p
 
 

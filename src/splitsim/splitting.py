@@ -1,9 +1,13 @@
 """Model partitioning at the cut layer and server-side batch handling.
 
 A ``SplitModel`` is one layer stack plus a cut index; clients run the lower
-segment and upload ``SmashedBatch`` records (cut-layer activations plus
-labels), the server concatenates them along the batch dimension into a
-``ConcatBatch`` and runs a single forward/backward.
+segment and the server runs the rest. The trainer's server pass is
+``server_gradients``: the clients' smashed data arrives stacked as
+[clients, batch, cut_width] and is backpropagated as one concatenated
+batch. ``SmashedBatch``, ``ConcatBatch``, ``client_forward``, ``concat``
+and ``server_forward_backward`` are the per-client reference round
+(upload, concatenate, forward/backward, update) that the tests check the
+trainer against; the trainer calls none of them.
 
 Loss convention: each client's rows contribute a *mean* cross-entropy over
 that client's own rows, and client means are combined with the data-share

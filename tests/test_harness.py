@@ -386,6 +386,24 @@ class TestCli:
         assert cli_main(["cost", "--config", cfg]) == 2
         assert f"config error: {field}: " in capsys.readouterr().err
 
+    def test_zero_link_rate_in_cost_config_exits_2(self, tmp_path, capsys):
+        setting = {"cut_size_mb": 1, "model_size_mb": 2, "client_size_mb": 1,
+                   "dataset_size": 10, "clients": 2, "link_rate": 0}
+        cfg = self._write_config(tmp_path, {"settings": [setting]})
+        assert cli_main(["cost", "--config", cfg]) == 2
+        assert "config error: settings[0]: " in capsys.readouterr().err
+
+    def test_zero_link_rate_in_run_config_exits_2(self, tmp_path, capsys):
+        raw = base_config(cost={"cut_size_mb": 1, "model_size_mb": 2, "client_size_mb": 1,
+                                "dataset_size": 10, "clients": 2, "link_rate": 0})
+        assert cli_main(["run", "--config", self._write_config(tmp_path, raw)]) == 2
+        assert "config error: cost: " in capsys.readouterr().err
+
+    def test_phase_fraction_indistinguishable_from_zero_exits_2(self, tmp_path, capsys):
+        cfg = self._write_config(tmp_path, base_config())
+        assert cli_main(["run", "--config", cfg, "--set", "protocol.phase=final(1e-17)"]) == 2
+        assert "config error: protocol: " in capsys.readouterr().err
+
     def test_cost_config_methods_subset(self, tmp_path, capsys):
         cfg = self._write_config(tmp_path, {"methods": ["psl", "fl"]})
         assert cli_main(["cost", "--config", cfg]) == 0

@@ -204,7 +204,8 @@ class TestPhasedSchedule:
 
     @settings(max_examples=200, deadline=None)
     @given(total=st.integers(1, 60),
-           p=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+           p=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True).filter(
+               lambda p: 1.0 - p < 1.0))
     def test_bounds(self, total, p):
         assert parse_phase(f"initial({p!r})") == ("initial", p)
         first = math.ceil(p * total)
@@ -215,6 +216,15 @@ class TestPhasedSchedule:
             [False] * start + [True] * (total - start))
         assert all(phased_schedule(e, total, "always") for e in range(total))
         assert not any(phased_schedule(e, total, "never") for e in range(total))
+
+    @pytest.mark.parametrize("p", [5e-324, 1e-17, 2**-54])
+    def test_fraction_indistinguishable_from_zero_rejected(self, p):
+        # 1.0 - p rounds to 1.0, so final(p) would never turn averaging on.
+        for kind in ("initial", "final"):
+            with pytest.raises(InputError):
+                parse_phase(f"{kind}({p!r})")
+        with pytest.raises(InputError):
+            ProtocolConfig(kind="sgl", clients=2, phase=f"final({p!r})")
 
 
 class TestEvaluate:
