@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass, field
 
 from .errors import InputError
@@ -61,21 +62,14 @@ class CostParams:
     compute_time: float = 0.0
 
     def __post_init__(self):
-        numeric = (
-            self.cut_size_mb,
-            self.model_size_mb,
-            self.client_size_mb,
-            self.dataset_size,
-            self.link_rate,
-            self.compute_time,
-        )
-        if any(v < 0 for v in numeric):
-            raise InputError("cost parameters must be nonnegative")
+        for name, value in vars(self).items():
+            if not 0 <= value < math.inf:
+                raise InputError(f"{name} must be finite and nonnegative")
         if self.link_rate <= 0:
             raise InputError("link_rate must be positive")
         if self.clients < 1:
             raise InputError("clients must be >= 1")
-        if not 0.0 <= self.active_fraction <= 1.0:
+        if self.active_fraction > 1.0:
             raise InputError("active_fraction must lie in [0, 1]")
 
 

@@ -1,6 +1,8 @@
 """Dataset ingestion (IDX binary format), a synthetic generator, IID
 partitioning, and validation splits. Everything is seed-deterministic.
-Rows move in place (``permute_rows``), so a run keeps one copy of its data."""
+Rows move in place (``permute_rows``), so a run keeps one copy of its data,
+and a run's set-up moves each row once: ``arrange`` composes the synthetic
+shuffle (``synth_blocks``) with its validation and partition draws."""
 
 from __future__ import annotations
 
@@ -123,25 +125,30 @@ def synth_dataset(
 ) -> Dataset:
     """Unit-variance Gaussian blobs whose class means are pairwise
     ``separation`` apart (means sit at separation/sqrt(2) along distinct
-    axes, so dim must be >= n_classes)."""
-    if separation <= 0:
-        raise InputError("separation must be positive")
+    axes, so dim must be >= n_classes), in a seeded shuffled order."""
+    blocks, order = synth_blocks(n_classes, per_class, dim, separation, seed)
+    permute_rows(blocks.features, order)
+    return Dataset(blocks.features, blocks.labels[order], n_classes)
+
+
+def synth_blocks(n_classes, per_class, dim, separation, seed) -> tuple[Dataset, np.ndarray]:
+    """``synth_dataset`` before its shuffle: the class blocks in class order and
+    the shuffle order, so that ``arrange`` can compose it with its own draws."""
+    if not 0.0 < separation < np.inf:
+        raise InputError("separation must be positive and finite")
     if dim < n_classes:
         raise InputError("dim must be at least n_classes for equidistant means")
     rng = np.random.default_rng(seed)
     scale = separation / np.sqrt(2.0)
     features = np.empty((n_classes * per_class, dim))
-    labels = np.empty(n_classes * per_class, dtype=np.int64)
+    labels = np.repeat(np.arange(n_classes), per_class)
     for k in range(n_classes):
         mean = np.zeros(dim)
         mean[k] = scale
         block = features[k * per_class : (k + 1) * per_class]
         # Same bits as mean + rng.normal(size=...): normal(0, 1) is 0.0 + z.
         np.add(rng.standard_normal(out=block), mean, out=block)
-        labels[k * per_class : (k + 1) * per_class] = k
-    order = rng.permutation(len(labels))
-    permute_rows(features, order)
-    return Dataset(features, labels[order], n_classes)
+    return Dataset(features, labels, n_classes), rng.permutation(len(labels))
 
 
 def permute_rows(a: np.ndarray, order: np.ndarray) -> None:
@@ -193,15 +200,19 @@ def validation_draw(n: int, n_val: int, seed) -> np.ndarray:
 
 
 def arrange(dataset: Dataset, n_val: int, clients: int, per_client: int,
-            val_seed, part_seed) -> tuple[Dataset, list[Dataset]]:
+            val_seed, part_seed, order=None) -> tuple[Dataset, list[Dataset]]:
     """Move the rows in place into [validation | client 0 | ... | client C-1 |
     unused] and return (validation, clients) as views of ``dataset``. The rows
     are those ``split_validation`` (skipped if ``n_val`` is 0) then
-    ``partition_iid`` draw with the same seeds."""
+    ``partition_iid`` draw with the same seeds from ``dataset`` taken in
+    ``order`` (a pending shuffle such as ``synth_blocks``'), which is composed
+    with the draws so that every row moves once."""
     n = len(dataset)
-    order = validation_draw(n, n_val, val_seed) if n_val else np.arange(n)
-    order[n_val:] = order[n_val:][partition_draw(n - n_val, clients, per_client, part_seed)]
-    permute_rows(dataset.features, order)
-    permute_rows(dataset.labels, order)
+    drawn = validation_draw(n, n_val, val_seed) if n_val else np.arange(n)
+    drawn[n_val:] = drawn[n_val:][partition_draw(n - n_val, clients, per_client, part_seed)]
+    if order is not None:
+        drawn = order[drawn]
+    permute_rows(dataset.features, drawn)
+    permute_rows(dataset.labels, drawn)
     starts = [n_val + i * per_client for i in range(clients)]
     return dataset.subset(slice(n_val)), [dataset.subset(slice(s, s + per_client)) for s in starts]

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import comm, data, nn, protocols, splitting
 from .errors import ConfigError, InputError
-from .leakage import smashed_leakage_score
+from .leakage import draw_pairs, smashed_leakage_score
 from .protocols import (
     STREAM_INIT,
     STREAM_PARTITION,
@@ -124,29 +124,19 @@ class ExperimentConfig:
                     raise ConfigError(f"file not found: {path}", field=f"dataset.{attr}")
         else:
             if ds.dim < ds.classes:
-                raise ConfigError(
-                    "dim must be >= classes", field="dataset.dim"
-                )
-        if ds.per_client < self.protocol.batch_size:
-            raise ConfigError(
-                "per_client smaller than the batch size", field="dataset.per_client"
-            )
-        if ds.kind == "synthetic":
+                raise ConfigError("dim must be >= classes", field="dataset.dim")
+            if not 0.0 < ds.separation < np.inf:
+                raise ConfigError("must be positive and finite", field="dataset.separation")
             available = ds.classes * ds.per_class - ds.validation
             if self.protocol.clients * ds.per_client > available:
-                raise ConfigError(
-                    f"needs {self.protocol.clients * ds.per_client} training "
-                    f"samples but only {available} remain after validation",
-                    field="dataset.per_client",
-                )
-        if self.model.cut_index < 1:
-            raise ConfigError("cut_index must be >= 1", field="model.cut_index")
+                raise ConfigError(f"needs {self.protocol.clients * ds.per_client} training "
+                                  f"samples but only {available} remain after validation",
+                                  field="dataset.per_client")
+        if ds.per_client < self.protocol.batch_size:
+            raise ConfigError("per_client smaller than the batch size", field="dataset.per_client")
         n_layers = 2 * (len(self.model.hidden) + 1) - 1
-        if self.model.cut_index >= n_layers:
-            raise ConfigError(
-                f"cut_index must be < {n_layers} for this model",
-                field="model.cut_index",
-            )
+        if not 1 <= self.model.cut_index < n_layers:
+            raise ConfigError(f"must lie in [1, {n_layers})", field="model.cut_index")
         leak = self.leakage
         probe_rows = min(leak.probe, ds.validation or leak.probe)  # validation caps the probe
         for name, value, least in (("bins", leak.bins, 2), ("pairs", leak.pairs, 1),
@@ -220,22 +210,24 @@ class ExperimentResult:
 
 def build_dataset(cfg: ExperimentConfig) -> tuple[list, data.Dataset, np.ndarray | None]:
     """(clients, validation, leakage probe) per the dataset spec, seeded from
-    the run seed; clients and validation are views of one array (``data.arrange``).
-    The probe is the first validation rows, or without validation the first rows
-    as built, copied before the move; None with leakage off or for fl."""
+    the run seed; clients and validation are views of one array, whose rows
+    ``data.arrange`` moves once, synthetic shuffle included. The probe is the
+    first validation rows, or without validation a copy of the first rows of
+    the shuffled set; None with leakage off or for fl."""
     ds_spec = cfg.dataset
     seed = cfg.protocol.seed
     if ds_spec.kind == "idx":
         full = data.load_idx(ds_spec.images, ds_spec.labels)
+        order = np.arange(len(full))
     else:
-        full = data.synth_dataset(ds_spec.classes, ds_spec.per_class, ds_spec.dim,
-                                  ds_spec.separation, seed=[seed, STREAM_SYNTH])
+        full, order = data.synth_blocks(ds_spec.classes, ds_spec.per_class, ds_spec.dim,
+                                        ds_spec.separation, seed=[seed, STREAM_SYNTH])
     leak = cfg.leakage.enabled and protocols.KINDS[cfg.protocol.kind].server
     head = slice(cfg.leakage.probe)
-    probe = full.features[head].copy() if leak and not ds_spec.validation else None
+    probe = full.features[order[head]] if leak and not ds_spec.validation else None
     val, clients = data.arrange(
         full, ds_spec.validation, cfg.protocol.clients, ds_spec.per_client,
-        val_seed=[seed, STREAM_VALSPLIT], part_seed=[seed, STREAM_PARTITION],
+        val_seed=[seed, STREAM_VALSPLIT], part_seed=[seed, STREAM_PARTITION], order=order,
     )
     if leak and ds_spec.validation:
         probe = val.features[head]
@@ -263,20 +255,18 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> ExperimentResult:
 
     records: list[MetricsRecord] = []
     run_id = cfg.resolved_run_id()
-    prev_bytes = 0
+    prev_bytes, pairs = 0, None
     for epoch in range(cfg.protocol.epochs):
         m = trainer.run_epoch(epoch)
         epoch_bytes = ledger.total_bytes() - prev_bytes
         prev_bytes = ledger.total_bytes()
         leak_value = None
         if probe is not None:
-            leak_value = smashed_leakage_score(
-                trainer.clients[0].layers,
-                probe,
-                bins=cfg.leakage.bins,
-                n_pairs=cfg.leakage.pairs,
-                seed=cfg.protocol.seed,
-            ).value
+            layers = trainer.clients[0].layers
+            if pairs is None:  # drawn once, at the first score: set-up does not pay for it
+                cut_width = next(l.out_dim for l in reversed(layers) if isinstance(l, nn.Dense))
+                pairs = draw_pairs(probe.shape[1], cut_width, cfg.leakage.pairs, cfg.protocol.seed)
+            leak_value = smashed_leakage_score(layers, probe, cfg.leakage.bins, pairs=pairs).value
         records.append(
             MetricsRecord(
                 run_id=run_id,

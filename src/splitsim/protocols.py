@@ -109,6 +109,9 @@ class ProtocolConfig:
             raise InputError(f"unknown protocol kind {self.kind!r}")
         if self.clients < 1:
             raise InputError("need at least one client")
+        for name in ("active_fraction", "lr_exponent", "base_lr"):
+            if not math.isfinite(getattr(self, name)):
+                raise InputError(f"{name} must be finite")
         if not 0.0 <= self.active_fraction <= 1.0:
             raise InputError("active_fraction must lie in [0, 1]")
         if self.lr_exponent < 0:
@@ -245,6 +248,18 @@ def split_avg(
         cid: (common if cid in active else g) for cid, g in cut_grads.items()
     }
     return common, assignment
+
+
+def active_sum(rows: Array, active: Sequence[int]) -> Array:
+    """``rows[active]`` summed as ``split_avg`` sums: row by row in the order
+    of ``active``. A reduce over axis 0 adds whole rows in that order, but it
+    pairs up the terms of one-element rows, so those are added in a loop."""
+    if rows[0].size > 1:
+        return np.add.reduce(rows[active], axis=0, initial=0.0)
+    total = np.zeros(rows.shape[1:])
+    for cid in active:
+        total += rows[cid]
+    return total
 
 
 _PHASE_RE = re.compile(r"^(initial|final)\(((?:\d+\.?\d*|\.\d+)(?:e[-+]?\d+)?)\)$")
@@ -498,10 +513,7 @@ class SplitTrainer:
                 self.server_layers, cache.output, y, self._server_weights, self._server_grads,
                 validate=False)
             if active:
-                # split_avg's sum, row by row in id order; np.add.reduce pairs up 1-element rows.
-                common = np.zeros(upstream.shape[1:])
-                for cid in active:
-                    common += upstream[cid]
+                common = active_sum(upstream, active)
                 upstream[active] = common / len(active) if self.config.splitavg_mean else common
                 self._log("down", "cut-grad", [None], common.size * 8, self.steps)
             shared = set(active)

@@ -404,6 +404,38 @@ class TestCli:
         assert cli_main(["run", "--config", cfg, "--set", "protocol.phase=final(1e-17)"]) == 2
         assert "config error: protocol: " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("override, field", [
+        ("protocol.base_lr=NaN", "protocol: base_lr"),
+        ("protocol.base_lr=Infinity", "protocol: base_lr"),
+        ("protocol.lr_exponent=Infinity", "protocol: lr_exponent"),
+        ("protocol.lr_exponent=NaN", "protocol: lr_exponent"),
+        ("protocol.active_fraction=NaN", "protocol: active_fraction"),
+        ("dataset.separation=NaN", "dataset.separation: "),
+        ("dataset.separation=Infinity", "dataset.separation: "),
+    ])
+    def test_nonfinite_run_setting_exits_2_before_training(self, tmp_path, capsys, override,
+                                                         field):
+        out = tmp_path / "out"
+        cfg = self._write_config(tmp_path, base_config())
+        assert cli_main(["run", "--config", cfg, "--set", override, "--out", str(out)]) == 2
+        assert f"config error: {field}" in capsys.readouterr().err
+        assert not out.exists()
+
+    COST_SETTING = {"cut_size_mb": 1, "model_size_mb": 2, "client_size_mb": 1,
+                    "dataset_size": 10, "clients": 2, "active_fraction": 0.5,
+                    "link_rate": 1.0, "compute_time": 0.0}
+
+    @pytest.mark.parametrize("name", list(COST_SETTING))
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_nonfinite_cost_setting_exits_2(self, tmp_path, capsys, name, value):
+        setting = {**self.COST_SETTING, name: value}  # json writes NaN and Infinity
+        cfg = self._write_config(tmp_path, {"settings": [setting]})
+        assert cli_main(["cost", "--config", cfg]) == 2
+        assert f"config error: settings[0]: {name} must be finite" in capsys.readouterr().err
+        run_cfg = self._write_config(tmp_path, base_config(cost=setting))
+        assert cli_main(["run", "--config", run_cfg]) == 2
+        assert f"config error: cost: {name} must be finite" in capsys.readouterr().err
+
     def test_cost_config_methods_subset(self, tmp_path, capsys):
         cfg = self._write_config(tmp_path, {"methods": ["psl", "fl"]})
         assert cli_main(["cost", "--config", cfg]) == 0

@@ -265,3 +265,64 @@ def test_reconcile_accepts_exactly_the_cost_methods():
     with pytest.raises(InputError, match="unknown method"):
         comm.reconcile(comm.CommLedger(), "sgl", clients=1, rounds=1, batch_size=1,
                        cut_width=1)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    classes=st.integers(1, 4),
+    per_class=st.integers(4, 30),
+    extra_dim=st.integers(0, 3),
+    clients=st.integers(1, 3),
+    with_val=st.booleans(),
+    val_share=st.floats(0.0, 0.5),
+    fill=st.floats(0.1, 1.0),
+    probe_share=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**16),
+)
+def test_build_dataset_equals_reference_over_synthetic_geometries(
+        classes, per_class, extra_dim, clients, with_val, val_share, fill, probe_share, seed):
+    """The one composed move equals the synth shuffle followed by the gathers,
+    with and without validation, and the probe equals the rows it used to copy."""
+    n = classes * per_class
+    validation = max(2, int(val_share * n)) if with_val else 0
+    per_client = max(1, int(fill * (n - validation) // clients))
+    if clients * per_client > n - validation:
+        return
+    bins = 2
+    probe = max(bins, int(probe_share * (validation or n)))
+    cfg = ExperimentConfig.from_dict({
+        "protocol": {"kind": "sglr", "clients": clients, "batch_size": 1, "epochs": 1,
+                     "seed": seed},
+        "dataset": {"kind": "synthetic", "classes": classes, "per_class": per_class,
+                    "dim": classes + extra_dim, "per_client": per_client,
+                    "validation": validation},
+        "model": {"hidden": [3], "cut_index": 2},
+        "leakage": {"enabled": True, "probe": probe, "pairs": 2, "bins": bins},
+    })
+    clients_got, val, probe_got = harness.build_dataset(cfg)
+    ref_clients, ref_val, ref_probe = reference_build(cfg)
+    for got, want in zip([val, *clients_got], [ref_val, *ref_clients]):
+        assert np.array_equal(bits(got.features), bits(want.features))
+        assert np.array_equal(got.labels, want.labels)
+    assert np.array_equal(bits(probe_got), bits(ref_probe))
+
+
+@pytest.mark.parametrize("with_val", [True, False])
+@pytest.mark.parametrize("make_config", [synthetic_config, idx_config])
+def test_build_dataset_moves_each_array_once(make_config, with_val, tmp_path, monkeypatch):
+    cfg = make_config(tmp_path, 10 if with_val else 0)
+    moved = []
+    original = data.permute_rows
+    monkeypatch.setattr(data, "permute_rows",
+                        lambda a, order: (moved.append(a), original(a, order)))
+    clients, _, _ = harness.build_dataset(cfg)
+    assert len(moved) == 2
+    assert moved[0] is clients[0].features.base and moved[1] is clients[0].labels.base
+
+
+def test_synth_blocks_is_synth_dataset_before_its_shuffle():
+    blocks, order = data.synth_blocks(3, 7, 5, 3.0, [4, STREAM_SYNTH])
+    shuffled = data.synth_dataset(3, 7, 5, 3.0, [4, STREAM_SYNTH])
+    assert np.array_equal(blocks.labels, np.repeat(np.arange(3), 7))
+    assert np.array_equal(bits(blocks.features[order]), bits(shuffled.features))
+    assert np.array_equal(blocks.labels[order], shuffled.labels)

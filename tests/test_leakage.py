@@ -8,9 +8,12 @@ from hypothesis import strategies as st
 from splitsim import nn
 from splitsim.errors import InputError
 from splitsim.leakage import (
+    bin_columns,
     bin_index,
+    draw_pairs,
     joint_histogram,
     mi_from_joint,
+    mi_from_joints,
     mutual_information,
     smashed_leakage_score,
 )
@@ -250,3 +253,136 @@ def test_score_equals_per_pair_histogram2d(rows, bins, n_pairs, seed):
     pairs = [(int(rng.integers(5)), int(rng.integers(6))) for _ in range(n_pairs)]
     got = smashed_leakage_score(layers, probe, bins=bins, pairs=pairs).value
     assert got == histogram2d_score(layers, probe, bins, pairs)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    rows=st.integers(16, 120),
+    bins=st.integers(2, 16),
+    n_pairs=st.integers(1, 40),
+    repeats=st.integers(1, 4),
+    seed=st.integers(0, 2**16),
+)
+def test_score_with_duplicate_pairs_equals_per_pair_histogram2d(rows, bins, n_pairs, repeats,
+                                                                seed):
+    """A pair listed several times is scored once but counted in the mean
+    each time, in list order, as the per-pair reference counts it."""
+    rng = np.random.default_rng(seed)
+    probe = np.column_stack([tied_column(rng, rows, 3), np.full(rows, 2.5),
+                             rng.normal(size=(rows, 3))])
+    layers = nn.build_mlp([5, 6, 2], rng)[:2]
+    layers[0].bias[:2] = -100.0
+    pairs = [(int(rng.integers(5)), int(rng.integers(6))) for _ in range(n_pairs)]
+    pairs = [pairs[i] for i in rng.integers(0, n_pairs, size=n_pairs * repeats)]
+    got = smashed_leakage_score(layers, probe, bins=bins, pairs=pairs).value
+    assert got == histogram2d_score(layers, probe, bins, pairs)
+
+
+def reference_bin_index(column, bins):
+    """bin_index as it was: np.linspace edges and searchsorted on one column."""
+    lo, hi = column.min(), column.max()
+    if lo == hi:
+        return None
+    edges = np.linspace(lo, hi, bins + 1)
+    index = np.searchsorted(edges, column, side="right") - 1
+    index[column == edges[-1]] -= 1
+    return index
+
+
+COLUMN_KINDS = ["normal", "tied", "constant", "tied-at-max", "subnormal-range", "huge"]
+
+
+def make_column(kind, rng, n):
+    if kind == "normal":
+        return rng.normal(size=n) * 10.0 ** rng.integers(-3, 4) + rng.normal()
+    if kind == "tied":
+        return tied_column(rng, n, int(rng.integers(2, 5)))
+    if kind == "constant":
+        return np.full(n, rng.normal())
+    if kind == "tied-at-max":
+        column = np.round(rng.normal(size=n), 1)
+        column[rng.integers(0, n, size=n // 3 + 1)] = column.max()
+        return column
+    if kind == "subnormal-range":  # a step that underflows to 0 in linspace
+        return rng.integers(0, 3, size=n) * 5e-324
+    return rng.uniform(-1.0, 1.0, size=n) * 1e300
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(2, 80),
+    bins=st.integers(2, 16),
+    kinds=st.lists(st.sampled_from(COLUMN_KINDS), min_size=1, max_size=6),
+    seed=st.integers(0, 2**16),
+)
+def test_bin_columns_equals_per_column_bin_index(n, bins, kinds, seed):
+    rng = np.random.default_rng(seed)
+    n = max(n, bins)
+    columns = np.column_stack([make_column(kind, rng, n) for kind in kinds])
+    index, constant = bin_columns(columns, bins)
+    for j in range(columns.shape[1]):
+        want = reference_bin_index(columns[:, j], bins)
+        assert constant[j] == (want is None)
+        got = bin_index(columns[:, j], bins)
+        if want is None:
+            assert got is None
+        else:
+            assert np.array_equal(index[:, j], want) and np.array_equal(got, want)
+
+
+def test_bin_columns_checks_as_bin_index_did():
+    with pytest.raises(InputError, match="finite"):
+        bin_columns(np.array([[0.0, 1.0], [np.nan, 2.0], [1.0, 3.0]]), 2)
+    with pytest.raises(InputError, match="as many samples"):
+        bin_columns(np.zeros((3, 2)), 4)
+
+
+def reference_mi(joint):
+    """mi_from_joint as it was: one 2-D joint at a time."""
+    joint = np.ascontiguousarray(joint, dtype=np.float64)
+    p = joint / joint.sum()
+
+    def marginal(m):
+        return np.sort(np.ascontiguousarray(m), axis=1).sum(axis=1)
+
+    px, py = marginal(p), marginal(p.T)
+    ix, iy = np.nonzero(p)
+    terms = p[ix, iy] * np.log(p[ix, iy] / (px[ix] * py[iy]))
+    return max(float(np.sort(terms).sum()), 0.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    joints=st.integers(1, 12),
+    bins=st.integers(2, 16),
+    fill=st.floats(0.05, 1.0),
+    probabilities=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+def test_stacked_mi_equals_one_joint_at_a_time(joints, bins, fill, probabilities, seed):
+    """Joints of many sizes of support (so several share a count of nonempty
+    cells and others stand alone) score as the one-joint code did, each."""
+    rng = np.random.default_rng(seed)
+    stack = rng.integers(0, 9, size=(joints, bins, bins)) * (rng.uniform(size=(joints, bins, bins))
+                                                             < fill)
+    stack[:, 0, 0] += 1  # no joint is empty
+    if probabilities:
+        stack = stack / stack.sum(axis=(1, 2), keepdims=True)
+    got = mi_from_joints(stack)
+    want = [reference_mi(j) for j in stack]
+    assert got.tolist() == want
+    assert [mi_from_joint(j) for j in stack] == want
+    transposed = [reference_mi(j.T) for j in stack]
+    assert mi_from_joints(stack.transpose(0, 2, 1)).tolist() == transposed
+    if not probabilities:  # counts sum exactly in any order, so symmetry is bitwise
+        assert transposed == want
+
+
+def test_draw_pairs_is_the_default_draw():
+    rng = np.random.default_rng(7)
+    layers = [nn.Dense(rng.normal(size=(5, 9)), np.zeros(5))]
+    probe = rng.normal(size=(40, 9))
+    pairs = draw_pairs(9, 5, 12, seed=3)
+    assert all(0 <= f < 9 and 0 <= u < 5 for f, u in pairs)
+    drawn = smashed_leakage_score(layers, probe, bins=4, n_pairs=12, seed=3)
+    assert drawn == smashed_leakage_score(layers, probe, bins=4, pairs=pairs)

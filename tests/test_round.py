@@ -198,3 +198,29 @@ def test_two_epoch_ledger_equals_one_id_at_a_time(kind, counts):
     assert ledger.entries == want.entries
     assert ledger.total_bytes() == want.total_bytes()
     assert ledger.entries
+
+
+def bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    ids=st.integers(1, 20),
+    count=st.integers(1, 20),
+    shape=st.sampled_from([(1, 1), (1, 2), (2, 1), (3, 2), (8, 1), (8, 3)]),
+    zeros=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**16),
+)
+def test_active_sum_equals_the_id_order_loop(ids, count, shape, zeros, seed):
+    """The cut-gradient sum of a round, bit for bit as split_avg's loop adds
+    the rows in id order: rows of one element and of many, signed zeros."""
+    rng = np.random.default_rng(seed)
+    rows = rng.normal(size=(ids, *shape)) * 10.0 ** rng.integers(-8, 9, size=(ids, 1, 1))
+    zeroed = rng.uniform(size=rows.shape) < zeros
+    rows[zeroed] = np.where(rng.uniform(size=zeroed.sum()) < 0.5, -0.0, 0.0)
+    active = sorted(rng.choice(ids, size=min(count, ids), replace=False).tolist())
+    want = np.zeros(shape)
+    for cid in active:
+        want += rows[cid]
+    assert np.array_equal(bits(protocols.active_sum(rows, active)), bits(want))
