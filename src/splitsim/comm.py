@@ -4,23 +4,26 @@ ledger that records what a simulated run actually transmitted.
 Closed-form costs per epoch (sizes in MB, one epoch = one pass over the
 |D| training samples), one total per method:
 
-    method   total
-    fl       2*C*S_w
-    ssl      2*D*S_L + 2*C*S_wc
-    sfl      2*D*S_L + 2*C*S_wc
-    sglr     (2-phi)*D*S_L + S_L
-    psl      2*D*S_L
+    method   total                    switches of its KINDS row
+    fl       2*C*S_w                  no server
+    ssl      2*D*S_L + 2*C*S_wc       travelling
+    sfl      2*D*S_L + 2*C*S_wc       loc_avg
+    sglr     (2-phi)*D*S_L + S_L      grad_avg
+    psl      2*D*S_L                  none of these
 
 S_L is the cut-layer output size per sample, S_w the full model, S_wc the
 client segment. The sglr download side counts each inactive client's
 unicast gradient (the (1-phi) share) plus the averaged gradient broadcast
 once. psl is not in the published table; it is sglr at phi=0 minus the
 broadcast term.
+The cost model reads each method's row of ``protocols.KINDS``, the
+switches the trainer obeys, and never its name.
 
 Per-client cost is total / C. Training time is the compute time T plus
-the MB moved at link rate R: the whole total for ssl, whose clients take
-turns, and one client's share for every other method, whose clients send
-in parallel. These are the published per-client and time rows.
+the MB moved at link rate R: the whole total for a travelling segment
+(ssl), whose clients take turns, and one client's share for every other
+method, whose clients send in parallel. These are the published
+per-client and time rows.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import InputError
+from .protocols import KINDS, Kind
 
 METHODS = ("fl", "ssl", "sfl", "sglr", "psl")
 
@@ -73,18 +77,24 @@ class CostParams:
             raise InputError("active_fraction must lie in [0, 1]")
 
 
+def _switches(method: str) -> Kind:
+    """The row of ``protocols.KINDS`` for ``method``; the kinds that share a
+    method share the switches the cost model reads."""
+    if method not in METHODS:
+        raise InputError(f"unknown method {method!r}")
+    return next(k for k in KINDS.values() if k.cost == method)
+
+
 def total_comm(method: str, p: CostParams) -> float:
     """MB communicated per epoch across all clients."""
-    d, c, sl = p.dataset_size, p.clients, p.cut_size_mb
-    if method == "fl":
+    d, c, sl, k = p.dataset_size, p.clients, p.cut_size_mb, _switches(method)
+    if not k.server:
         return 2.0 * c * p.model_size_mb
-    if method in ("ssl", "sfl"):
-        return 2.0 * d * sl + 2.0 * c * p.client_size_mb
-    if method == "sglr":
+    if k.grad_avg:
         return (2.0 - p.active_fraction) * d * sl + sl
-    if method == "psl":
-        return 2.0 * d * sl
-    raise InputError(f"unknown method {method!r}")
+    if k.travelling or k.loc_avg:
+        return 2.0 * d * sl + 2.0 * c * p.client_size_mb
+    return 2.0 * d * sl
 
 
 def comm_per_client(method: str, p: CostParams) -> float:
@@ -102,10 +112,11 @@ def reduction_percent(method_a: str, method_b: str, p: CostParams) -> float:
 
 def training_time(method: str, p: CostParams) -> float:
     """Seconds per epoch: compute plus the transfers at the link rate, all
-    of the total for ssl (its clients take turns), one client's share else."""
+    of the total for a travelling segment (its clients take turns), one
+    client's share else."""
     if p.link_rate <= 0:
         raise InputError("link rate must be positive")
-    mb = total_comm(method, p) if method == "ssl" else comm_per_client(method, p)
+    mb = total_comm(method, p) if _switches(method).travelling else comm_per_client(method, p)
     return p.compute_time + mb / p.link_rate
 
 
@@ -237,8 +248,7 @@ def reconcile(
     exact while the formula total stays the published one. ssl hands its
     segment on once per client in each of the run's ``epochs``.
     """
-    if method not in METHODS:
-        raise InputError(f"unknown method {method!r}")
+    k = _switches(method)
     sl_bytes = cut_width * BYTES_PER_SCALAR
     per_client_samples = rounds * batch_size
     d_total = clients * per_client_samples
@@ -246,11 +256,9 @@ def reconcile(
     items: list[ReconcileItem] = []
     by_kind = ledger.bytes_by_kind()
 
-    if method in ("psl", "sglr", "sfl", "ssl"):
-        items.append(
-            ReconcileItem("smashed", by_kind["smashed"], d_total * sl_bytes)
-        )
-        if method == "sglr":
+    if k.server:
+        items.append(ReconcileItem("smashed", by_kind["smashed"], d_total * sl_bytes))
+        if k.grad_avg:
             unicast = (clients - active_count) * per_client_samples * sl_bytes
             broadcast = (rounds * batch_size * sl_bytes) if active_count else 0
             expected_grad = unicast + broadcast
@@ -258,17 +266,13 @@ def reconcile(
             expected_grad = d_total * sl_bytes
         items.append(ReconcileItem("cut-grad", by_kind["cut-grad"], expected_grad))
 
-    expected_weights = 0.0
-    if param_counts and "segment" in param_counts:
-        seg = param_counts["segment"] * BYTES_PER_SCALAR
-        if method in ("sfl", "fl"):
-            expected_weights = 2.0 * clients * rounds * seg
-        elif method == "ssl":
-            expected_weights = 2.0 * clients * epochs * seg  # a hand-off per client and epoch
-    if method in ("sfl", "ssl", "fl") or by_kind["model-weights"]:
-        items.append(
-            ReconcileItem("model-weights", by_kind["model-weights"], expected_weights)
-        )
+    # Each client's segment goes up and down after every round under LocAvg,
+    # and once per epoch as a travelling segment's hand-off.
+    exchanges = rounds if k.loc_avg else epochs if k.travelling else 0
+    seg = (param_counts or {}).get("segment", 0) * BYTES_PER_SCALAR
+    expected_weights = 2.0 * clients * exchanges * seg
+    if k.loc_avg or k.travelling or by_kind["model-weights"]:
+        items.append(ReconcileItem("model-weights", by_kind["model-weights"], expected_weights))
 
     # Closed-form total for reference, using the run's own S_L and |D|.
     phi = active_count / clients if clients else 0.0
@@ -282,10 +286,5 @@ def reconcile(
     )
     formula_total = total_comm(method, p) * MB
 
-    return ReconcileReport(
-        method=method,
-        items=items,
-        measured_total=ledger.total_bytes(),
-        formula_total=formula_total,
-        tolerance=tolerance,
-    )
+    return ReconcileReport(method=method, items=items, measured_total=ledger.total_bytes(),
+                           formula_total=formula_total, tolerance=tolerance)

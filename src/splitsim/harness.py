@@ -15,7 +15,7 @@ import json
 import os
 import re
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from itertools import product
 from pathlib import Path
 
@@ -62,11 +62,20 @@ class LeakageSpec:
     probe: int = 256
 
 
-def build_section(cls, payload, field: str):
+def build_section(cls, payload, field: str, integers: bool = False):
     """``cls(**payload)``, with a payload that is no object or that ``cls``
-    rejects raised as a ConfigError naming ``field``."""
+    rejects raised as a ConfigError naming ``field``. With ``integers``, each
+    field typed ``int`` (each entry of one typed ``list[int]``) must be a
+    Python int, not a bool or a float, or the error names ``field.name``."""
     if not isinstance(payload, dict):
         raise ConfigError("must be an object", field=field)
+    for f in fields(cls) if integers else ():
+        if f.type in ("int", "list[int]") and f.name in payload:
+            value = payload[f.name]
+            if not (type(value) is int if f.type == "int" else
+                    isinstance(value, list) and all(type(v) is int for v in value)):
+                what = "a list of integers" if f.type == "list[int]" else "an integer"
+                raise ConfigError(f"must be {what}, got {value!r}", field=f"{field}.{f.name}")
     try:
         return cls(**payload)
     except (TypeError, InputError) as exc:
@@ -92,7 +101,7 @@ class ExperimentConfig:
         if "protocol" not in raw:
             raise ConfigError("missing section", field="protocol")
         proto, ds, model, leak = (
-            build_section(cls, raw.get(name, {}), name)
+            build_section(cls, raw.get(name, {}), name, integers=True)
             for name, cls in (("protocol", ProtocolConfig), ("dataset", DatasetSpec),
                               ("model", ModelSpec), ("leakage", LeakageSpec)))
         cost = raw.get("cost")

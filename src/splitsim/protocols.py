@@ -37,7 +37,6 @@ from typing import Sequence
 import numpy as np
 
 from . import nn, splitting
-from .comm import CommLedger
 from .errors import DimensionError, InputError
 
 Array = np.ndarray
@@ -228,32 +227,28 @@ def split_avg(
 
     Active clients all receive the combined gradient (arithmetic mean by
     default, the literal sum with ``mean=False``); inactive clients keep
-    their own. Accumulation runs in ascending client id so the result is
-    bitwise reproducible.
+    their own. ``active_sum`` adds them in float64 and ascending client id,
+    so the result is bitwise reproducible.
     """
     active = sorted(active)
     for cid in active:
         if cid not in cut_grads:
             raise InputError(f"active client {cid} has no cut gradient")
+    if len({cut_grads[cid].shape for cid in active}) > 1:
+        raise DimensionError("active cut gradients differ in shape")
     common = None
     if active:
-        shape = cut_grads[active[0]].shape
-        total = np.zeros(shape)
-        for cid in active:
-            if cut_grads[cid].shape != shape:
-                raise DimensionError("active cut gradients differ in shape")
-            total += cut_grads[cid]
+        total = active_sum(np.stack([cut_grads[cid] for cid in active], dtype=np.float64),
+                           range(len(active)))
         common = total / len(active) if mean else total
-    assignment = {
-        cid: (common if cid in active else g) for cid, g in cut_grads.items()
-    }
-    return common, assignment
+    return common, {cid: (common if cid in active else g) for cid, g in cut_grads.items()}
 
 
 def active_sum(rows: Array, active: Sequence[int]) -> Array:
-    """``rows[active]`` summed as ``split_avg`` sums: row by row in the order
-    of ``active``. A reduce over axis 0 adds whole rows in that order, but it
-    pairs up the terms of one-element rows, so those are added in a loop."""
+    """``rows[active]`` summed row by row in the order of ``active``: the
+    cut-gradient sum of the round and of ``split_avg``. A reduce over axis 0
+    adds whole rows in that order, but it pairs up the terms of one-element
+    rows, so those are added in a loop."""
     if rows[0].size > 1:
         return np.add.reduce(rows[active], axis=0, initial=0.0)
     total = np.zeros(rows.shape[1:])
@@ -369,7 +364,9 @@ class SplitTrainer:
     over full models with no server. All cross-client reductions run in
     ascending client id.
 
-    Client rows, then the server, share one ``nn.ParamBuffer``: one step a round.
+    Client rows, then the server, share one ``nn.ParamBuffer``, a segment
+    each, stepped at ``[eta_c, eta_s]``: one step a round. A ``ledger``
+    (``comm.CommLedger``) gets every payload, sized as its array's ``nbytes``.
     """
 
     def __init__(
@@ -378,7 +375,7 @@ class SplitTrainer:
         client_data: Sequence[tuple[Array, np.ndarray]],
         config: ProtocolConfig,
         val_data: tuple[Array, np.ndarray] | None = None,
-        ledger: CommLedger | None = None,
+        ledger=None,
     ):
         if len(client_data) != config.clients:
             raise InputError(
@@ -407,11 +404,10 @@ class SplitTrainer:
         )
         segment = model.client_segment if kind.server else model.layers
         rows = 1 if kind.travelling else config.clients
-        sizes = [rows * nn.param_count(segment)]
-        sizes.append(nn.param_count(model.server_segment) if kind.server else 0)
-        one_lr = self.eta_c == self.eta_s
-        self._lr = self.eta_c if one_lr else [self.eta_c, self.eta_s]
-        self.buffer = nn.ParamBuffer([sum(sizes)] if one_lr else sizes, config.optimizer)
+        server_size = nn.param_count(model.server_segment) if kind.server else 0
+        self._lr = [self.eta_c, self.eta_s]
+        self.buffer = nn.ParamBuffer([rows * nn.param_count(segment), server_size],
+                                     config.optimizer)
         self.stack = nn.LayerStack(segment, rows, self.buffer)
         views = [self.stack.slot_layers(s) for s in range(rows)]
         slots = [0] * config.clients if kind.travelling else range(config.clients)
@@ -457,7 +453,7 @@ class SplitTrainer:
                 if kind.loc_avg:
                     self._local_weight_average()
             if kind.travelling:
-                nbytes = self.stack.flat.shape[1] * 8
+                nbytes = self.stack.flat[0].nbytes
                 self._log("up", "model-weights", ids, nbytes, self.steps)
                 self._log("down", "model-weights", [(ids[0] + 1) % cfg.clients], nbytes, self.steps)
         return RoundMetrics(
@@ -507,7 +503,7 @@ class SplitTrainer:
             losses, upstream = nn.loss_softmax_ce(cache.output, y, validate=False)
             loss = splitting.combine_losses(self._delta_array, losses)
         else:
-            nbytes = cache.output[0].size * 8
+            nbytes = cache.output[0].nbytes
             self._log("up", "smashed", ids, nbytes, self.steps)
             loss, upstream, _ = splitting.server_gradients(
                 self.server_layers, cache.output, y, self._server_weights, self._server_grads,
@@ -515,7 +511,7 @@ class SplitTrainer:
             if active:
                 common = active_sum(upstream, active)
                 upstream[active] = common / len(active) if self.config.splitavg_mean else common
-                self._log("down", "cut-grad", [None], common.size * 8, self.steps)
+                self._log("down", "cut-grad", [None], common.nbytes, self.steps)
             shared = set(active)
             self._log("down", "cut-grad", [c for c in ids if c not in shared], nbytes, self.steps)
         nn.backward(cache, upstream, self.stack.grads, input_grad=False)
@@ -525,7 +521,7 @@ class SplitTrainer:
 
     def _local_weight_average(self) -> None:
         """LocAvg: delta-weighted, layer-wise average of client segments."""
-        nbytes, everyone = self.stack.flat.shape[1] * 8, range(self.config.clients)
+        nbytes, everyone = self.stack.flat[0].nbytes, range(self.config.clients)
         self._log("up", "model-weights", everyone, nbytes, self.steps)
         self.stack.average(self._delta_array)
         self._log("down", "model-weights", everyone, nbytes, self.steps)

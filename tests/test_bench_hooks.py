@@ -3,6 +3,9 @@ the program: every function the trace wraps still exists, and the objects
 its measures read still carry the attributes they read."""
 
 import importlib
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +21,26 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 def worker(monkeypatch):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     return importlib.import_module("worker")
+
+
+@pytest.fixture
+def bench_run(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    return importlib.import_module("run")
+
+
+@pytest.mark.parametrize("workload", ["small-sglr", "protocol-sweep"])
+def test_worker_digest_matches_reference(bench_run, workload, tmp_path):
+    """One untraced benchmark repeat at seed 0, run as ``perfbench/run.py``
+    runs its workers: no check fails and the digest is the recorded one."""
+    cmd = [sys.executable, str(PERFBENCH / "worker.py"), "--workload", workload,
+           "--seed", "0", "--trace", "0", "--out", str(tmp_path)]
+    proc = subprocess.run(cmd, cwd=PERFBENCH.parent, env=bench_run.worker_env(),
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["errors"] == []
+    assert result["digest"] == bench_run.load_reference(workload, 0)
 
 
 def test_traced_functions_exist(worker):

@@ -2,6 +2,7 @@
 
 import gc
 import json
+import re
 import subprocess
 import sys
 import weakref
@@ -9,7 +10,7 @@ import weakref
 import numpy as np
 import pytest
 
-from splitsim import harness
+from splitsim import data, harness
 from splitsim.cli import main as cli_main
 from splitsim.errors import ConfigError
 from splitsim.harness import (
@@ -435,6 +436,70 @@ class TestCli:
         run_cfg = self._write_config(tmp_path, base_config(cost=setting))
         assert cli_main(["run", "--config", run_cfg]) == 2
         assert f"config error: cost: {name} must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field", [
+        "protocol.clients", "protocol.batch_size", "protocol.epochs", "protocol.seed",
+        "dataset.classes", "dataset.per_class", "dataset.dim", "dataset.per_client",
+        "dataset.validation", "model.cut_index", "model.hidden", "leakage.bins",
+        "leakage.pairs", "leakage.probe",
+    ])
+    def test_non_integer_count_exits_2_naming_the_field(self, tmp_path, capsys, field):
+        cfg = self._write_config(tmp_path, base_config(**{"leakage.enabled": True}))
+        out = tmp_path / "out"
+        for text in ("2.5", "NaN", "true", "4.0", '"4"'):
+            value = f"[8, {text}]" if field == "model.hidden" else text
+            code = cli_main(["run", "--config", cfg, "--set", f"{field}={value}",
+                             "--out", str(out)])
+            assert code == 2, value
+            assert f"config error: {field}: must be " in capsys.readouterr().err
+            assert not out.exists()
+
+    def test_model_hidden_must_be_a_list(self, tmp_path, capsys):
+        cfg = self._write_config(tmp_path, base_config())
+        assert cli_main(["run", "--config", cfg, "--set", "model.hidden=8"]) == 2
+        assert "config error: model.hidden: must be a list of integers" in capsys.readouterr().err
+
+    def test_truncated_idx_pixels_exit_3(self, tmp_path, capsys):
+        images, labels = tmp_path / "images", tmp_path / "labels"
+        rng = np.random.default_rng(0)
+        data.write_idx(images, labels, rng.integers(0, 256, size=(40, 3, 2), dtype=np.uint8),
+                       rng.integers(0, 3, size=40))
+        images.write_bytes(images.read_bytes()[:16 + 100])  # header intact, pixels cut short
+        raw = base_config(**{"dataset.kind": "idx", "dataset.images": str(images),
+                             "dataset.labels": str(labels), "dataset.per_client": 12,
+                             "dataset.validation": 8})
+        cfg = self._write_config(tmp_path, raw)
+        assert cli_main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "truncated pixel data" in err
+
+    def test_sweep_seed_flag_runs_only_that_seed(self, tmp_path, capsys):
+        raw = {"experiment": base_config(**{"protocol.epochs": 1}),
+               "grid": {"protocol.kind": ["psl", "sglr"]}, "seeds": [1, 2]}
+        cfg = self._write_config(tmp_path, raw)
+        out = tmp_path / "sw"
+        assert cli_main(["sweep", "--config", cfg, "--seed", "7", "--out", str(out)]) == 0
+        rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert [(row["protocol.kind"], row["seeds"]) for row in rows] == [("psl", 1), ("sglr", 1)]
+        seeds = {json.loads(line)["seed"] for path in (out / "runs").glob("*.metrics.jsonl")
+                 for line in path.read_text().splitlines()}
+        assert seeds == {7}
+
+    def test_timestamps_add_one_summary_column_only(self, tmp_path, capsys):
+        files = {}
+        for stamped in (False, True):
+            raw = base_config(include_timestamps=stamped, run_id="stamp")
+            out = tmp_path / str(stamped)
+            assert cli_main(["run", "--config", self._write_config(tmp_path, raw),
+                             "--out", str(out)]) == 0
+            files[stamped] = [(out / f"stamp.{name}").read_text()
+                              for name in ("summary.csv", "metrics.jsonl")]
+        (plain_csv, plain_jsonl), (stamped_csv, stamped_jsonl) = files[False], files[True]
+        assert stamped_jsonl == plain_jsonl
+        plain_rows, stamped_rows = plain_csv.splitlines(), stamped_csv.splitlines()
+        assert stamped_rows[0] == plain_rows[0] + ",completed_at"
+        head, stamp = stamped_rows[1].rsplit(",", 1)
+        assert head == plain_rows[1] and re.fullmatch(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\d", stamp)
 
     def test_cost_config_methods_subset(self, tmp_path, capsys):
         cfg = self._write_config(tmp_path, {"methods": ["psl", "fl"]})

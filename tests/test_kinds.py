@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from splitsim import comm, harness, nn, protocols, splitting
 from splitsim.comm import CommLedger
 from splitsim.data import synth_dataset
+from splitsim.errors import InputError
 from splitsim.protocols import PROTOCOL_KINDS, ProtocolConfig, SplitTrainer
 
 
@@ -41,6 +42,30 @@ def test_kinds_table_drives_mechanisms():
 def test_cost_method_covers_every_kind():
     assert set(harness.COST_METHOD) == set(PROTOCOL_KINDS)
     assert all(harness.COST_METHOD[kind] in comm.METHODS for kind in PROTOCOL_KINDS)
+
+
+def test_kinds_sharing_a_cost_method_share_its_switches():
+    """comm reads one row of KINDS per cost method, so every kind of a method
+    (psl/slr, sgl/sglr) must agree on the switches the cost model reads."""
+    cost_switches = ("server", "grad_avg", "loc_avg", "travelling")
+    by_method = {}
+    for name, row in protocols.KINDS.items():
+        by_method.setdefault(row.cost, []).append(name)
+        first = protocols.KINDS[by_method[row.cost][0]]
+        for switch in cost_switches:
+            assert getattr(row, switch) == getattr(first, switch), (name, switch)
+    assert sorted(by_method) == sorted(comm.METHODS)
+    assert by_method["psl"] == ["psl", "slr"] and by_method["sglr"] == ["sgl", "sglr"]
+
+
+@pytest.mark.parametrize("method", ["sgl", "slr", "bogus"])
+def test_cost_model_rejects_a_kind_that_is_no_method(method):
+    p = comm.CostParams(1.0, 2.0, 1.0, dataset_size=10, clients=2)
+    for cost in (comm.total_comm, comm.comm_per_client, comm.training_time):
+        with pytest.raises(InputError):
+            cost(method, p)
+    with pytest.raises(InputError):
+        comm.reconcile(CommLedger(), method, clients=2, rounds=1, batch_size=1, cut_width=1)
 
 
 @pytest.mark.parametrize("kind", PROTOCOL_KINDS)

@@ -128,6 +128,26 @@ class TestSplitAvg:
         common, _ = split_avg(g, [0, 1], mean=False)
         assert np.allclose(common, 2.0)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.int64])
+    @pytest.mark.parametrize("mean", [True, False])
+    @pytest.mark.parametrize("shape", [(3, 4), (1, 1)])
+    def test_sums_in_float64_whatever_the_input_dtype(self, dtype, mean, shape):
+        """Each active gradient is cast to float64 and added in ascending
+        client id, so float32 and int64 gradients give float64 sums."""
+        rng = np.random.default_rng(4)
+        g = {cid: (rng.standard_normal(shape) * 1e6).astype(dtype) for cid in range(6)}
+        g[2] = np.full(shape, 2**53 + 1 if dtype is np.int64 else 1e-3, dtype=dtype)
+        active = [4, 0, 2, 5]
+        total = np.zeros(shape)
+        for cid in sorted(active):
+            total += g[cid]
+        want = total / len(active) if mean else total
+        common, assignment = split_avg(g, active, mean)
+        assert common.dtype == np.float64
+        assert common.tobytes() == want.tobytes()
+        assert all(assignment[cid] is common for cid in active)
+        assert assignment[1] is g[1] and assignment[1].dtype == dtype
+
     @settings(max_examples=80, deadline=None)
     @given(data=st.data(), clients=st.integers(1, 12), rows=st.integers(1, 3),
            width=st.integers(1, 3), mean=st.booleans(), seed=st.integers(0, 2**16))
