@@ -9,6 +9,9 @@ Modules:
     leakage    histogram mutual-information leakage proxy
     harness    config-driven runs, sweeps, metrics emission
     cli        `splitsim` command-line entry point
+
+The top level re-exports what the demos and the README's library example
+use, plus the error classes; every other name is imported from its module.
 """
 
 from .comm import (
@@ -20,15 +23,7 @@ from .comm import (
     total_comm,
     training_time,
 )
-from .data import (
-    Dataset,
-    Partition,
-    load_idx,
-    partition_iid,
-    split_validation,
-    synth_dataset,
-    write_idx,
-)
+from .data import partition_iid, split_validation, synth_dataset
 from .errors import (
     ConfigError,
     DimensionError,
@@ -37,118 +32,35 @@ from .errors import (
     NumericError,
     SplitSimError,
 )
-from .harness import (
-    ExperimentConfig,
-    MetricsRecord,
-    emit_cost_report,
-    run_experiment,
-    sweep,
-)
-from .leakage import (
-    MIEstimate,
-    mi_from_joint,
-    mutual_information,
-    smashed_leakage_score,
-)
-from .nn import (
-    ActivationCache,
-    Dense,
-    OptimizerState,
-    Relu,
-    Softmax,
-    adam_step,
-    backward,
-    build_mlp,
-    finite_diff_grad,
-    forward,
-    glorot_dense,
-    init_optimizer,
-    loss_softmax_ce,
-    sgd_step,
-)
-from .protocols import (
-    ClientState,
-    ProtocolConfig,
-    RoundMetrics,
-    SplitTrainer,
-    evaluate,
-    keyed_rng,
-    phased_schedule,
-    sample_active_clients,
-    split_avg,
-    split_lr,
-    train_monolithic,
-)
-from .splitting import (
-    ConcatBatch,
-    SmashedBatch,
-    SplitModel,
-    client_forward,
-    concat,
-    server_forward_backward,
-)
+from .leakage import smashed_leakage_score
+from .nn import build_mlp
+from .protocols import ProtocolConfig, SplitTrainer, keyed_rng, split_lr
+from .splitting import SplitModel
 
 __all__ = [
-    "ActivationCache",
-    "ClientState",
     "CommLedger",
-    "ConcatBatch",
     "ConfigError",
     "CostParams",
-    "Dataset",
-    "Dense",
     "DimensionError",
-    "ExperimentConfig",
     "FormatError",
     "InputError",
-    "MIEstimate",
-    "MetricsRecord",
     "NumericError",
-    "OptimizerState",
-    "Partition",
     "ProtocolConfig",
-    "Relu",
-    "RoundMetrics",
-    "SmashedBatch",
-    "Softmax",
     "SplitModel",
     "SplitSimError",
     "SplitTrainer",
-    "adam_step",
-    "backward",
     "build_mlp",
-    "client_forward",
     "comm_per_client",
-    "concat",
-    "emit_cost_report",
-    "evaluate",
-    "finite_diff_grad",
-    "forward",
-    "glorot_dense",
-    "init_optimizer",
     "keyed_rng",
-    "load_idx",
-    "loss_softmax_ce",
-    "mi_from_joint",
-    "mutual_information",
     "partition_iid",
-    "phased_schedule",
     "reconcile",
     "reduction_percent",
-    "run_experiment",
-    "sample_active_clients",
-    "server_forward_backward",
-    "sgd_step",
     "smashed_leakage_score",
-    "split_avg",
     "split_lr",
     "split_validation",
-    "sweep",
     "synth_dataset",
     "total_comm",
-    "train_monolithic",
     "training_time",
-    "write_idx",
 ]
 
 __version__ = "0.1.0"

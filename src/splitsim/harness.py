@@ -124,6 +124,10 @@ class ExperimentConfig:
         ds = self.dataset
         if ds.kind not in ("synthetic", "idx"):
             raise ConfigError(f"unknown kind {ds.kind!r}", field="dataset.kind")
+        if ds.validation < 0:
+            raise ConfigError("must be nonnegative", field="dataset.validation")
+        if min(self.model.hidden, default=1) < 1:
+            raise ConfigError("every width must be at least 1", field="model.hidden")
         if ds.kind == "idx":
             for attr in ("images", "labels"):
                 path = getattr(ds, attr)

@@ -100,8 +100,6 @@ class ProtocolConfig:
     optimizer: str = "adam"
     phase: str = "always"
     seed: int = 0
-    splitavg_mean: bool = True
-    lr_scale_basis: str = "clients"
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -119,10 +117,10 @@ class ProtocolConfig:
             raise InputError("base_lr must be positive")
         if self.batch_size < 1 or self.epochs < 1:
             raise InputError("batch_size and epochs must be at least 1")
+        if self.seed < 0:
+            raise InputError("seed must be nonnegative")
         if self.optimizer not in ("sgd", "adam"):
             raise InputError(f"unknown optimizer {self.optimizer!r}")
-        if self.lr_scale_basis not in ("clients", "batch"):
-            raise InputError("lr_scale_basis must be 'clients' or 'batch'")
         parse_phase(self.phase)  # validates
 
     def effective_mechanisms(self) -> tuple[float, float]:
@@ -172,33 +170,14 @@ class RoundMetrics:
 # The four standalone mechanisms
 # ---------------------------------------------------------------------------
 
-def split_lr(
-    base_lr: float,
-    clients: int,
-    exponent: float,
-    batch_size: int | None = None,
-    basis: str = "clients",
-) -> tuple[float, float]:
-    """Client and server learning rates under power-law scaling.
-
-    Default form: eta_c = eta_0, eta_s = eta_0 * C**alpha. With
-    ``basis="batch"`` the scaling uses the server's effective batch size
-    instead: eta_s = eta_0 * (b * C)**alpha.
-    """
+def split_lr(base_lr: float, clients: int, exponent: float) -> tuple[float, float]:
+    """Client and server learning rates under power-law scaling:
+    eta_c = eta_0, eta_s = eta_0 * C**alpha."""
     if clients < 1:
         raise InputError("clients must be >= 1")
     if exponent < 0:
         raise InputError("exponent must be nonnegative")
-    eta_c = base_lr
-    if basis == "clients":
-        eta_s = base_lr * clients**exponent
-    elif basis == "batch":
-        if batch_size is None:
-            raise InputError("batch basis requires batch_size")
-        eta_s = base_lr * (batch_size * clients) ** exponent
-    else:
-        raise InputError("basis must be 'clients' or 'batch'")
-    return eta_c, eta_s
+    return base_lr, base_lr * clients**exponent
 
 
 def sample_active_clients(
@@ -219,16 +198,13 @@ def sample_active_clients(
 
 
 def split_avg(
-    cut_grads: dict[int, Array],
-    active: Sequence[int],
-    mean: bool = True,
+    cut_grads: dict[int, Array], active: Sequence[int]
 ) -> tuple[Array | None, dict[int, Array]]:
-    """Combine active clients' cut gradients; assign per-client gradients.
+    """Average active clients' cut gradients; assign per-client gradients.
 
-    Active clients all receive the combined gradient (arithmetic mean by
-    default, the literal sum with ``mean=False``); inactive clients keep
-    their own. ``active_sum`` adds them in float64 and ascending client id,
-    so the result is bitwise reproducible.
+    Active clients all receive the arithmetic mean of their gradients;
+    inactive clients keep their own. ``active_sum`` adds them in float64 and
+    ascending client id, so the result is bitwise reproducible.
     """
     active = sorted(active)
     for cid in active:
@@ -240,7 +216,7 @@ def split_avg(
     if active:
         total = active_sum(np.stack([cut_grads[cid] for cid in active], dtype=np.float64),
                            range(len(active)))
-        common = total / len(active) if mean else total
+        common = total / len(active)
     return common, {cid: (common if cid in active else g) for cid, g in cut_grads.items()}
 
 
@@ -399,9 +375,7 @@ class SplitTrainer:
                          else _checked(*val_data, model.layers, "validation"))
 
         self.eta_c, self.eta_s = split_lr(
-            config.base_lr, config.clients, config.effective_mechanisms()[1],
-            batch_size=config.batch_size, basis=config.lr_scale_basis,
-        )
+            config.base_lr, config.clients, config.effective_mechanisms()[1])
         segment = model.client_segment if kind.server else model.layers
         rows = 1 if kind.travelling else config.clients
         server_size = nn.param_count(model.server_segment) if kind.server else 0
@@ -510,7 +484,7 @@ class SplitTrainer:
                 validate=False)
             if active:
                 common = active_sum(upstream, active)
-                upstream[active] = common / len(active) if self.config.splitavg_mean else common
+                upstream[active] = common / len(active)
                 self._log("down", "cut-grad", [None], common.nbytes, self.steps)
             shared = set(active)
             self._log("down", "cut-grad", [c for c in ids if c not in shared], nbytes, self.steps)

@@ -262,9 +262,7 @@ def per_client_run(model, data, cfg, epochs):
                     server, s_state, [c.output for c in caches], labels, deltas, opt, eta_s
                 )
                 if active:
-                    _, assigned = protocols.split_avg(
-                        dict(enumerate(ups)), active, cfg.splitavg_mean
-                    )
+                    _, assigned = protocols.split_avg(dict(enumerate(ups)), active)
                     ups = [assigned[cid] for cid in range(len(data))]
             for cid, cache in enumerate(caches):
                 step_layers(clients[cid], cache, ups[cid], states[cid], opt, eta_c)
@@ -292,12 +290,9 @@ def per_client_run(model, data, cfg, epochs):
     cut=st.sampled_from([2, 4, 6]),
     kind=st.sampled_from(protocols.PROTOCOL_KINDS),
     optimizer=st.sampled_from(["sgd", "adam"]),
-    splitavg_mean=st.booleans(),
     seed=st.integers(0, 2**16),
 )
-def test_trainer_equals_per_client_engine(
-    clients, batch, cut, kind, optimizer, splitavg_mean, seed
-):
+def test_trainer_equals_per_client_engine(clients, batch, cut, kind, optimizer, seed):
     rng = np.random.default_rng(seed)
     model = splitting.SplitModel(make_net(rng), cut)
     dim, classes = model.layers[0].in_dim, model.layers[-1].out_dim
@@ -308,7 +303,7 @@ def test_trainer_equals_per_client_engine(
     cfg = ProtocolConfig(
         kind=kind, clients=clients, active_fraction=0.5, lr_exponent=0.5,
         base_lr=1e-2, batch_size=batch, epochs=2, optimizer=optimizer,
-        seed=seed, splitavg_mean=splitavg_mean,
+        seed=seed,
     )
     trainer = SplitTrainer(model.copy(), data, cfg)
     losses = [trainer.run_epoch(e).train_loss for e in range(2)]

@@ -454,6 +454,31 @@ class TestCli:
             assert f"config error: {field}: must be " in capsys.readouterr().err
             assert not out.exists()
 
+    @pytest.mark.parametrize("override, field", [
+        ("protocol.seed=-1", "protocol: seed must be nonnegative"),
+        ("dataset.validation=-5", "dataset.validation: must be nonnegative"),
+        ("model.hidden=[-3]", "model.hidden: every width must be at least 1"),
+        ("model.hidden=[0]", "model.hidden: every width must be at least 1"),
+        ("model.hidden=[8, 0]", "model.hidden: every width must be at least 1"),
+    ])
+    def test_out_of_range_count_exits_2_naming_the_field(self, tmp_path, capsys, override,
+                                                        field):
+        cfg = self._write_config(tmp_path, base_config())
+        out = tmp_path / "out"
+        assert cli_main(["run", "--config", cfg, "--set", override, "--out", str(out)]) == 2
+        assert f"config error: {field}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key, value", [("splitavg_mean", False),
+                                            ("lr_scale_basis", "batch")])
+    def test_removed_protocol_key_exits_2(self, tmp_path, capsys, key, value):
+        """The literal-sum average and the batch-based server rate are gone;
+        a config that still sets either is rejected, not silently ignored."""
+        cfg = self._write_config(tmp_path, base_config(**{f"protocol.{key}": value}))
+        assert cli_main(["run", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert "config error: protocol: " in err and key in err
+
     def test_model_hidden_must_be_a_list(self, tmp_path, capsys):
         cfg = self._write_config(tmp_path, base_config())
         assert cli_main(["run", "--config", cfg, "--set", "model.hidden=8"]) == 2

@@ -75,10 +75,6 @@ class TestSplitLr:
         _, eta_s = split_lr(1e-3, 20, 2.0)
         assert eta_s == pytest.approx(0.4)
 
-    def test_batch_basis(self):
-        _, eta_s = split_lr(1e-3, 4, 0.5, batch_size=16, basis="batch")
-        assert eta_s == pytest.approx(1e-3 * np.sqrt(64))
-
 
 class TestActiveSampling:
     def test_full_fraction_takes_all(self):
@@ -123,15 +119,9 @@ class TestSplitAvg:
         common, _ = split_avg(g, [0, 1, 2])
         assert np.allclose(common, (g[0] + g[1] + g[2]) / 3.0, rtol=0, atol=1e-15)
 
-    def test_sum_form(self):
-        g = {0: np.ones((1, 2)), 1: np.ones((1, 2))}
-        common, _ = split_avg(g, [0, 1], mean=False)
-        assert np.allclose(common, 2.0)
-
     @pytest.mark.parametrize("dtype", [np.float32, np.int64])
-    @pytest.mark.parametrize("mean", [True, False])
     @pytest.mark.parametrize("shape", [(3, 4), (1, 1)])
-    def test_sums_in_float64_whatever_the_input_dtype(self, dtype, mean, shape):
+    def test_sums_in_float64_whatever_the_input_dtype(self, dtype, shape):
         """Each active gradient is cast to float64 and added in ascending
         client id, so float32 and int64 gradients give float64 sums."""
         rng = np.random.default_rng(4)
@@ -141,8 +131,8 @@ class TestSplitAvg:
         total = np.zeros(shape)
         for cid in sorted(active):
             total += g[cid]
-        want = total / len(active) if mean else total
-        common, assignment = split_avg(g, active, mean)
+        want = total / len(active)
+        common, assignment = split_avg(g, active)
         assert common.dtype == np.float64
         assert common.tobytes() == want.tobytes()
         assert all(assignment[cid] is common for cid in active)
@@ -150,17 +140,17 @@ class TestSplitAvg:
 
     @settings(max_examples=80, deadline=None)
     @given(data=st.data(), clients=st.integers(1, 12), rows=st.integers(1, 3),
-           width=st.integers(1, 3), mean=st.booleans(), seed=st.integers(0, 2**16))
-    def test_order_independent(self, data, clients, rows, width, mean, seed):
+           width=st.integers(1, 3), seed=st.integers(0, 2**16))
+    def test_order_independent(self, data, clients, rows, width, seed):
         rng = np.random.default_rng(seed)
         scale = 10.0 ** rng.integers(-6, 7, size=(clients, 1, 1))
         stack = rng.standard_normal((clients, rows, width)) * scale
         active = data.draw(st.lists(st.integers(0, clients - 1), unique=True), "active")
         order = data.draw(st.permutations(range(clients)), "insertion order")
         want, want_assign = split_avg({cid: stack[cid] for cid in range(clients)},
-                                      sorted(active), mean)
+                                      sorted(active))
         grads = {cid: stack[cid] for cid in order}
-        got, got_assign = split_avg(grads, active, mean)
+        got, got_assign = split_avg(grads, active)
         assert (got is None) == (want is None) == (not active)
         if active:
             assert np.array_equal(got, want)
@@ -171,9 +161,9 @@ class TestSplitAvg:
 
     @settings(max_examples=40, deadline=None)
     @given(clients=st.integers(1, 12), batch=st.integers(1, 3), width=st.integers(1, 3),
-           phi=st.floats(0.0, 1.0), mean=st.booleans())
-    @example(clients=8, batch=1, width=1, phi=1.0, mean=True)  # one-element rows
-    def test_trainer_round_equals_split_avg(self, clients, batch, width, phi, mean):
+           phi=st.floats(0.0, 1.0))
+    @example(clients=8, batch=1, width=1, phi=1.0)  # one-element rows
+    def test_trainer_round_equals_split_avg(self, clients, batch, width, phi):
         """Each round's cut gradients after averaging, as the client stack's
         backward receives them, are split_avg of the server's, bitwise."""
         raw, assigned = [], []
@@ -189,8 +179,7 @@ class TestSplitAvg:
                 assigned.append(upstream.copy())
             return backward(cache, upstream, *args, **kw)
 
-        cfg = config("sgl", clients, batch_size=batch, active_fraction=phi,
-                     splitavg_mean=mean)
+        cfg = config("sgl", clients, batch_size=batch, active_fraction=phi)
         trainer = SplitTrainer(make_model(seed=4, widths=(6, width, 4)),
                                make_clients(clients, per_client=2 * batch, seed=5), cfg)
         with pytest.MonkeyPatch.context() as mp:  # fixtures are not reset per example
@@ -199,7 +188,7 @@ class TestSplitAvg:
             active = trainer.run_epoch(0).active_ids
         assert len(raw) == len(assigned) == 2
         for before, after in zip(raw, assigned):
-            _, assignment = split_avg(dict(enumerate(before)), active, mean)
+            _, assignment = split_avg(dict(enumerate(before)), active)
             assert np.array_equal(after, np.stack([assignment[c] for c in range(clients)]))
 
 

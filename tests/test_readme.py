@@ -1,0 +1,56 @@
+"""The README stays in step with the package: its example config loads, its
+library example runs, and the top-level names are exactly those the demos
+and that example import, plus the error classes."""
+
+import ast
+import inspect
+import json
+import re
+from pathlib import Path
+
+import splitsim
+from splitsim import errors
+from splitsim.harness import ExperimentConfig
+
+ROOT = Path(__file__).resolve().parent.parent
+README = (ROOT / "README.md").read_text()
+
+
+def fenced(lang: str) -> list[str]:
+    return re.findall(rf"^```{lang}\n(.*?)^```", README, re.S | re.M)
+
+
+def library_example() -> str:
+    section = README.split("## Library use", 1)[1]
+    return re.search(r"^```python\n(.*?)^```", section, re.S | re.M).group(1)
+
+
+def names_from_splitsim(source: str) -> set[str]:
+    return {alias.name for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom) and node.module == "splitsim"
+            and node.level == 0 for alias in node.names}
+
+
+def test_example_config_loads():
+    configs = [json.loads(block) for block in fenced("json") if '"protocol"' in block
+               and "..." not in block]
+    assert len(configs) == 1
+    cfg = ExperimentConfig.from_dict(configs[0])
+    assert cfg.protocol.kind == "sglr"
+
+
+def test_library_example_runs(capsys):
+    exec(compile(library_example(), "README.md", "exec"), {})
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in lines] == [str(e) for e in range(10)]
+
+
+def test_top_level_names_are_what_demos_and_readme_import():
+    used = names_from_splitsim(library_example())
+    for demo in sorted((ROOT / "demos").glob("*.py")):
+        used |= names_from_splitsim(demo.read_text())
+    error_classes = {name for name, obj in vars(errors).items()
+                     if inspect.isclass(obj) and issubclass(obj, errors.SplitSimError)}
+    assert len(error_classes) == 6
+    assert set(splitsim.__all__) == used | error_classes
+    assert len(splitsim.__all__) == len(set(splitsim.__all__))
