@@ -71,6 +71,9 @@ def cmd_sweep(args) -> int:
     grid = raw.pop("grid", None)
     seeds = raw.pop("seeds", None)
     base = raw.pop("experiment", raw)
+    if base is not raw and raw:
+        raise ConfigError("unknown key; a sweep config with an experiment holds only "
+                          "experiment, grid and seeds", field=next(iter(raw)))
     if not isinstance(grid, dict) or not grid:
         raise ConfigError("sweep config needs a non-empty 'grid' object", field="grid")
     if not isinstance(seeds, list) or not seeds:

@@ -245,8 +245,8 @@ def reconcile(
     8 bytes). The closed-form epoch total counts the averaged-gradient
     broadcast once per epoch; the per-kind expectation here counts it once
     per round, the run's physical payload, so the itemized comparison is
-    exact while the formula total stays the published one. ssl hands its
-    segment on once per client in each of the run's ``epochs``.
+    exact while the formula total stays the published one, once per epoch.
+    ssl hands its segment on once per client in each of the run's ``epochs``.
     """
     k = _switches(method)
     sl_bytes = cut_width * BYTES_PER_SCALAR
@@ -274,17 +274,26 @@ def reconcile(
     if k.loc_avg or k.travelling or by_kind["model-weights"]:
         items.append(ReconcileItem("model-weights", by_kind["model-weights"], expected_weights))
 
-    # Closed-form total for reference, using the run's own S_L and |D|.
-    phi = active_count / clients if clients else 0.0
-    p = CostParams(
-        cut_size_mb=sl_bytes / MB,
-        model_size_mb=(param_counts or {}).get("model", 0) * BYTES_PER_SCALAR / MB,
-        client_size_mb=(param_counts or {}).get("segment", 0) * BYTES_PER_SCALAR / MB,
-        dataset_size=d_total,
-        clients=clients,
-        active_fraction=phi,
-    )
-    formula_total = total_comm(method, p) * MB
-
+    formula = formula_total(method, clients=clients, rounds=rounds, batch_size=batch_size,
+                            cut_width=cut_width, active_count=active_count,
+                            param_counts=param_counts, epochs=epochs)
     return ReconcileReport(method=method, items=items, measured_total=ledger.total_bytes(),
-                           formula_total=formula_total, tolerance=tolerance)
+                           formula_total=formula, tolerance=tolerance)
+
+
+def formula_total(method: str, *, clients: int, rounds: int, batch_size: int, cut_width: int,
+                  active_count: int = 0, param_counts: dict[str, int] | None = None,
+                  epochs: int = 1) -> float:
+    """Closed-form bytes of a run of ``rounds`` rounds over ``epochs`` epochs:
+    ``epochs`` times ``total_comm`` of one epoch of ``rounds / epochs``
+    rounds, on the run's own S_L (cut width * 8 bytes), |D|, phi and sizes."""
+    counts = param_counts or {}
+    p = CostParams(
+        cut_size_mb=cut_width * BYTES_PER_SCALAR / MB,
+        model_size_mb=counts.get("model", 0) * BYTES_PER_SCALAR / MB,
+        client_size_mb=counts.get("segment", 0) * BYTES_PER_SCALAR / MB,
+        dataset_size=clients * rounds * batch_size / epochs,
+        clients=clients,
+        active_fraction=active_count / clients if clients else 0.0,
+    )
+    return epochs * total_comm(method, p) * MB

@@ -84,6 +84,7 @@ def build_section(cls, payload, field: str, integers: bool = False):
 
 # Protocol kinds -> analytic cost-model rows.
 COST_METHOD = {name: kind.cost for name, kind in protocols.KINDS.items()}
+RUN_ID_CHARS = "A-Za-z0-9_.-"  # a run id names the run's files
 
 
 @dataclass
@@ -92,7 +93,6 @@ class ExperimentConfig:
     dataset: DatasetSpec
     model: ModelSpec
     leakage: LeakageSpec
-    cost: dict | None = None
     include_timestamps: bool = False
     run_id: str | None = None
 
@@ -100,23 +100,24 @@ class ExperimentConfig:
     def from_dict(raw: dict) -> "ExperimentConfig":
         if "protocol" not in raw:
             raise ConfigError("missing section", field="protocol")
+        keys = [f.name for f in fields(ExperimentConfig)]
+        unknown = [key for key in raw if key not in keys]
+        if unknown:
+            raise ConfigError(f"unknown key; a config holds only {', '.join(keys)}",
+                              field=unknown[0])
         proto, ds, model, leak = (
             build_section(cls, raw.get(name, {}), name, integers=True)
             for name, cls in (("protocol", ProtocolConfig), ("dataset", DatasetSpec),
                               ("model", ModelSpec), ("leakage", LeakageSpec)))
-        cost = raw.get("cost")
-        if cost is not None:
-            build_section(comm.CostParams, cost, "cost")  # validates
+        stamps, run_id = raw.get("include_timestamps", False), raw.get("run_id")
+        if type(stamps) is not bool:
+            raise ConfigError(f"must be true or false, got {stamps!r}", field="include_timestamps")
+        if run_id is not None and not (isinstance(run_id, str)
+                                       and re.fullmatch(f"[{RUN_ID_CHARS}]+", run_id)):
+            raise ConfigError(f"must be a string of [{RUN_ID_CHARS}]+, got {run_id!r}",
+                              field="run_id")
 
-        cfg = ExperimentConfig(
-            protocol=proto,
-            dataset=ds,
-            model=model,
-            leakage=leak,
-            cost=cost,
-            include_timestamps=bool(raw.get("include_timestamps", False)),
-            run_id=raw.get("run_id"),
-        )
+        cfg = ExperimentConfig(proto, ds, model, leak, stamps, run_id)
         cfg.validate()
         return cfg
 
@@ -196,12 +197,13 @@ class ExperimentResult:
     final_accuracy: float
     final_loss: float
     total_comm_bytes: int
+    formula_total_bytes: float
     ledger: comm.CommLedger
     trainer: SplitTrainer
 
     def summary_row(self) -> dict:
         p = self.config.protocol
-        row = {
+        return {
             "run_id": self.config.resolved_run_id(),
             "protocol": p.kind,
             "clients": p.clients,
@@ -212,13 +214,8 @@ class ExperimentResult:
             "final_loss": self.final_loss,
             "final_accuracy": self.final_accuracy,
             "total_comm_bytes": self.total_comm_bytes,
+            "formula_total_bytes": self.formula_total_bytes,
         }
-        if self.config.cost is not None:
-            params = comm.CostParams(**self.config.cost)
-            method = COST_METHOD[p.kind]
-            row["analytic_per_client_mb"] = comm.comm_per_client(method, params)
-            row["analytic_total_mb"] = comm.total_comm(method, params)
-        return row
 
 
 def build_dataset(cfg: ExperimentConfig) -> tuple[list, data.Dataset, np.ndarray | None]:
@@ -258,6 +255,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> ExperimentResult:
 
     Writes ``<run_id>.metrics.jsonl`` (one record per epoch),
     ``<run_id>.summary.csv`` and ``<run_id>.config.json`` under ``out_dir``.
+    The closed form sums ``comm.formula_total`` of each epoch's own geometry.
     """
     clients, val, probe = build_dataset(cfg)
     client_data = [(c.features, c.labels) for c in clients]
@@ -267,17 +265,23 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> ExperimentResult:
     trainer = SplitTrainer(model, client_data, cfg.protocol, val_data=val_pair, ledger=ledger)
 
     records: list[MetricsRecord] = []
-    run_id = cfg.resolved_run_id()
-    prev_bytes, pairs = 0, None
+    run_id, p = cfg.resolved_run_id(), cfg.protocol
+    cut_width = next(l.out_dim for l in reversed(model.client_segment) if isinstance(l, nn.Dense))
+    geometry = dict(clients=p.clients, rounds=cfg.dataset.per_client // p.batch_size,
+                    batch_size=p.batch_size, cut_width=cut_width,
+                    param_counts={"segment": trainer.stack.flat.shape[1],
+                                  "model": nn.param_count(model.layers)})
+    prev_bytes, pairs, formula = 0, None, 0.0
     for epoch in range(cfg.protocol.epochs):
         m = trainer.run_epoch(epoch)
+        formula += comm.formula_total(COST_METHOD[p.kind], active_count=len(m.active_ids),
+                                      **geometry)
         epoch_bytes = ledger.total_bytes() - prev_bytes
         prev_bytes = ledger.total_bytes()
         leak_value = None
         if probe is not None:
             layers = trainer.clients[0].layers
             if pairs is None:  # drawn once, at the first score: set-up does not pay for it
-                cut_width = next(l.out_dim for l in reversed(layers) if isinstance(l, nn.Dense))
                 pairs = draw_pairs(probe.shape[1], cut_width, cfg.leakage.pairs, cfg.protocol.seed)
             leak_value = smashed_leakage_score(layers, probe, cfg.leakage.bins, pairs=pairs).value
         records.append(
@@ -303,6 +307,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> ExperimentResult:
         final_accuracy=records[-1].val_accuracy,
         final_loss=records[-1].train_loss,
         total_comm_bytes=ledger.total_bytes(),
+        formula_total_bytes=formula,
         ledger=ledger,
         trainer=trainer,
     )
@@ -383,7 +388,7 @@ def sweep(
     for cell, cfg in jobs:
         if ids.count(cfg.resolved_run_id()) > 1:
             suffix = "-".join(f"{k.rsplit('.', 1)[-1]}{v}" for k, v in zip(keys, cell))
-            cfg.run_id = cfg.resolved_run_id() + "-" + re.sub(r"[^A-Za-z0-9_.-]+", "_", suffix)
+            cfg.run_id = cfg.resolved_run_id() + "-" + re.sub(f"[^{RUN_ID_CHARS}]+", "_", suffix)
     if len({cfg.resolved_run_id() for _, cfg in jobs}) < len(jobs):
         raise ConfigError("sweep runs share a run id even with their grid cell", field="grid")
 

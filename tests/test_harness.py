@@ -1,5 +1,6 @@
 """Experiment runner, sweep aggregation, cost report, and CLI surface."""
 
+import dataclasses
 import gc
 import json
 import re
@@ -50,10 +51,13 @@ def base_config(**overrides):
 
 
 class TestConfig:
-    def test_roundtrip(self):
-        cfg = ExperimentConfig.from_dict(base_config())
+    def test_roundtrip(self, tmp_path):
+        cfg = ExperimentConfig.from_dict(base_config(include_timestamps=True, run_id="back"))
         again = ExperimentConfig.from_dict(cfg.to_dict())
         assert again.to_dict() == cfg.to_dict()
+        run_experiment(cfg, tmp_path)  # the config.json a run writes loads back too
+        written = json.loads((tmp_path / "back.config.json").read_text())
+        assert ExperimentConfig.from_dict(written).to_dict() == cfg.to_dict()
 
     def test_missing_protocol_section(self):
         with pytest.raises(ConfigError) as err:
@@ -81,24 +85,9 @@ class TestConfig:
             ExperimentConfig.from_dict(base_config(**{"dataset.per_client": 1000}))
         assert "per_client" in str(err.value)
 
-    def test_cost_overrides_flow_into_summary(self):
-        raw = base_config()
-        raw["cost"] = {
-            "cut_size_mb": 0.024, "model_size_mb": 200.0,
-            "client_size_mb": 67.0, "dataset_size": 50_000,
-            "clients": 100, "active_fraction": 0.5,
-        }
-        result = run_experiment(ExperimentConfig.from_dict(raw))
-        row = result.summary_row()
-        assert row["analytic_total_mb"] == pytest.approx(1800.024)
-
-    def test_bad_cost_section(self):
-        raw = base_config()
-        raw["cost"] = {"cut_size_mb": -1.0, "model_size_mb": 0, "client_size_mb": 0,
-                       "dataset_size": 1, "clients": 1}
-        with pytest.raises(ConfigError) as err:
-            ExperimentConfig.from_dict(raw)
-        assert "cost" in str(err.value)
+    def test_fields_are_the_accepted_top_level_keys(self):
+        assert [f.name for f in dataclasses.fields(ExperimentConfig)] == [
+            "protocol", "dataset", "model", "leakage", "include_timestamps", "run_id"]
 
 
 class TestRunExperiment:
@@ -115,6 +104,15 @@ class TestRunExperiment:
         )
         result = run_experiment(ExperimentConfig.from_dict(raw))
         assert result.final_accuracy == 1.0
+
+    @pytest.mark.parametrize("kind", ["psl", "slr", "ssl"])
+    def test_formula_total_matches_the_ledger_over_two_epochs(self, kind):
+        """Without averaging, every byte is in the closed form: ssl's hand-off
+        counts once in each epoch, as it is sent."""
+        result = run_experiment(ExperimentConfig.from_dict(
+            base_config(**{"protocol.kind": kind, "protocol.epochs": 2})))
+        row = result.summary_row()
+        assert row["formula_total_bytes"] == row["total_comm_bytes"] > 0
 
     def test_one_record_per_epoch(self):
         result = run_experiment(ExperimentConfig.from_dict(base_config()))
@@ -394,11 +392,38 @@ class TestCli:
         assert cli_main(["cost", "--config", cfg]) == 2
         assert "config error: settings[0]: " in capsys.readouterr().err
 
-    def test_zero_link_rate_in_run_config_exits_2(self, tmp_path, capsys):
-        raw = base_config(cost={"cut_size_mb": 1, "model_size_mb": 2, "client_size_mb": 1,
-                                "dataset_size": 10, "clients": 2, "link_rate": 0})
-        assert cli_main(["run", "--config", self._write_config(tmp_path, raw)]) == 2
-        assert "config error: cost: " in capsys.readouterr().err
+    @pytest.mark.parametrize("key, value", [("leakge", {"enabled": True}),
+                                            ("cost", {"cut_size_mb": 1})])
+    def test_unknown_top_level_key_exits_2_naming_it(self, tmp_path, capsys, key, value):
+        out = tmp_path / "out"
+        cfg = self._write_config(tmp_path, base_config(**{key: value}))
+        assert cli_main(["run", "--config", cfg, "--out", str(out)]) == 2
+        assert f"config error: {key}: unknown key" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_sweep_wrapper_holds_only_experiment_grid_and_seeds(self, tmp_path, capsys):
+        raw = {"experiment": base_config(), "grid": {"protocol.kind": ["psl"]}, "seeds": [0],
+               "leakage": {"enabled": True}}
+        out = tmp_path / "out"
+        assert cli_main(["sweep", "--config", self._write_config(tmp_path, raw),
+                         "--out", str(out)]) == 2
+        assert "config error: leakage: unknown key" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("run_id", ["../escaped", "a/b", "", "a b", 7, ["x"]])
+    def test_bad_run_id_exits_2_before_training(self, tmp_path, capsys, run_id):
+        out = tmp_path / "out" / "x"
+        cfg = self._write_config(tmp_path, base_config(run_id=run_id))
+        assert cli_main(["run", "--config", cfg, "--out", str(out)]) == 2
+        assert "config error: run_id: must be a string of" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [tmp_path / "config.json"]
+
+    @pytest.mark.parametrize("value", ["no", 0, 1, None])
+    def test_include_timestamps_must_be_a_boolean(self, tmp_path, capsys, value):
+        cfg = self._write_config(tmp_path, base_config(include_timestamps=value))
+        assert cli_main(["run", "--config", cfg]) == 2
+        assert "config error: include_timestamps: must be true or false" in (
+            capsys.readouterr().err)
 
     def test_phase_fraction_indistinguishable_from_zero_exits_2(self, tmp_path, capsys):
         cfg = self._write_config(tmp_path, base_config())
@@ -433,9 +458,6 @@ class TestCli:
         cfg = self._write_config(tmp_path, {"settings": [setting]})
         assert cli_main(["cost", "--config", cfg]) == 2
         assert f"config error: settings[0]: {name} must be finite" in capsys.readouterr().err
-        run_cfg = self._write_config(tmp_path, base_config(cost=setting))
-        assert cli_main(["run", "--config", run_cfg]) == 2
-        assert f"config error: cost: {name} must be finite" in capsys.readouterr().err
 
     @pytest.mark.parametrize("field", [
         "protocol.clients", "protocol.batch_size", "protocol.epochs", "protocol.seed",

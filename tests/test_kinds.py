@@ -1,6 +1,7 @@
 """The epoch loop's ledger for every protocol kind: itemized reconciliation
-against the cost model, the ssl hand-off sequence, and the kind -> cost-row
-map the benchmark's checker reads."""
+against the cost model, the closed-form run total over epochs, the ssl
+hand-off sequence, and the kind -> cost-row map the benchmark's checker
+reads."""
 
 import math
 
@@ -147,6 +148,52 @@ def test_three_epoch_ledger_reconciles_over_random_geometry(kind, clients, batch
     assert report.items
     for item in report.items:
         assert item.measured_bytes == item.expected_bytes, item.kind
+
+
+def parent_formula_total(method, *, clients, rounds, batch_size, cut_width, active_count,
+                         param_counts):
+    """The closed-form run total as ``reconcile`` computed it inline before
+    ``comm.formula_total`` existed: one epoch over all of the run's rounds."""
+    sl_bytes = cut_width * comm.BYTES_PER_SCALAR
+    d_total = clients * (rounds * batch_size)
+    phi = active_count / clients if clients else 0.0
+    p = comm.CostParams(
+        cut_size_mb=sl_bytes / comm.MB,
+        model_size_mb=(param_counts or {}).get("model", 0) * comm.BYTES_PER_SCALAR / comm.MB,
+        client_size_mb=(param_counts or {}).get("segment", 0) * comm.BYTES_PER_SCALAR / comm.MB,
+        dataset_size=d_total,
+        clients=clients,
+        active_fraction=phi,
+    )
+    return comm.total_comm(method, p) * comm.MB
+
+
+@st.composite
+def geometries(draw):
+    clients = draw(st.integers(1, 200))
+    segment = draw(st.integers(0, 10**6))
+    return dict(clients=clients, rounds=draw(st.integers(1, 60)),
+                batch_size=draw(st.integers(1, 64)), cut_width=draw(st.integers(1, 1024)),
+                active_count=draw(st.integers(0, clients)),
+                param_counts={"segment": segment,
+                              "model": segment + draw(st.integers(0, 10**6))})
+
+
+@pytest.mark.parametrize("kind", PROTOCOL_KINDS)
+@settings(max_examples=60, deadline=None)
+@given(geometry=geometries(), epochs=st.integers(1, 4))
+def test_formula_total_counts_every_epoch(kind, geometry, epochs):
+    """At one epoch the closed form is bit for bit the one ``reconcile`` used
+    before it counted epochs; over E epochs it is E times one epoch."""
+    method = harness.COST_METHOD[kind]
+    one = comm.formula_total(method, **geometry)
+    assert one == parent_formula_total(method, **geometry)
+    assert comm.reconcile(CommLedger(), method, **geometry).formula_total == one
+    run = {**geometry, "rounds": epochs * geometry["rounds"]}
+    assert comm.formula_total(method, **run, epochs=epochs) == pytest.approx(epochs * one,
+                                                                            rel=1e-12)
+    assert comm.reconcile(CommLedger(), method, **run, epochs=epochs).formula_total == (
+        comm.formula_total(method, **run, epochs=epochs))
 
 
 def test_ssl_hands_off_after_each_clients_batches():

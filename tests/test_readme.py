@@ -1,6 +1,7 @@
 """The README stays in step with the package: its example config loads, its
-library example runs, and the top-level names are exactly those the demos
-and that example import, plus the error classes."""
+library example runs, its summary-CSV table lists the columns a run writes,
+and the top-level names are exactly those the demos and that example
+import, plus the error classes."""
 
 import ast
 import inspect
@@ -10,7 +11,7 @@ from pathlib import Path
 
 import splitsim
 from splitsim import errors
-from splitsim.harness import ExperimentConfig
+from splitsim.harness import ExperimentConfig, run_experiment
 
 ROOT = Path(__file__).resolve().parent.parent
 README = (ROOT / "README.md").read_text()
@@ -37,6 +38,21 @@ def test_example_config_loads():
     assert len(configs) == 1
     cfg = ExperimentConfig.from_dict(configs[0])
     assert cfg.protocol.kind == "sglr"
+
+
+def summary_table_columns() -> list[str]:
+    section = README.split("The summary CSV holds one row", 1)[1]
+    table = re.search(r"^\|.*?(?=^$)", section, re.S | re.M).group(0)
+    return re.findall(r"^\| `(\w+)` \|", table, re.M)
+
+
+def test_summary_table_lists_the_columns_a_run_writes(tmp_path):
+    raw = {"protocol": {"kind": "psl", "clients": 2, "epochs": 1, "batch_size": 4},
+           "dataset": {"per_class": 20, "per_client": 8, "validation": 8},
+           "model": {"hidden": [4]}, "include_timestamps": True, "run_id": "doc"}
+    result = run_experiment(ExperimentConfig.from_dict(raw), tmp_path)
+    header = (tmp_path / "doc.summary.csv").read_text().splitlines()[0].split(",")
+    assert summary_table_columns() == header == [*result.summary_row(), "completed_at"]
 
 
 def test_library_example_runs(capsys):
