@@ -99,7 +99,7 @@ def cmd_cost(args) -> int:
                 raise ConfigError("must be a list of objects", field="settings")
             names = [e.pop("name", f"setting_{i}") if isinstance(e, dict) else None
                      for i, e in enumerate(entries)]
-            settings = [build_section(CostParams, e, f"settings[{i}]")
+            settings = [build_section(CostParams, e, f"settings[{i}]", integers=True)
                         for i, e in enumerate(entries)]
         csv_text = emit_cost_report(methods, settings, names)
     else:

@@ -31,6 +31,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .errors import InputError
@@ -143,55 +144,44 @@ def cost_table_csv(methods, params_list, names=None) -> str:
 PAYLOAD_KINDS = ("smashed", "cut-grad", "model-weights")
 
 
-@dataclass(slots=True)
-class LedgerEntry:
-    direction: str  # "up" | "down"
-    kind: str
-    client_id: int | None  # None marks a broadcast
-    nbytes: int
-    round_index: int
-
-
 @dataclass
 class CommLedger:
-    """Byte counts a protocol run actually produced, 8 bytes per scalar."""
+    """Bytes a protocol run actually produced, 8 bytes per scalar, summed
+    per ``(direction, kind, client_id)`` key; a client id of None marks a
+    broadcast."""
 
-    entries: list[LedgerEntry] = field(default_factory=list)
-    _total: int = field(init=False, repr=False, compare=False)
+    entries: Counter = field(default_factory=Counter)
 
-    def __post_init__(self):
-        self._total = sum(e.nbytes for e in self.entries)
+    def record(self, direction, kind, client_id, nbytes):
+        self.record_each(direction, kind, (client_id,), nbytes)
 
-    def record(self, direction, kind, client_id, nbytes, round_index):
-        self.record_each(direction, kind, (client_id,), nbytes, round_index)
-
-    def record_each(self, direction, kind, client_ids, nbytes, round_index):
-        """One payload of ``nbytes`` for each of ``client_ids``, in order."""
+    def record_each(self, direction, kind, client_ids, nbytes):
+        """One payload of ``nbytes`` for each of ``client_ids``."""
         if kind not in PAYLOAD_KINDS:
             raise InputError(f"unknown payload kind {kind!r}")
         if nbytes < 0:
             raise InputError("byte counts must be nonnegative")
-        new = [LedgerEntry(direction, kind, cid, int(nbytes), round_index) for cid in client_ids]
-        self.entries += new
-        self._total += int(nbytes) * len(new)
+        nbytes = int(nbytes)
+        for cid in client_ids:
+            self.entries[direction, kind, cid] += nbytes
 
     def total_bytes(self) -> int:
-        return self._total
+        return sum(self.entries.values())
 
     def bytes_by_kind(self) -> dict[str, int]:
-        out = {k: 0 for k in PAYLOAD_KINDS}
-        for e in self.entries:
-            out[e.kind] += e.nbytes
+        out = dict.fromkeys(PAYLOAD_KINDS, 0)
+        for (_, kind, _), nbytes in self.entries.items():
+            out[kind] += nbytes
         return out
 
     def bytes_by_client(self) -> dict[int | None, int]:
         out: dict[int | None, int] = {}
-        for e in self.entries:
-            out[e.client_id] = out.get(e.client_id, 0) + e.nbytes
+        for (_, _, cid), nbytes in self.entries.items():
+            out[cid] = out.get(cid, 0) + nbytes
         return out
 
     def broadcast_bytes(self) -> int:
-        return sum(e.nbytes for e in self.entries if e.client_id is None)
+        return sum(n for (_, _, cid), n in self.entries.items() if cid is None)
 
 
 @dataclass
@@ -286,7 +276,11 @@ def formula_total(method: str, *, clients: int, rounds: int, batch_size: int, cu
                   epochs: int = 1) -> float:
     """Closed-form bytes of a run of ``rounds`` rounds over ``epochs`` epochs:
     ``epochs`` times ``total_comm`` of one epoch of ``rounds / epochs``
-    rounds, on the run's own S_L (cut width * 8 bytes), |D|, phi and sizes."""
+    rounds, on the run's own S_L (cut width * 8 bytes), |D|, phi and sizes.
+    A gradient-averaging method in which no client averages sends no
+    broadcast, so it costs psl's total."""
+    if _switches(method).grad_avg and not active_count:
+        method = "psl"
     counts = param_counts or {}
     p = CostParams(
         cut_size_mb=cut_width * BYTES_PER_SCALAR / MB,

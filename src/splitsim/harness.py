@@ -370,6 +370,9 @@ def sweep(
     """
     if not grid:
         raise ConfigError("sweep grid is empty", field="grid")
+    for key, values in grid.items():
+        if not isinstance(values, list) or not values:
+            raise ConfigError(f"must be a non-empty list, got {values!r}", field=f"grid.{key}")
     if not seeds:
         raise ConfigError("need at least one seed", field="seeds")
 

@@ -428,8 +428,8 @@ class SplitTrainer:
                     self._local_weight_average()
             if kind.travelling:
                 nbytes = self.stack.flat[0].nbytes
-                self._log("up", "model-weights", ids, nbytes, self.steps)
-                self._log("down", "model-weights", [(ids[0] + 1) % cfg.clients], nbytes, self.steps)
+                self._log("up", "model-weights", ids, nbytes)
+                self._log("down", "model-weights", [(ids[0] + 1) % cfg.clients], nbytes)
         return RoundMetrics(
             epoch=epoch,
             train_loss=float(np.mean(losses)) if losses else 0.0,
@@ -478,16 +478,16 @@ class SplitTrainer:
             loss = splitting.combine_losses(self._delta_array, losses)
         else:
             nbytes = cache.output[0].nbytes
-            self._log("up", "smashed", ids, nbytes, self.steps)
+            self._log("up", "smashed", ids, nbytes)
             loss, upstream, _ = splitting.server_gradients(
                 self.server_layers, cache.output, y, self._server_weights, self._server_grads,
                 validate=False)
             if active:
                 common = active_sum(upstream, active)
                 upstream[active] = common / len(active)
-                self._log("down", "cut-grad", [None], common.nbytes, self.steps)
+                self._log("down", "cut-grad", [None], common.nbytes)
             shared = set(active)
-            self._log("down", "cut-grad", [c for c in ids if c not in shared], nbytes, self.steps)
+            self._log("down", "cut-grad", [c for c in ids if c not in shared], nbytes)
         nn.backward(cache, upstream, self.stack.grads, input_grad=False)
         self.buffer.step(self._lr)
         self.steps += 1
@@ -496,9 +496,9 @@ class SplitTrainer:
     def _local_weight_average(self) -> None:
         """LocAvg: delta-weighted, layer-wise average of client segments."""
         nbytes, everyone = self.stack.flat[0].nbytes, range(self.config.clients)
-        self._log("up", "model-weights", everyone, nbytes, self.steps)
+        self._log("up", "model-weights", everyone, nbytes)
         self.stack.average(self._delta_array)
-        self._log("down", "model-weights", everyone, nbytes, self.steps)
+        self._log("down", "model-weights", everyone, nbytes)
 
 
 def train_monolithic(

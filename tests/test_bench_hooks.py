@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from splitsim import nn, splitting
+from splitsim.comm import PAYLOAD_KINDS, CommLedger
 from splitsim.protocols import ProtocolConfig, SplitTrainer
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -73,3 +74,18 @@ def test_run_epoch_reports_steps():
     data = [(rng.normal(size=(8, 4)), rng.integers(0, 3, size=8)) for _ in range(2)]
     t = SplitTrainer(model, data, ProtocolConfig(kind="sglr", clients=2, batch_size=4))
     assert t.run_epoch(0).steps == 2
+
+
+def test_run_checker_reads_of_the_ledger():
+    """``workloads.RunChecker`` counts ``len(ledger.entries)`` and folds
+    ``bytes_by_kind()`` into its per-kind byte totals."""
+    rng = np.random.default_rng(2)
+    model = splitting.SplitModel(nn.build_mlp([4, 5, 3], rng), 2)
+    data = [(rng.normal(size=(8, 4)), rng.integers(0, 3, size=8)) for _ in range(3)]
+    ledger = CommLedger()
+    config = ProtocolConfig(kind="sfl", clients=3, batch_size=4, epochs=2)
+    SplitTrainer(model, data, config, ledger=ledger).run()
+    assert len(ledger.entries) > 0
+    by_kind = ledger.bytes_by_kind()
+    assert tuple(by_kind) == PAYLOAD_KINDS and min(by_kind.values()) > 0
+    assert ledger.total_bytes() == sum(by_kind.values()) > 0

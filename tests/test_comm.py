@@ -1,5 +1,7 @@
 """Closed-form communication/time formulas and ledger reconciliation."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 
 from splitsim import nn, splitting
 from splitsim.comm import (
+    PAYLOAD_KINDS,
     CommLedger,
     CostParams,
     comm_per_client,
@@ -136,9 +139,9 @@ class TestCostTable:
 class TestLedger:
     def test_conservation(self):
         ledger = CommLedger()
-        ledger.record("up", "smashed", 0, 100, 0)
-        ledger.record("down", "cut-grad", 0, 60, 0)
-        ledger.record("down", "cut-grad", None, 40, 0)
+        ledger.record("up", "smashed", 0, 100)
+        ledger.record("down", "cut-grad", 0, 60)
+        ledger.record("down", "cut-grad", None, 40)
         assert ledger.total_bytes() == 200
         assert sum(ledger.bytes_by_kind().values()) == 200
         assert sum(ledger.bytes_by_client().values()) == 200
@@ -146,7 +149,7 @@ class TestLedger:
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(InputError):
-            CommLedger().record("up", "carrier-pigeon", 0, 1, 0)
+            CommLedger().record("up", "carrier-pigeon", 0, 1)
 
     @given(
         st.lists(
@@ -160,11 +163,14 @@ class TestLedger:
         )
     )
     def test_running_total_equals_entry_sum(self, records):
-        ledger = CommLedger()
+        ledger, want = CommLedger(), {}
         for r, (direction, kind, client, nbytes) in enumerate(records):
-            ledger.record(direction, kind, client, nbytes, r)
-            assert ledger.total_bytes() == sum(e.nbytes for e in ledger.entries)
-        assert CommLedger(entries=list(ledger.entries)).total_bytes() == ledger.total_bytes()
+            ledger.record(direction, kind, client, nbytes)
+            key = (direction, kind, client)
+            want[key] = want.get(key, 0) + nbytes
+            assert ledger.entries == want
+            assert ledger.total_bytes() == sum(n for *_, n in records[: r + 1])
+        assert CommLedger(entries=Counter(ledger.entries)).total_bytes() == ledger.total_bytes()
 
     @given(
         st.lists(
@@ -179,21 +185,22 @@ class TestLedger:
     )
     def test_record_each_equals_repeated_record(self, payloads):
         each, one = CommLedger(), CommLedger()
-        for r, (direction, kind, clients, nbytes) in enumerate(payloads):
-            each.record_each(direction, kind, clients, nbytes, r)
+        for direction, kind, clients, nbytes in payloads:
+            each.record_each(direction, kind, clients, nbytes)
             for client in clients:
-                one.record(direction, kind, client, nbytes, r)
+                one.record(direction, kind, client, nbytes)
         assert each.entries == one.entries
-        assert each.total_bytes() == one.total_bytes() == sum(e.nbytes for e in one.entries)
+        assert each.total_bytes() == one.total_bytes() == sum(
+            nbytes * len(clients) for *_, clients, nbytes in payloads)
 
     @pytest.mark.parametrize("kind, nbytes", [("carrier-pigeon", 1), ("smashed", -1)])
     def test_record_each_rejects_bad_payloads(self, kind, nbytes):
         ledger = CommLedger()
         with pytest.raises(InputError):
-            ledger.record_each("up", kind, [0, 1], nbytes, 0)
+            ledger.record_each("up", kind, [0, 1], nbytes)
         with pytest.raises(InputError):
-            ledger.record("up", kind, 0, nbytes, 0)
-        assert ledger.entries == [] and ledger.total_bytes() == 0
+            ledger.record("up", kind, 0, nbytes)
+        assert not ledger.entries and ledger.total_bytes() == 0
 
 
 def run_with_ledger(kind, clients, rounds, batch, cut_width, seed=0, **cfg_kw):
@@ -221,7 +228,7 @@ def run_with_ledger(kind, clients, rounds, batch, cut_width, seed=0, **cfg_kw):
 class TestReconcile:
     def test_psl_uploads_counting_oracle(self):
         _, ledger = run_with_ledger("psl", clients=2, rounds=1, batch=4, cut_width=5)
-        up = sum(e.nbytes for e in ledger.entries if e.direction == "up")
+        up = sum(n for (direction, _, _), n in ledger.entries.items() if direction == "up")
         assert up == 2 * 4 * 5 * 8
 
     def test_psl_reconciles_exactly(self):
@@ -237,9 +244,7 @@ class TestReconcile:
         _, ledger = run_with_ledger(
             "sglr", clients=3, rounds=2, batch=4, cut_width=5, active_fraction=1.0
         )
-        broadcasts = [e for e in ledger.entries if e.client_id is None]
-        assert len(broadcasts) == 2  # one per round, not one per client
-        assert all(e.nbytes == 4 * 5 * 8 for e in broadcasts)
+        assert ledger.broadcast_bytes() == 2 * 4 * 5 * 8  # one per round, not one per client
 
     def test_sglr_reconciles(self):
         trainer, ledger = run_with_ledger(
@@ -251,6 +256,21 @@ class TestReconcile:
         )
         for item in report.items:
             assert item.relative_error < 1e-12
+
+    def test_sfl_at_100_clients_keeps_one_counter_per_key(self):
+        """LocAvg after every round sends 2 * C weight payloads a round, but the
+        ledger holds one counter per (direction, kind, client or broadcast)."""
+        clients, rounds, batch, width = 100, 3, 2, 5
+        trainer, ledger = run_with_ledger("sfl", clients=clients, rounds=rounds, batch=batch,
+                                          cut_width=width)
+        assert len(ledger.entries) <= 2 * len(PAYLOAD_KINDS) * (clients + 1)
+        report = reconcile(ledger, "sfl", clients=clients, rounds=rounds, batch_size=batch,
+                           cut_width=width,
+                           param_counts={"segment": trainer.stack.flat.shape[1]})
+        assert [item.kind for item in report.items] == ["smashed", "cut-grad", "model-weights"]
+        for item in report.items:
+            assert item.measured_bytes == item.expected_bytes, item.kind
+        assert sum(item.measured_bytes for item in report.items) == ledger.total_bytes()
 
     def test_fl_parameter_count_oracle(self):
         per_client, clients = 8, 2

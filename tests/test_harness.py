@@ -114,6 +114,17 @@ class TestRunExperiment:
         row = result.summary_row()
         assert row["formula_total_bytes"] == row["total_comm_bytes"] > 0
 
+    @pytest.mark.parametrize("overrides", [{"protocol.active_fraction": 0.0},
+                                           {"protocol.phase": "never"}],
+                             ids=["phi0", "never"])
+    def test_sglr_without_averaging_sends_no_broadcast_in_the_formula(self, overrides):
+        """An epoch in which no client averages has no broadcast in the run or
+        in its closed form: 2 epochs of 2 * D * S_L, C = 4, 10 rounds of 4 rows."""
+        raw = base_config(**{"protocol.clients": 4, "dataset.per_client": 40,
+                             "model.hidden": [32], **overrides})
+        row = run_experiment(ExperimentConfig.from_dict(raw)).summary_row()
+        assert row["formula_total_bytes"] == row["total_comm_bytes"] == 2 * 2 * 160 * 32 * 8
+
     def test_one_record_per_epoch(self):
         result = run_experiment(ExperimentConfig.from_dict(base_config()))
         assert len(result.records) == 2
@@ -372,6 +383,10 @@ class TestCli:
             "leakage.enabled": True, "leakage.bins": 10, "leakage.probe": 256,
             "dataset.validation": 10}))
 
+    COST_SETTING = {"cut_size_mb": 1, "model_size_mb": 2, "client_size_mb": 1,
+                    "dataset_size": 10, "clients": 2, "active_fraction": 0.5,
+                    "link_rate": 1.0, "compute_time": 0.0}
+
     @pytest.mark.parametrize("raw, field", [
         ({"settings": [5]}, "settings[0]"),
         ({"settings": [{"cut_size_mb": 1, "model_size_mb": 2, "client_size_mb": 1,
@@ -379,6 +394,9 @@ class TestCli:
         ({"settings": {"cut_size_mb": 1}}, "settings"),
         ({"methods": ["fl", "sgl"]}, "methods"),
         ({"methods": "fl"}, "methods"),
+        ({"settings": [{**COST_SETTING, "clients": True}]}, "settings[0].clients"),
+        ({"settings": [{**COST_SETTING, "clients": 2.5}]}, "settings[0].clients"),
+        ({"settings": [{**COST_SETTING, "dataset_size": 50000.5}]}, "settings[0].dataset_size"),
     ])
     def test_malformed_cost_config_exits_2(self, tmp_path, capsys, raw, field):
         cfg = self._write_config(tmp_path, raw)
@@ -447,17 +465,16 @@ class TestCli:
         assert f"config error: {field}" in capsys.readouterr().err
         assert not out.exists()
 
-    COST_SETTING = {"cut_size_mb": 1, "model_size_mb": 2, "client_size_mb": 1,
-                    "dataset_size": 10, "clients": 2, "active_fraction": 0.5,
-                    "link_rate": 1.0, "compute_time": 0.0}
-
     @pytest.mark.parametrize("name", list(COST_SETTING))
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_nonfinite_cost_setting_exits_2(self, tmp_path, capsys, name, value):
         setting = {**self.COST_SETTING, name: value}  # json writes NaN and Infinity
         cfg = self._write_config(tmp_path, {"settings": [setting]})
         assert cli_main(["cost", "--config", cfg]) == 2
-        assert f"config error: settings[0]: {name} must be finite" in capsys.readouterr().err
+        # The two counts are integers: a float of any value is turned away as such.
+        want = (f"settings[0].{name}: must be an integer" if name in ("dataset_size", "clients")
+                else f"settings[0]: {name} must be finite")
+        assert f"config error: {want}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("field", [
         "protocol.clients", "protocol.batch_size", "protocol.epochs", "protocol.seed",
@@ -547,6 +564,16 @@ class TestCli:
         assert stamped_rows[0] == plain_rows[0] + ",completed_at"
         head, stamp = stamped_rows[1].rsplit(",", 1)
         assert head == plain_rows[1] and re.fullmatch(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\d", stamp)
+
+    @pytest.mark.parametrize("values", [3, [], "psl"])
+    def test_sweep_grid_value_must_be_a_non_empty_list(self, tmp_path, capsys, values):
+        key = "protocol.kind" if values == "psl" else "protocol.clients"
+        raw = {"experiment": base_config(), "grid": {key: values}, "seeds": [0]}
+        out = tmp_path / "out"
+        assert cli_main(["sweep", "--config", self._write_config(tmp_path, raw),
+                         "--out", str(out)]) == 2
+        assert f"config error: grid.{key}: must be a non-empty list" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_cost_config_methods_subset(self, tmp_path, capsys):
         cfg = self._write_config(tmp_path, {"methods": ["psl", "fl"]})

@@ -154,50 +154,59 @@ def test_harness_trainer_gathers_from_the_dataset_itself():
 
 def one_at_a_time(trainer, records, batch, width):
     """The ledger of a finished run, written out payload by payload with
-    ``record``: the per-client loops the trainer logged before batching."""
+    ``record`` (the per-client loops the trainer logged before batching),
+    and the payloads in order as (direction, kind, client, nbytes, step)."""
     cfg, kind = trainer.config, trainer.kind
-    ledger, step = CommLedger(), 0
+    ledger, payloads, step = CommLedger(), [], 0
     weights = trainer.stack.flat.shape[1] * 8
     clients = range(cfg.clients)
     row = batch * width * 8
+
+    def log(direction, payload, cid, nbytes):
+        ledger.record(direction, payload, cid, nbytes)
+        payloads.append((direction, payload, cid, nbytes, step))
+
     for rec in records:
         turns = [[cid] for cid in clients] if kind.travelling else [list(clients)]
         for ids in turns:
             for _ in range(min(trainer.clients[cid].sample_count // batch for cid in ids)):
                 if kind.server:
                     for cid in ids:
-                        ledger.record("up", "smashed", cid, row, step)
+                        log("up", "smashed", cid, row)
                     if rec.active_ids:
-                        ledger.record("down", "cut-grad", None, row, step)
+                        log("down", "cut-grad", None, row)
                     for cid in ids:
                         if cid not in rec.active_ids:
-                            ledger.record("down", "cut-grad", cid, row, step)
+                            log("down", "cut-grad", cid, row)
                 step += 1
                 if kind.loc_avg:
                     for cid in clients:
-                        ledger.record("up", "model-weights", cid, weights, step)
+                        log("up", "model-weights", cid, weights)
                     for cid in clients:
-                        ledger.record("down", "model-weights", cid, weights, step)
+                        log("down", "model-weights", cid, weights)
             if kind.travelling:
-                ledger.record("up", "model-weights", ids[0], weights, step)
-                ledger.record("down", "model-weights", (ids[0] + 1) % cfg.clients, weights, step)
-    return ledger
+                log("up", "model-weights", ids[0], weights)
+                log("down", "model-weights", (ids[0] + 1) % cfg.clients, weights)
+    return ledger, payloads
 
 
 @pytest.mark.parametrize("kind", PROTOCOL_KINDS)
 @pytest.mark.parametrize("counts", [[12, 12, 12, 12], [9, 16, 4, 13]])
-def test_two_epoch_ledger_equals_one_id_at_a_time(kind, counts):
+def test_two_epoch_ledger_equals_one_id_at_a_time(kind, counts, payload_log):
     batch = 4
     model = make_model(seed=2)
     cfg = ProtocolConfig(kind=kind, clients=len(counts), active_fraction=0.5,
                          lr_exponent=0.5, batch_size=batch, epochs=2, seed=7)
     ledger = CommLedger()
     trainer = SplitTrainer(model, make_clients(counts, "views", seed=3), cfg, ledger=ledger)
+    payloads = payload_log(trainer)
     records = trainer.run()
-    want = one_at_a_time(trainer, records, batch, model.client_segment[0].out_dim)
+    want, want_payloads = one_at_a_time(trainer, records, batch,
+                                        model.client_segment[0].out_dim)
+    assert payloads == want_payloads
     assert ledger.entries == want.entries
     assert ledger.total_bytes() == want.total_bytes()
-    assert ledger.entries
+    assert payloads
 
 
 def bits(a):
