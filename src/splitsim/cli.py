@@ -15,6 +15,7 @@ from .errors import ConfigError, SplitSimError
 from .harness import (
     ExperimentConfig,
     build_section,
+    check_keys,
     emit_cost_report,
     run_experiment,
     set_by_path,
@@ -68,42 +69,31 @@ def cmd_run(args) -> int:
 
 def cmd_sweep(args) -> int:
     raw = load_config_dict(args.config, None, args.set)
-    grid = raw.pop("grid", None)
-    seeds = raw.pop("seeds", None)
-    base = raw.pop("experiment", raw)
-    if base is not raw and raw:
-        raise ConfigError("unknown key; a sweep config with an experiment holds only "
-                          "experiment, grid and seeds", field=next(iter(raw)))
-    if not isinstance(grid, dict) or not grid:
-        raise ConfigError("sweep config needs a non-empty 'grid' object", field="grid")
-    if not isinstance(seeds, list) or not seeds:
-        raise ConfigError("sweep config needs a non-empty 'seeds' list", field="seeds")
-    if args.seed is not None:
-        seeds = [args.seed]
-    rows = sweep(base, grid, seeds, args.out)
+    check_keys(raw, ("experiment", "grid", "seeds"), "a sweep config")
+    if not isinstance(raw.get("experiment"), dict):
+        raise ConfigError("must be an object", field="experiment")
+    seeds = raw.get("seeds") if args.seed is None else [args.seed]
+    rows = sweep(raw["experiment"], raw.get("grid"), seeds, args.out)
     for row in rows:
         print(json.dumps(row, sort_keys=True))
     return EXIT_OK
 
 
 def cmd_cost(args) -> int:
-    if args.config:
-        raw = load_config_dict(args.config, None, args.set)
-        methods = raw.get("methods", list(METHODS))
-        if not isinstance(methods, list) or not set(methods) <= set(METHODS):
-            raise ConfigError(f"must be a list of {', '.join(METHODS)}", field="methods")
-        settings, names = None, None
-        if "settings" in raw:
-            entries = raw["settings"]
-            if not isinstance(entries, list):
-                raise ConfigError("must be a list of objects", field="settings")
-            names = [e.pop("name", f"setting_{i}") if isinstance(e, dict) else None
-                     for i, e in enumerate(entries)]
-            settings = [build_section(CostParams, e, f"settings[{i}]", integers=True)
-                        for i, e in enumerate(entries)]
-        csv_text = emit_cost_report(methods, settings, names)
-    else:
-        csv_text = emit_cost_report()
+    raw = load_config_dict(args.config, None, args.set)
+    check_keys(raw, ("methods", "settings"), "a cost config")
+    methods = raw.get("methods", list(METHODS))
+    if not isinstance(methods, list) or not set(methods) <= set(METHODS):
+        raise ConfigError(f"must be a list of {', '.join(METHODS)}", field="methods")
+    settings, names = None, None
+    if "settings" in raw:
+        entries = raw["settings"]
+        if not isinstance(entries, list):
+            raise ConfigError("must be a list of objects", field="settings")
+        names = [e.pop("name", f"setting_{i}") if isinstance(e, dict) else None
+                 for i, e in enumerate(entries)]
+        settings = [build_section(CostParams, e, f"settings[{i}]") for i, e in enumerate(entries)]
+    csv_text = emit_cost_report(methods, settings, names)
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
@@ -143,9 +133,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, need_config=True):
-        p.add_argument("--config", required=need_config, help="JSON config path")
-        p.add_argument("--seed", type=int, default=None, help="override protocol.seed")
+    def common(p, experiment=True):
+        """Options of every verb; only the verbs that run an experiment take a
+        seed and need a config."""
+        p.add_argument("--config", required=experiment, help="JSON config path")
+        if experiment:
+            p.add_argument("--seed", type=int, default=None, help="override protocol.seed")
         p.add_argument(
             "--set",
             action="append",
@@ -163,7 +156,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_cost = sub.add_parser("cost", help="emit the analytic cost table")
-    common(p_cost, need_config=False)
+    common(p_cost, experiment=False)
     p_cost.set_defaults(func=cmd_cost)
 
     p_leak = sub.add_parser("leakage", help="run with leakage scoring enabled")

@@ -62,14 +62,14 @@ class LeakageSpec:
     probe: int = 256
 
 
-def build_section(cls, payload, field: str, integers: bool = False):
+def build_section(cls, payload, field: str):
     """``cls(**payload)``, with a payload that is no object or that ``cls``
-    rejects raised as a ConfigError naming ``field``. With ``integers``, each
-    field typed ``int`` (each entry of one typed ``list[int]``) must be a
-    Python int, not a bool or a float, or the error names ``field.name``."""
+    rejects raised as a ConfigError naming ``field``. Each field typed ``int``
+    (each entry of one typed ``list[int]``) must be a Python int, not a bool
+    or a float, or the error names ``field.name``."""
     if not isinstance(payload, dict):
         raise ConfigError("must be an object", field=field)
-    for f in fields(cls) if integers else ():
+    for f in fields(cls):
         if f.type in ("int", "list[int]") and f.name in payload:
             value = payload[f.name]
             if not (type(value) is int if f.type == "int" else
@@ -80,6 +80,13 @@ def build_section(cls, payload, field: str, integers: bool = False):
         return cls(**payload)
     except (TypeError, InputError) as exc:
         raise ConfigError(str(exc), field=field) from exc
+
+
+def check_keys(raw: dict, keys, what: str) -> None:
+    """Raise a ConfigError naming the first key of ``raw`` not in ``keys``."""
+    unknown = [key for key in raw if key not in keys]
+    if unknown:
+        raise ConfigError(f"unknown key; {what} holds only {', '.join(keys)}", field=unknown[0])
 
 
 # Protocol kinds -> analytic cost-model rows.
@@ -100,13 +107,9 @@ class ExperimentConfig:
     def from_dict(raw: dict) -> "ExperimentConfig":
         if "protocol" not in raw:
             raise ConfigError("missing section", field="protocol")
-        keys = [f.name for f in fields(ExperimentConfig)]
-        unknown = [key for key in raw if key not in keys]
-        if unknown:
-            raise ConfigError(f"unknown key; a config holds only {', '.join(keys)}",
-                              field=unknown[0])
+        check_keys(raw, [f.name for f in fields(ExperimentConfig)], "a config")
         proto, ds, model, leak = (
-            build_section(cls, raw.get(name, {}), name, integers=True)
+            build_section(cls, raw.get(name, {}), name)
             for name, cls in (("protocol", ProtocolConfig), ("dataset", DatasetSpec),
                               ("model", ModelSpec), ("leakage", LeakageSpec)))
         stamps, run_id = raw.get("include_timestamps", False), raw.get("run_id")
@@ -361,51 +364,54 @@ def sweep(
 ) -> list[dict]:
     """Run the cross product of ``grid`` over ``seeds``; aggregate per cell.
 
-    ``base`` is a raw experiment-config dict; grid keys are dotted paths
-    into it. Returns one row per cell with per-seed finals plus mean and
-    standard deviation, and writes ``sweep.csv`` when ``out_dir`` is given.
-    Runs execute one after another in grid order. Runs whose ids collide
-    (the default id does not encode every grid key) get their grid cell
-    appended, so no run overwrites another's files.
+    ``base`` is a raw experiment-config dict; grid keys are dotted paths into
+    it, other than ``protocol.seed``, and grid values any JSON values. Returns
+    one row per cell with per-seed finals plus mean and standard deviation,
+    and writes ``sweep.csv`` when ``out_dir`` is given. Runs execute one
+    after another in grid order. Runs whose ids collide (the default id does
+    not encode every grid key) get their grid cell appended, so no run
+    overwrites another's files.
     """
-    if not grid:
-        raise ConfigError("sweep grid is empty", field="grid")
+    if not isinstance(grid, dict) or not grid:
+        raise ConfigError("must be a non-empty object of non-empty lists", field="grid")
     for key, values in grid.items():
         if not isinstance(values, list) or not values:
             raise ConfigError(f"must be a non-empty list, got {values!r}", field=f"grid.{key}")
-    if not seeds:
-        raise ConfigError("need at least one seed", field="seeds")
+    if "protocol.seed" in grid:
+        raise ConfigError("every run takes its seed from 'seeds'; list the seeds there",
+                          field="grid.protocol.seed")
+    if not isinstance(seeds, list) or not seeds:
+        raise ConfigError("must be a non-empty list", field="seeds")
 
     keys = list(grid)
     cells = list(product(*(grid[k] for k in keys)))
 
     jobs = []
-    for cell in cells:
+    for index, cell in enumerate(cells):
         for seed in seeds:
             raw = json.loads(json.dumps(base))  # deep copy
             for key, value in zip(keys, cell):
                 set_by_path(raw, key, value)
             set_by_path(raw, "protocol.seed", seed)
-            jobs.append((cell, ExperimentConfig.from_dict(raw)))
+            jobs.append((index, ExperimentConfig.from_dict(raw)))
     ids = [cfg.resolved_run_id() for _, cfg in jobs]
-    for cell, cfg in jobs:
+    for index, cfg in jobs:
         if ids.count(cfg.resolved_run_id()) > 1:
-            suffix = "-".join(f"{k.rsplit('.', 1)[-1]}{v}" for k, v in zip(keys, cell))
+            suffix = "-".join(f"{k.rsplit('.', 1)[-1]}{v}" for k, v in zip(keys, cells[index]))
             cfg.run_id = cfg.resolved_run_id() + "-" + re.sub(f"[^{RUN_ID_CHARS}]+", "_", suffix)
     if len({cfg.resolved_run_id() for _, cfg in jobs}) < len(jobs):
         raise ConfigError("sweep runs share a run id even with their grid cell", field="grid")
 
     run_dir = Path(out_dir) / "runs" if out_dir is not None else None
-    by_cell: dict[tuple, list] = {cell: [] for cell in cells}
-    for cell, cfg in jobs:
+    finals: list[list] = [[] for _ in cells]  # by cell index: grid values need not hash
+    for index, cfg in jobs:
         result = run_experiment(cfg, run_dir)
-        by_cell[cell].append((result.final_accuracy, result.final_loss))
+        finals[index].append((result.final_accuracy, result.final_loss))
         # Drop the trainer (all client data) and ledger before the next run.
         del result
 
     rows = []
-    for cell in cells:
-        entries = by_cell[cell]
+    for cell, entries in zip(cells, finals):
         accs = np.array([acc for acc, _ in entries])
         losses = np.array([loss for _, loss in entries])
         row = {key: value for key, value in zip(keys, cell)}

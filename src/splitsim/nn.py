@@ -451,23 +451,21 @@ class ParamBuffer:
 
 
 class LayerStack:
-    """``slots`` copies of one layer segment as [slots, P] views of a
-    ``ParamBuffer``: its own one for an ``optimizer`` kind, or a shared one.
+    """``slots`` copies of one layer segment as [slots, P] views claimed
+    from ``buffer``, whose ``step`` updates them.
 
     ``layers`` runs every copy at once on [slots, batch, features] input;
     ``grads`` are the matching gradient views, for ``backward(..., out=)``.
     ``slot_layers(s)`` and ``slot_optimizer(s)`` view copy ``s``: no copy of
     weights, gradients or moments exists beside the buffer."""
 
-    def __init__(self, layers: Sequence[Layer], slots: int, optimizer: str | ParamBuffer):
+    def __init__(self, layers: Sequence[Layer], slots: int, buffer: ParamBuffer):
         params = collect_params(layers)
         self._template = list(layers)
         self._shapes = [p.shape for p in params]
         size = slots * sum(p.size for p in params)
-        if isinstance(optimizer, str):
-            optimizer = ParamBuffer([size], optimizer)
-        self.buffer, self.opt = optimizer, optimizer.opt
-        self.flat, self.grad, *self._moments = [a.reshape(slots, -1) for a in optimizer.claim(size)]
+        self.buffer, self.opt = buffer, buffer.opt
+        self.flat, self.grad, *self._moments = [a.reshape(slots, -1) for a in buffer.claim(size)]
         self.flat[:] = np.concatenate([p.reshape(-1) for p in params])
         self.layers = self._bind(self.flat)
         self.grads = self._group(self.grad)
@@ -478,13 +476,6 @@ class LayerStack:
     def slot_optimizer(self, slot: int) -> OptimizerState:
         m, v = [self._split(a[slot]) for a in self._moments] or [None, None]
         return replace(self.opt, m=m, v=v)
-
-    def step(self, param_grads: Sequence[Sequence[Array]], lr: float | Sequence[float]) -> None:
-        """Copy stacked ``backward`` grads to ``grads``, then step the buffer."""
-        for view, g in zip(collect_grads(self.grads), collect_grads(param_grads), strict=True):
-            if g is not view:
-                view[...] = g
-        self.buffer.step(lr)
 
     def average(self, weights: Array) -> None:
         """Set every copy to the ``weights``-weighted sum over copies. numpy

@@ -81,7 +81,8 @@ def make_net(rng, depth=4, width=(2, 9)):
 def test_stacked_forward_backward_loss_equal_per_client(clients, batch, cut, seed):
     rng = np.random.default_rng(seed)
     layers = make_net(rng)
-    stack = nn.LayerStack(layers[:cut], clients, "sgd")
+    buffer = nn.ParamBuffer([clients * nn.param_count(layers[:cut])], "sgd")
+    stack = nn.LayerStack(layers[:cut], clients, buffer)
     stack.flat[:] += rng.normal(scale=0.1, size=stack.flat.shape)
     x = rng.normal(size=(clients, batch, layers[0].in_dim))
     cache = nn.forward(stack.layers, x)
@@ -124,7 +125,8 @@ def test_stack_step_and_average_equal_per_client(clients, optimizer, extra, seed
     of it: the [clients, P] buffer is walked as one flat array."""
     rng = np.random.default_rng(seed)
     layers = [nn.glorot_dense(extra, 2, rng), nn.Relu(), nn.glorot_dense(2, 3, rng)]
-    stack = nn.LayerStack(layers, clients, optimizer)
+    buffer = nn.ParamBuffer([clients * nn.param_count(layers)], optimizer)
+    stack = nn.LayerStack(layers, clients, buffer)
     stack.flat[:] += rng.normal(scale=0.1, size=stack.flat.shape)
     params = [nn.collect_params(stack.slot_layers(c)) for c in range(clients)]
     params = [[p.copy() for p in ps] for ps in params]
@@ -134,7 +136,9 @@ def test_stack_step_and_average_equal_per_client(clients, optimizer, extra, seed
     ]
     for _ in range(3):
         grads = [[rng.normal(size=(clients,) + p.shape)] for p in params[0]]
-        stack.step(grads, 1e-2)
+        for view, g in zip(nn.collect_grads(stack.grads), nn.collect_grads(grads), strict=True):
+            view[...] = g
+        stack.buffer.step(1e-2)
         for c in range(clients):
             own = [g[0][c] for g in grads]
             params[c] = reference_step(params[c], own, states[c], optimizer, 1e-2)

@@ -397,6 +397,7 @@ class TestCli:
         ({"settings": [{**COST_SETTING, "clients": True}]}, "settings[0].clients"),
         ({"settings": [{**COST_SETTING, "clients": 2.5}]}, "settings[0].clients"),
         ({"settings": [{**COST_SETTING, "dataset_size": 50000.5}]}, "settings[0].dataset_size"),
+        ({"methods": ["fl"], "bogus": 1}, "bogus"),
     ])
     def test_malformed_cost_config_exits_2(self, tmp_path, capsys, raw, field):
         cfg = self._write_config(tmp_path, raw)
@@ -580,6 +581,54 @@ class TestCli:
         assert cli_main(["cost", "--config", cfg]) == 0
         rows = capsys.readouterr().out.splitlines()[1:]
         assert {row.split(",")[1] for row in rows} == {"psl", "fl"}
+
+    def test_sweep_grid_of_lists_keeps_one_run_and_row_per_cell(self, tmp_path, capsys):
+        raw = {"experiment": base_config(**{"protocol.epochs": 1}),
+               "grid": {"model.hidden": [[8], [4]]}, "seeds": [1]}
+        out = tmp_path / "sw"
+        assert cli_main(["sweep", "--config", self._write_config(tmp_path, raw),
+                         "--out", str(out)]) == 0
+        rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert [row["model.hidden"] for row in rows] == [[8], [4]]
+        names = sorted(p.name for p in (out / "runs").glob("*.metrics.jsonl"))
+        assert names == ["sglr-c2-phi0.5-a0.5-seed1-hidden_4_.metrics.jsonl",
+                         "sglr-c2-phi0.5-a0.5-seed1-hidden_8_.metrics.jsonl"]
+        csv_rows = (out / "sweep.csv").read_text().splitlines()
+        assert [row.split(",")[0] for row in csv_rows] == ["model.hidden", "[8]", "[4]"]
+
+    @pytest.mark.parametrize("experiment", [[1], "x", None])
+    def test_sweep_experiment_must_be_an_object(self, tmp_path, capsys, experiment):
+        raw = {"experiment": experiment, "grid": {"protocol.kind": ["psl"]}, "seeds": [0]}
+        assert cli_main(["sweep", "--config", self._write_config(tmp_path, raw)]) == 2
+        assert "config error: experiment: must be an object" in capsys.readouterr().err
+
+    def test_unwrapped_sweep_config_exits_2_naming_its_first_stray_key(self, tmp_path, capsys):
+        raw = {**base_config(), "grid": {"protocol.kind": ["psl"]}, "seeds": [0]}
+        out = tmp_path / "out"
+        assert cli_main(["sweep", "--config", self._write_config(tmp_path, raw),
+                         "--out", str(out)]) == 2
+        assert "config error: protocol: unknown key" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_protocol_seed_grid_key_exits_2(self, tmp_path, capsys):
+        raw = {"experiment": base_config(), "grid": {"protocol.seed": [1, 2]}, "seeds": [0]}
+        out = tmp_path / "out"
+        assert cli_main(["sweep", "--config", self._write_config(tmp_path, raw),
+                         "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "config error: grid.protocol.seed: " in err and "seeds" in err
+        assert not out.exists()
+
+    def test_cost_set_applies_without_a_config(self, capsys):
+        assert cli_main(["cost", "--set", 'methods=["fl"]']) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert rows and {row.split(",")[1] for row in rows} == {"fl"}
+
+    def test_cost_refuses_seed(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["cost", "--seed", "1"])
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err
 
     def test_console_script_installed(self):
         proc = subprocess.run(
