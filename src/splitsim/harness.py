@@ -377,21 +377,26 @@ def sweep(
     for key, values in grid.items():
         if not isinstance(values, list) or not values:
             raise ConfigError(f"must be a non-empty list, got {values!r}", field=f"grid.{key}")
-    if "protocol.seed" in grid:
-        raise ConfigError("every run takes its seed from 'seeds'; list the seeds there",
-                          field="grid.protocol.seed")
-    if not isinstance(seeds, list) or not seeds:
-        raise ConfigError("must be a non-empty list", field="seeds")
+        if key == "protocol.seed" or key == "protocol" and any(
+                isinstance(v, dict) and "seed" in v for v in values):
+            raise ConfigError("every run takes its seed from 'seeds'; list the seeds there",
+                              field=f"grid.{key}")
+    if (not isinstance(seeds, list) or not seeds
+            or any(type(s) is not int or s < 0 for s in seeds)):
+        raise ConfigError(f"must be a non-empty list of non-negative integers, got {seeds!r}",
+                          field="seeds")
 
     keys = list(grid)
     cells = list(product(*(grid[k] for k in keys)))
 
     jobs = []
     for index, cell in enumerate(cells):
+        cell_raw = json.loads(json.dumps(base))  # deep copy
+        for key, value in zip(keys, cell):
+            set_by_path(cell_raw, key, value)
         for seed in seeds:
-            raw = json.loads(json.dumps(base))  # deep copy
-            for key, value in zip(keys, cell):
-                set_by_path(raw, key, value)
+            # Copy again, so setting the seed leaves the cell's grid values as given.
+            raw = json.loads(json.dumps(cell_raw))
             set_by_path(raw, "protocol.seed", seed)
             jobs.append((index, ExperimentConfig.from_dict(raw)))
     ids = [cfg.resolved_run_id() for _, cfg in jobs]

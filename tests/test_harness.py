@@ -619,6 +619,37 @@ class TestCli:
         assert "config error: grid.protocol.seed: " in err and "seeds" in err
         assert not out.exists()
 
+    def test_sweep_section_grid_value_is_left_as_given(self, tmp_path, capsys):
+        protocol = {key: value for key, value in base_config()["protocol"].items()
+                    if key != "seed"}
+        protocol.update(epochs=1, kind="psl")
+        given = json.loads(json.dumps(protocol))
+        raw = {"experiment": base_config(), "grid": {"protocol": [protocol]}, "seeds": [1, 2]}
+        out = tmp_path / "sw"
+        assert cli_main(["sweep", "--config", self._write_config(tmp_path, raw),
+                         "--out", str(out)]) == 0
+        rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert [(row["protocol"], row["seeds"]) for row in rows] == [(given, 2)]
+        seeds = {json.loads(line)["seed"] for path in (out / "runs").glob("*.metrics.jsonl")
+                 for line in path.read_text().splitlines()}
+        assert seeds == {1, 2}
+
+    def test_sweep_protocol_grid_value_holding_seed_exits_2(self, tmp_path, capsys):
+        protocol = {**base_config()["protocol"], "seed": 5}
+        raw = {"experiment": base_config(), "grid": {"protocol": [protocol]}, "seeds": [1, 2]}
+        out = tmp_path / "out"
+        assert cli_main(["sweep", "--config", self._write_config(tmp_path, raw),
+                         "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "config error: grid.protocol: " in err and "seeds" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("seeds", [[], ["a"], [True], [-1], [0.5]])
+    def test_sweep_seeds_must_be_non_negative_integers(self, tmp_path, capsys, seeds):
+        raw = {"experiment": base_config(), "grid": {"protocol.kind": ["psl"]}, "seeds": seeds}
+        assert cli_main(["sweep", "--config", self._write_config(tmp_path, raw)]) == 2
+        assert "config error: seeds: must be a non-empty list" in capsys.readouterr().err
+
     def test_cost_set_applies_without_a_config(self, capsys):
         assert cli_main(["cost", "--set", 'methods=["fl"]']) == 0
         rows = capsys.readouterr().out.splitlines()[1:]
