@@ -6,6 +6,8 @@ shuffle (``synth_blocks``) with its validation and partition draws."""
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 from dataclasses import dataclass
 
@@ -60,43 +62,33 @@ def _read_be32(f, path) -> int:
     return struct.unpack(">I", raw)[0]
 
 
+def _read_idx(path, magic: int, name: str, payload: str) -> np.ndarray:
+    """The uint8 payload of one IDX file, shaped by its header; the rank is
+    the low byte of ``magic`` (3 for images, 1 for labels)."""
+    with open(path, "rb") as f:
+        got = _read_be32(f, path)
+        if got != magic:
+            raise FormatError(f"{path}: bad {name} magic 0x{got:08x}")
+        dims = [_read_be32(f, path) for _ in range(magic & 0xFF)]
+        # Never ask for more than the file holds: a corrupt header may claim 2**96 bytes.
+        raw = f.read(min(math.prod(dims), os.fstat(f.fileno()).st_size))
+        if len(raw) != math.prod(dims):
+            raise FormatError(f"{path}: truncated {payload} data")
+    return np.frombuffer(raw, dtype=np.uint8).reshape(dims)
+
+
 def load_idx(images_path, labels_path) -> Dataset:
     """Read an MNIST-style IDX image/label file pair.
 
     Pixels are scaled to [0, 1] and flattened row-major to d = rows*cols.
     """
-    with open(images_path, "rb") as f:
-        magic = _read_be32(f, images_path)
-        if magic != IDX_IMAGE_MAGIC:
-            raise FormatError(
-                f"{images_path}: bad image magic 0x{magic:08x}"
-            )
-        count = _read_be32(f, images_path)
-        rows = _read_be32(f, images_path)
-        cols = _read_be32(f, images_path)
-        raw = f.read(count * rows * cols)
-        if len(raw) != count * rows * cols:
-            raise FormatError(f"{images_path}: truncated pixel data")
-        pixels = np.frombuffer(raw, dtype=np.uint8)
+    pixels = _read_idx(images_path, IDX_IMAGE_MAGIC, "image", "pixel")
+    labels = _read_idx(labels_path, IDX_LABEL_MAGIC, "label", "label")
+    count, rows, cols = pixels.shape
+    if len(labels) != count:
+        raise FormatError(f"image count {count} does not match label count {len(labels)}")
     features = pixels.reshape(count, rows * cols).astype(np.float64)
     features /= 255.0
-
-    with open(labels_path, "rb") as f:
-        magic = _read_be32(f, labels_path)
-        if magic != IDX_LABEL_MAGIC:
-            raise FormatError(
-                f"{labels_path}: bad label magic 0x{magic:08x}"
-            )
-        n_labels = _read_be32(f, labels_path)
-        raw = f.read(n_labels)
-        if len(raw) != n_labels:
-            raise FormatError(f"{labels_path}: truncated label data")
-        labels = np.frombuffer(raw, dtype=np.uint8).astype(np.int64)
-
-    if n_labels != count:
-        raise FormatError(
-            f"image count {count} does not match label count {n_labels}"
-        )
     n_classes = int(labels.max()) + 1 if labels.size else 0
     return Dataset(features, labels, n_classes)
 
@@ -107,13 +99,11 @@ def write_idx(images_path, labels_path, images: np.ndarray, labels) -> None:
     labels = np.asarray(labels, dtype=np.uint8)
     if images.ndim != 3 or images.shape[0] != labels.shape[0]:
         raise InputError("images must be [N, rows, cols] with matching labels")
-    n, rows, cols = images.shape
-    with open(images_path, "wb") as f:
-        f.write(struct.pack(">IIII", IDX_IMAGE_MAGIC, n, rows, cols))
-        f.write(images.tobytes())
-    with open(labels_path, "wb") as f:
-        f.write(struct.pack(">II", IDX_LABEL_MAGIC, n))
-        f.write(labels.tobytes())
+    for path, magic, array in ((images_path, IDX_IMAGE_MAGIC, images),
+                               (labels_path, IDX_LABEL_MAGIC, labels)):
+        with open(path, "wb") as f:
+            f.write(struct.pack(f">{1 + array.ndim}I", magic, *array.shape))
+            f.write(array.tobytes())
 
 
 def synth_dataset(

@@ -2,9 +2,10 @@
 
 An experiment config is one JSON object (see ``ExperimentConfig.from_dict``)
 naming the protocol, the dataset (IDX files or the synthetic generator),
-the dense model and its cut index, and output options. Runs emit one JSON
-line per epoch plus a one-row CSV summary; with timestamps disabled
-(default) the emitted bytes are a pure function of config and seed.
+the dense model and its cut index, and the run id. Each field must hold
+its declared type (``FIELD_TYPES``). Runs emit one JSON line per epoch plus
+a one-row CSV summary with fixed columns; the emitted bytes are a pure
+function of config and seed.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import io
 import json
 import os
 import re
-import time
 from dataclasses import asdict, dataclass, field, fields, replace
 from itertools import product
 from pathlib import Path
@@ -62,19 +62,30 @@ class LeakageSpec:
     probe: int = 256
 
 
+# Field annotation -> (the types a config value may have, what the error
+# says it must be). A bool passes only as "bool": true is not a number.
+FIELD_TYPES = {
+    "int": (int, "an integer"),
+    "float": ((int, float), "a number"),
+    "bool": (bool, "true or false"),
+    "str": (str, "a string"),
+    "str | None": ((str, type(None)), "a string or null"),
+    "list[int]": (list, "a list of integers"),
+}
+
+
 def build_section(cls, payload, field: str):
     """``cls(**payload)``, with a payload that is no object or that ``cls``
-    rejects raised as a ConfigError naming ``field``. Each field typed ``int``
-    (each entry of one typed ``list[int]``) must be a Python int, not a bool
-    or a float, or the error names ``field.name``."""
+    rejects raised as a ConfigError naming ``field``. Each field must hold its
+    annotation's type per ``FIELD_TYPES`` (each entry of a ``list[int]`` a
+    Python int), or the error names ``field.name``."""
     if not isinstance(payload, dict):
         raise ConfigError("must be an object", field=field)
     for f in fields(cls):
-        if f.type in ("int", "list[int]") and f.name in payload:
-            value = payload[f.name]
-            if not (type(value) is int if f.type == "int" else
-                    isinstance(value, list) and all(type(v) is int for v in value)):
-                what = "a list of integers" if f.type == "list[int]" else "an integer"
+        if f.name in payload:
+            value, (types, what) = payload[f.name], FIELD_TYPES[f.type]
+            if (not isinstance(value, types) or isinstance(value, bool) != (types is bool)
+                    or types is list and any(type(v) is not int for v in value)):
                 raise ConfigError(f"must be {what}, got {value!r}", field=f"{field}.{f.name}")
     try:
         return cls(**payload)
@@ -100,7 +111,6 @@ class ExperimentConfig:
     dataset: DatasetSpec
     model: ModelSpec
     leakage: LeakageSpec
-    include_timestamps: bool = False
     run_id: str | None = None
 
     @staticmethod
@@ -112,15 +122,13 @@ class ExperimentConfig:
             build_section(cls, raw.get(name, {}), name)
             for name, cls in (("protocol", ProtocolConfig), ("dataset", DatasetSpec),
                               ("model", ModelSpec), ("leakage", LeakageSpec)))
-        stamps, run_id = raw.get("include_timestamps", False), raw.get("run_id")
-        if type(stamps) is not bool:
-            raise ConfigError(f"must be true or false, got {stamps!r}", field="include_timestamps")
+        run_id = raw.get("run_id")
         if run_id is not None and not (isinstance(run_id, str)
                                        and re.fullmatch(f"[{RUN_ID_CHARS}]+", run_id)):
             raise ConfigError(f"must be a string of [{RUN_ID_CHARS}]+, got {run_id!r}",
                               field="run_id")
 
-        cfg = ExperimentConfig(proto, ds, model, leak, stamps, run_id)
+        cfg = ExperimentConfig(proto, ds, model, leak, run_id)
         cfg.validate()
         return cfg
 
@@ -328,17 +336,19 @@ def write_metrics(result: ExperimentResult, out_dir) -> None:
         for record in result.records:
             f.write(record.to_json() + "\n")
 
-    row = result.summary_row()
-    if result.config.include_timestamps:
-        row["completed_at"] = time.strftime("%Y-%m-%dT%H:%M:%S")
-    with open(out / f"{run_id}.summary.csv", "w", newline="") as f:
-        writer = csv.DictWriter(f, fieldnames=list(row), lineterminator="\n")
-        writer.writeheader()
-        writer.writerow(row)
+    _write_csv(out / f"{run_id}.summary.csv", [result.summary_row()])
 
     with open(out / f"{run_id}.config.json", "w") as f:
         json.dump(result.config.to_dict(), f, indent=2, sort_keys=True)
         f.write("\n")
+
+
+def _write_csv(path, rows: list[dict]) -> None:
+    """Write ``rows`` under a header of the first row's keys."""
+    with open(path, "w", newline="") as f:
+        writer = csv.DictWriter(f, fieldnames=list(rows[0]), lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -433,10 +443,7 @@ def sweep(
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        with open(out / "sweep.csv", "w", newline="") as f:
-            writer = csv.DictWriter(f, fieldnames=list(rows[0]), lineterminator="\n")
-            writer.writeheader()
-            writer.writerows(rows)
+        _write_csv(out / "sweep.csv", rows)
     return rows
 
 

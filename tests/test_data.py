@@ -1,5 +1,7 @@
 """Dataset loading, synthesis, partitioning, and split tests."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -50,6 +52,31 @@ class TestIdx:
         p.write_bytes(struct.pack(">IIII", 0x803, 4, 28, 28) + b"\x00" * 10)
         with pytest.raises(FormatError):
             data.load_idx(p, p)
+
+    def test_header_claiming_more_than_the_file_holds(self, tmp_path):
+        p = tmp_path / "huge"
+        p.write_bytes(struct.pack(">IIII", 0x803, *[0xFFFFFFFF] * 3) + bytes(8))
+        with pytest.raises(FormatError, match="truncated pixel data"):
+            data.load_idx(p, p)
+
+    def test_zero_images_roundtrip(self, tmp_path):
+        ip, lp = tmp_path / "i", tmp_path / "l"
+        data.write_idx(ip, lp, np.zeros((0, 5, 4)), [])
+        ds = data.load_idx(ip, lp)
+        assert ds.features.shape == (0, 20) and ds.labels.shape == (0,)
+
+    @pytest.mark.parametrize("label_file, message", [
+        (struct.pack(">II", 0x802, 3) + bytes(3), "bad label magic 0x00000802"),
+        (struct.pack(">I", 0x801) + bytes(2), "truncated header"),
+        (struct.pack(">II", 0x801, 3) + bytes(2), "truncated label data"),
+        (struct.pack(">II", 0x801, 2) + bytes(2), "image count 3 does not match label count 2"),
+    ], ids=["magic", "header", "data", "count"])
+    def test_label_file_faults(self, tmp_path, label_file, message):
+        ip, lp = tmp_path / "i", tmp_path / "l"
+        data.write_idx(ip, lp, np.zeros((3, 2, 2)), [0, 1, 2])
+        lp.write_bytes(label_file)
+        with pytest.raises(FormatError, match=message):
+            data.load_idx(ip, lp)
 
 
 class TestSynth:

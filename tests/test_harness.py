@@ -3,7 +3,7 @@
 import dataclasses
 import gc
 import json
-import re
+import struct
 import subprocess
 import sys
 import weakref
@@ -13,14 +13,19 @@ import pytest
 
 from splitsim import data, harness
 from splitsim.cli import main as cli_main
+from splitsim.comm import CostParams
 from splitsim.errors import ConfigError
 from splitsim.harness import (
+    DatasetSpec,
     ExperimentConfig,
+    LeakageSpec,
+    ModelSpec,
     emit_cost_report,
     run_experiment,
     set_by_path,
     sweep,
 )
+from splitsim.protocols import ProtocolConfig
 
 
 def base_config(**overrides):
@@ -52,7 +57,7 @@ def base_config(**overrides):
 
 class TestConfig:
     def test_roundtrip(self, tmp_path):
-        cfg = ExperimentConfig.from_dict(base_config(include_timestamps=True, run_id="back"))
+        cfg = ExperimentConfig.from_dict(base_config(run_id="back"))
         again = ExperimentConfig.from_dict(cfg.to_dict())
         assert again.to_dict() == cfg.to_dict()
         run_experiment(cfg, tmp_path)  # the config.json a run writes loads back too
@@ -87,7 +92,14 @@ class TestConfig:
 
     def test_fields_are_the_accepted_top_level_keys(self):
         assert [f.name for f in dataclasses.fields(ExperimentConfig)] == [
-            "protocol", "dataset", "model", "leakage", "include_timestamps", "run_id"]
+            "protocol", "dataset", "model", "leakage", "run_id"]
+
+    def test_every_section_field_has_a_type_rule(self):
+        """A field with an annotation ``FIELD_TYPES`` lacks would fail every
+        config that sets it."""
+        for cls in (ProtocolConfig, DatasetSpec, ModelSpec, LeakageSpec, CostParams):
+            for f in dataclasses.fields(cls):
+                assert f.type in harness.FIELD_TYPES, (cls.__name__, f.name, f.type)
 
 
 class TestRunExperiment:
@@ -412,7 +424,8 @@ class TestCli:
         assert "config error: settings[0]: " in capsys.readouterr().err
 
     @pytest.mark.parametrize("key, value", [("leakge", {"enabled": True}),
-                                            ("cost", {"cut_size_mb": 1})])
+                                            ("cost", {"cut_size_mb": 1}),
+                                            ("include_timestamps", False)])
     def test_unknown_top_level_key_exits_2_naming_it(self, tmp_path, capsys, key, value):
         out = tmp_path / "out"
         cfg = self._write_config(tmp_path, base_config(**{key: value}))
@@ -436,13 +449,6 @@ class TestCli:
         assert cli_main(["run", "--config", cfg, "--out", str(out)]) == 2
         assert "config error: run_id: must be a string of" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [tmp_path / "config.json"]
-
-    @pytest.mark.parametrize("value", ["no", 0, 1, None])
-    def test_include_timestamps_must_be_a_boolean(self, tmp_path, capsys, value):
-        cfg = self._write_config(tmp_path, base_config(include_timestamps=value))
-        assert cli_main(["run", "--config", cfg]) == 2
-        assert "config error: include_timestamps: must be true or false" in (
-            capsys.readouterr().err)
 
     def test_phase_fraction_indistinguishable_from_zero_exits_2(self, tmp_path, capsys):
         cfg = self._write_config(tmp_path, base_config())
@@ -494,6 +500,29 @@ class TestCli:
             assert f"config error: {field}: must be " in capsys.readouterr().err
             assert not out.exists()
 
+    @pytest.mark.parametrize("verb, overrides, field", [
+        ("run", ['dataset.separation="x"'], "dataset.separation"),
+        ("run", ["dataset.kind=idx", "dataset.images=[1]"], "dataset.images"),
+        ("run", ["protocol.active_fraction=true"], "protocol.active_fraction"),
+        ("run", ["protocol.base_lr=true"], "protocol.base_lr"),
+        ("run", ["protocol.phase=5"], "protocol.phase"),
+        ("run", ['leakage.enabled="yes"'], "leakage.enabled"),
+        ("run", ["leakage.enabled=1"], "leakage.enabled"),
+        ("cost", ["settings=" + json.dumps([{**COST_SETTING, "cut_size_mb": True}])],
+         "settings[0].cut_size_mb"),
+    ])
+    def test_value_of_the_wrong_type_exits_2_naming_the_field(self, tmp_path, capsys, verb,
+                                                             overrides, field):
+        """A bool is no number and a number no bool or string."""
+        cfg = self._write_config(tmp_path, base_config() if verb == "run" else {})
+        out = tmp_path / "out"
+        args = [verb, "--config", cfg, "--out", str(out)]
+        for override in overrides:
+            args += ["--set", override]
+        assert cli_main(args) == 2
+        assert f"config error: {field}: must be " in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("override, field", [
         ("protocol.seed=-1", "protocol: seed must be nonnegative"),
         ("dataset.validation=-5", "dataset.validation: must be nonnegative"),
@@ -538,6 +567,18 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "truncated pixel data" in err
 
+    def test_idx_count_mismatch_exits_3(self, tmp_path, capsys):
+        images, labels = tmp_path / "images", tmp_path / "labels"
+        data.write_idx(images, labels, np.zeros((40, 3, 2)), np.arange(40) % 3)
+        labels.write_bytes(struct.pack(">II", data.IDX_LABEL_MAGIC, 39) + bytes(39))
+        raw = base_config(**{"dataset.kind": "idx", "dataset.images": str(images),
+                             "dataset.labels": str(labels), "dataset.per_client": 12,
+                             "dataset.validation": 8})
+        cfg = self._write_config(tmp_path, raw)
+        assert cli_main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
+        assert capsys.readouterr().err == (
+            "error: image count 40 does not match label count 39\n")
+
     def test_sweep_seed_flag_runs_only_that_seed(self, tmp_path, capsys):
         raw = {"experiment": base_config(**{"protocol.epochs": 1}),
                "grid": {"protocol.kind": ["psl", "sglr"]}, "seeds": [1, 2]}
@@ -549,22 +590,6 @@ class TestCli:
         seeds = {json.loads(line)["seed"] for path in (out / "runs").glob("*.metrics.jsonl")
                  for line in path.read_text().splitlines()}
         assert seeds == {7}
-
-    def test_timestamps_add_one_summary_column_only(self, tmp_path, capsys):
-        files = {}
-        for stamped in (False, True):
-            raw = base_config(include_timestamps=stamped, run_id="stamp")
-            out = tmp_path / str(stamped)
-            assert cli_main(["run", "--config", self._write_config(tmp_path, raw),
-                             "--out", str(out)]) == 0
-            files[stamped] = [(out / f"stamp.{name}").read_text()
-                              for name in ("summary.csv", "metrics.jsonl")]
-        (plain_csv, plain_jsonl), (stamped_csv, stamped_jsonl) = files[False], files[True]
-        assert stamped_jsonl == plain_jsonl
-        plain_rows, stamped_rows = plain_csv.splitlines(), stamped_csv.splitlines()
-        assert stamped_rows[0] == plain_rows[0] + ",completed_at"
-        head, stamp = stamped_rows[1].rsplit(",", 1)
-        assert head == plain_rows[1] and re.fullmatch(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\d", stamp)
 
     @pytest.mark.parametrize("values", [3, [], "psl"])
     def test_sweep_grid_value_must_be_a_non_empty_list(self, tmp_path, capsys, values):

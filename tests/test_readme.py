@@ -49,10 +49,10 @@ def summary_table_columns() -> list[str]:
 def test_summary_table_lists_the_columns_a_run_writes(tmp_path):
     raw = {"protocol": {"kind": "psl", "clients": 2, "epochs": 1, "batch_size": 4},
            "dataset": {"per_class": 20, "per_client": 8, "validation": 8},
-           "model": {"hidden": [4]}, "include_timestamps": True, "run_id": "doc"}
+           "model": {"hidden": [4]}, "run_id": "doc"}
     result = run_experiment(ExperimentConfig.from_dict(raw), tmp_path)
     header = (tmp_path / "doc.summary.csv").read_text().splitlines()[0].split(",")
-    assert summary_table_columns() == header == [*result.summary_row(), "completed_at"]
+    assert summary_table_columns() == header == [*result.summary_row()]
 
 
 def test_library_example_runs(capsys):
