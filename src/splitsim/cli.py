@@ -79,21 +79,31 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
+def cost_setting(entry, index: int) -> tuple[str, CostParams]:
+    """The ``(name, CostParams)`` pair of entry ``index`` of a cost config's
+    settings, by default named after its index; ``entry`` stays as given."""
+    field = f"settings[{index}]"
+    if not isinstance(entry, dict):
+        raise ConfigError("must be an object", field=field)
+    name = entry.get("name", f"setting_{index}")
+    if not isinstance(name, str):
+        raise ConfigError(f"must be a string, got {name!r}", field=f"{field}.name")
+    params = {key: value for key, value in entry.items() if key != "name"}
+    return name, build_section(CostParams, params, field)
+
+
 def cmd_cost(args) -> int:
     raw = load_config_dict(args.config, None, args.set)
     check_keys(raw, ("methods", "settings"), "a cost config")
     methods = raw.get("methods", list(METHODS))
     if not isinstance(methods, list) or not set(methods) <= set(METHODS):
         raise ConfigError(f"must be a list of {', '.join(METHODS)}", field="methods")
-    settings, names = None, None
+    settings = raw.get("settings")
     if "settings" in raw:
-        entries = raw["settings"]
-        if not isinstance(entries, list):
+        if not isinstance(settings, list):
             raise ConfigError("must be a list of objects", field="settings")
-        names = [e.pop("name", f"setting_{i}") if isinstance(e, dict) else None
-                 for i, e in enumerate(entries)]
-        settings = [build_section(CostParams, e, f"settings[{i}]") for i, e in enumerate(entries)]
-    csv_text = emit_cost_report(methods, settings, names)
+        settings = [cost_setting(entry, i) for i, entry in enumerate(settings)]
+    csv_text = emit_cost_report(methods, settings)
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)

@@ -23,13 +23,11 @@ Per-client cost is total / C. Training time is the compute time T plus
 the MB moved at link rate R: the whole total for a travelling segment
 (ssl), whose clients take turns, and one client's share for every other
 method, whose clients send in parallel. These are the published
-per-client and time rows.
+per-client and time rows; ``cost_rows`` lays them out and writes no CSV.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from collections import Counter
 from dataclasses import dataclass, field
@@ -121,20 +119,20 @@ def training_time(method: str, p: CostParams) -> float:
     return p.compute_time + mb / p.link_rate
 
 
-def cost_table_csv(methods, params_list, names=None) -> str:
-    """CSV of (name, method, params, per-client MB, total MB, time s) rows."""
-    columns = ("clients", "active_fraction", "dataset_size", "cut_size_mb",
-               "model_size_mb", "client_size_mb")
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["name", "method", *columns, "per_client_mb", "total_mb", "time_s"])
-    for i, p in enumerate(params_list):
-        name = names[i] if names else f"setting_{i}"
-        values = [getattr(p, col) for col in columns]
+COST_COLUMNS = ("name", "method", "clients", "active_fraction", "dataset_size", "cut_size_mb",
+                "model_size_mb", "client_size_mb", "per_client_mb", "total_mb", "time_s")
+
+
+def cost_rows(methods, settings) -> list[dict]:
+    """One row of ``COST_COLUMNS`` per ``(name, CostParams)`` setting and
+    method: the setting's geometry, then its costs to six decimals."""
+    rows = []
+    for name, p in settings:
+        values = [getattr(p, col) for col in COST_COLUMNS[2:8]]
         for method in methods:
             costs = [f"{f(method, p):.6f}" for f in (comm_per_client, total_comm, training_time)]
-            writer.writerow([name, method, *values, *costs])
-    return buf.getvalue()
+            rows.append(dict(zip(COST_COLUMNS, [name, method, *values, *costs])))
+    return rows
 
 
 # ---------------------------------------------------------------------------

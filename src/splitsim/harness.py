@@ -4,8 +4,9 @@ An experiment config is one JSON object (see ``ExperimentConfig.from_dict``)
 naming the protocol, the dataset (IDX files or the synthetic generator),
 the dense model and its cut index, and the run id. Each field must hold
 its declared type (``FIELD_TYPES``). Runs emit one JSON line per epoch plus
-a one-row CSV summary with fixed columns; the emitted bytes are a pure
-function of config and seed.
+a one-row CSV summary with fixed columns, both led by ``run_header``; the
+emitted bytes are a pure function of config and seed. Every CSV, the cost
+report's too, goes through ``_write_csv``.
 """
 
 from __future__ import annotations
@@ -181,6 +182,14 @@ class ExperimentConfig:
             f"-a{p.lr_exponent:g}-seed{p.seed}"
         )
 
+    def run_header(self) -> dict:
+        """The fields that name the run, in the summary's column order; every
+        metrics record and the summary row start from them."""
+        p = self.protocol
+        return {"run_id": self.resolved_run_id(), "protocol": p.kind, "clients": p.clients,
+                "active_fraction": p.active_fraction, "lr_exponent": p.lr_exponent,
+                "seed": p.seed}
+
 
 @dataclass
 class MetricsRecord:
@@ -197,9 +206,6 @@ class MetricsRecord:
     comm_bytes: int
     leakage_score: float | None = None
 
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
-
 
 @dataclass
 class ExperimentResult:
@@ -213,15 +219,9 @@ class ExperimentResult:
     trainer: SplitTrainer
 
     def summary_row(self) -> dict:
-        p = self.config.protocol
         return {
-            "run_id": self.config.resolved_run_id(),
-            "protocol": p.kind,
-            "clients": p.clients,
-            "active_fraction": p.active_fraction,
-            "lr_exponent": p.lr_exponent,
-            "seed": p.seed,
-            "epochs": p.epochs,
+            **self.config.run_header(),
+            "epochs": self.config.protocol.epochs,
             "final_loss": self.final_loss,
             "final_accuracy": self.final_accuracy,
             "total_comm_bytes": self.total_comm_bytes,
@@ -276,7 +276,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> ExperimentResult:
     trainer = SplitTrainer(model, client_data, cfg.protocol, val_data=val_pair, ledger=ledger)
 
     records: list[MetricsRecord] = []
-    run_id, p = cfg.resolved_run_id(), cfg.protocol
+    header, p = cfg.run_header(), cfg.protocol
     cut_width = next(l.out_dim for l in reversed(model.client_segment) if isinstance(l, nn.Dense))
     geometry = dict(clients=p.clients, rounds=cfg.dataset.per_client // p.batch_size,
                     batch_size=p.batch_size, cut_width=cut_width,
@@ -297,13 +297,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> ExperimentResult:
             leak_value = smashed_leakage_score(layers, probe, cfg.leakage.bins, pairs=pairs).value
         records.append(
             MetricsRecord(
-                run_id=run_id,
-                seed=cfg.protocol.seed,
+                **header,
                 epoch=epoch,
-                protocol=cfg.protocol.kind,
-                clients=cfg.protocol.clients,
-                active_fraction=cfg.protocol.active_fraction,
-                lr_exponent=cfg.protocol.lr_exponent,
                 train_loss=m.train_loss,
                 val_accuracy=m.val_accuracy,
                 server_lr=m.server_lr,
@@ -331,24 +326,20 @@ def write_metrics(result: ExperimentResult, out_dir) -> None:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     run_id = result.config.resolved_run_id()
-
-    with open(out / f"{run_id}.metrics.jsonl", "w") as f:
-        for record in result.records:
-            f.write(record.to_json() + "\n")
-
-    _write_csv(out / f"{run_id}.summary.csv", [result.summary_row()])
-
-    with open(out / f"{run_id}.config.json", "w") as f:
-        json.dump(result.config.to_dict(), f, indent=2, sort_keys=True)
-        f.write("\n")
+    (out / f"{run_id}.metrics.jsonl").write_text(
+        "".join(json.dumps(asdict(r), sort_keys=True) + "\n" for r in result.records))
+    with open(out / f"{run_id}.summary.csv", "w", newline="") as f:
+        _write_csv(f, [result.summary_row()])
+    (out / f"{run_id}.config.json").write_text(
+        json.dumps(result.config.to_dict(), indent=2, sort_keys=True) + "\n")
 
 
-def _write_csv(path, rows: list[dict]) -> None:
-    """Write ``rows`` under a header of the first row's keys."""
-    with open(path, "w", newline="") as f:
-        writer = csv.DictWriter(f, fieldnames=list(rows[0]), lineterminator="\n")
-        writer.writeheader()
-        writer.writerows(rows)
+def _write_csv(stream, rows: list[dict], columns=None) -> None:
+    """Write ``rows`` to the text ``stream`` under a header of ``columns``,
+    by default the first row's keys; the only CSV writer of the package."""
+    writer = csv.DictWriter(stream, fieldnames=columns or list(rows[0]), lineterminator="\n")
+    writer.writeheader()
+    writer.writerows(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -427,23 +418,15 @@ def sweep(
 
     rows = []
     for cell, entries in zip(cells, finals):
-        accs = np.array([acc for acc, _ in entries])
-        losses = np.array([loss for _, loss in entries])
-        row = {key: value for key, value in zip(keys, cell)}
-        row.update(
-            {
-                "seeds": len(entries),
-                "mean_final_accuracy": float(accs.mean()),
-                "std_final_accuracy": float(accs.std()),
-                "mean_final_loss": float(losses.mean()),
-            }
-        )
-        rows.append(row)
+        accs, losses = (np.array(column) for column in zip(*entries))
+        rows.append({**dict(zip(keys, cell)), "seeds": len(entries),
+                     "mean_final_accuracy": float(accs.mean()),
+                     "std_final_accuracy": float(accs.std()),
+                     "mean_final_loss": float(losses.mean())})
 
-    if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        _write_csv(out / "sweep.csv", rows)
+    if out_dir is not None:  # the runs have made the directory
+        with open(Path(out_dir) / "sweep.csv", "w", newline="") as f:
+            _write_csv(f, rows)
     return rows
 
 
@@ -462,19 +445,16 @@ REFERENCE_COST = comm.CostParams(
 
 DATASET_GRID = (50_000, 500_000, 2_000_000)
 
+DEFAULT_COST_SETTINGS = [("reference-100clients", REFERENCE_COST)] + [
+    (f"dataset-{d}", replace(REFERENCE_COST, dataset_size=d, link_rate=10.0, compute_time=1.0))
+    for d in DATASET_GRID]
 
-def emit_cost_report(
-    methods=comm.METHODS,
-    settings: list[comm.CostParams] | None = None,
-    names: list[str] | None = None,
-) -> str:
-    """Cost CSV over the given settings; defaults to the 100-client
-    reference point plus a dataset-size grid at the same model sizes."""
-    if settings is None:
-        settings = [REFERENCE_COST]
-        names = ["reference-100clients"]
-        for d in DATASET_GRID:
-            settings.append(replace(REFERENCE_COST, dataset_size=d, link_rate=10.0,
-                                    compute_time=1.0))
-            names.append(f"dataset-{d}")
-    return comm.cost_table_csv(list(methods), settings, names)
+
+def emit_cost_report(methods=comm.METHODS, settings=None) -> str:
+    """Cost CSV of ``methods`` over ``(name, CostParams)`` settings; by
+    default the 100-client reference point, then a dataset-size grid at the
+    same model sizes."""
+    buf = io.StringIO()
+    settings = DEFAULT_COST_SETTINGS if settings is None else settings
+    _write_csv(buf, comm.cost_rows(methods, settings), comm.COST_COLUMNS)
+    return buf.getvalue()

@@ -133,10 +133,9 @@ class ProtocolConfig:
 @dataclass
 class ClientState:
     """One client's local data and data share, plus views of its slot in
-    the trainer's client stack: ``layers`` and ``opt``."""
+    the trainer's client stack, bound on each access: ``layers`` and ``opt``."""
 
     client_id: int
-    layers: list
     features: Array
     labels: np.ndarray
     delta: float
@@ -146,6 +145,10 @@ class ClientState:
     @property
     def sample_count(self) -> int:
         return self.features.shape[0]
+
+    @property
+    def layers(self) -> list:
+        return self.stack.slot_layers(self.slot)
 
     @property
     def opt(self) -> nn.OptimizerState:
@@ -383,11 +386,10 @@ class SplitTrainer:
         self.buffer = nn.ParamBuffer([rows * nn.param_count(segment), server_size],
                                      config.optimizer)
         self.stack = nn.LayerStack(segment, rows, self.buffer)
-        views = [self.stack.slot_layers(s) for s in range(rows)]
         slots = [0] * config.clients if kind.travelling else range(config.clients)
         self.clients = [
-            ClientState(cid, views[slot], self._x[f : f + len(y)], self._y[f : f + len(y)],
-                        len(y) / total, self.stack, slot)
+            ClientState(cid, self._x[f : f + len(y)], self._y[f : f + len(y)], len(y) / total,
+                        self.stack, slot)
             for (cid, (_, y)), f, slot in zip(enumerate(checked), self._first, slots)
         ]
         self.deltas = {c.client_id: c.delta for c in self.clients}

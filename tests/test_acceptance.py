@@ -496,4 +496,4 @@ def test_criterion_9_determinism(tmp_path):
     elapsed = time.time() - t0
     ok = identical and len(names) == 3
     report(9, ok, f"{len(names)} metric files byte-identical across reruns "
-                  f"(timestamps disabled by default), {elapsed:.2f}s")
+                  f"{elapsed:.2f}s")

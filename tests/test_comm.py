@@ -9,11 +9,12 @@ from hypothesis import strategies as st
 
 from splitsim import nn, splitting
 from splitsim.comm import (
+    COST_COLUMNS,
     PAYLOAD_KINDS,
     CommLedger,
     CostParams,
     comm_per_client,
-    cost_table_csv,
+    cost_rows,
     reconcile,
     reduction_percent,
     total_comm,
@@ -21,6 +22,7 @@ from splitsim.comm import (
 )
 from splitsim.data import synth_dataset
 from splitsim.errors import InputError
+from splitsim.harness import emit_cost_report
 from splitsim.protocols import ProtocolConfig, SplitTrainer, keyed_rng
 
 
@@ -125,15 +127,14 @@ class TestMonotonicity:
 
 class TestCostTable:
     def test_empty_methods_header_only(self):
-        out = cost_table_csv([], [REFERENCE])
-        assert out.count("\n") == 1
-        assert out.startswith("name,method")
+        assert cost_rows([], [("reference", REFERENCE)]) == []
+        assert emit_cost_report(methods=()) == ",".join(COST_COLUMNS) + "\n"
 
     def test_rows_match_calculators(self):
-        out = cost_table_csv(["sglr"], [REFERENCE], names=["reference"])
-        line = out.strip().split("\n")[1].split(",")
-        assert line[0] == "reference"
-        assert float(line[-2]) == pytest.approx(total_comm("sglr", REFERENCE))
+        [row] = cost_rows(["sglr"], [("reference", REFERENCE)])
+        assert list(row) == list(COST_COLUMNS)
+        assert row["name"] == "reference"
+        assert float(row["total_mb"]) == pytest.approx(total_comm("sglr", REFERENCE))
 
 
 class TestLedger:

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from splitsim import data, harness
+from splitsim.cli import cost_setting
 from splitsim.cli import main as cli_main
 from splitsim.comm import CostParams
 from splitsim.errors import ConfigError
@@ -136,6 +137,20 @@ class TestRunExperiment:
                              "model.hidden": [32], **overrides})
         row = run_experiment(ExperimentConfig.from_dict(raw)).summary_row()
         assert row["formula_total_bytes"] == row["total_comm_bytes"] == 2 * 2 * 160 * 32 * 8
+
+    def test_records_start_with_the_summary_run_fields(self, tmp_path):
+        """Every JSONL record holds the six fields that name the run, equal to
+        the first six columns of the run's summary row."""
+        cfg = ExperimentConfig.from_dict(base_config())
+        result = run_experiment(cfg, tmp_path)
+        header = list(result.summary_row().items())[:6]
+        assert [key for key, _ in header] == ["run_id", "protocol", "clients",
+                                              "active_fraction", "lr_exponent", "seed"]
+        lines = (tmp_path / f"{cfg.resolved_run_id()}.metrics.jsonl").read_text().splitlines()
+        assert len(lines) == 2
+        for line in lines:
+            record = json.loads(line)
+            assert [(key, record[key]) for key, _ in header] == header
 
     def test_one_record_per_epoch(self):
         result = run_experiment(ExperimentConfig.from_dict(base_config()))
@@ -280,12 +295,11 @@ class TestSweep:
         with pytest.raises(ConfigError):
             sweep(base_config(), grid={}, seeds=[1])
 
-    def test_thread_env_gives_identical_rows(self, monkeypatch):
+    def test_sweep_rows_identical_across_reruns(self):
         grid = {"protocol.kind": ["psl", "sglr"]}
-        serial = sweep(base_config(), grid=grid, seeds=[4, 5])
-        monkeypatch.setenv("SPLITSIM_THREADS", "2")
-        threaded = sweep(base_config(), grid=grid, seeds=[4, 5])
-        assert serial == threaded
+        first = sweep(base_config(), grid=grid, seeds=[4, 5])
+        again = sweep(base_config(), grid=grid, seeds=[4, 5])
+        assert first == again
 
 
 class TestCostReport:
@@ -410,11 +424,21 @@ class TestCli:
         ({"settings": [{**COST_SETTING, "clients": 2.5}]}, "settings[0].clients"),
         ({"settings": [{**COST_SETTING, "dataset_size": 50000.5}]}, "settings[0].dataset_size"),
         ({"methods": ["fl"], "bogus": 1}, "bogus"),
+        ({"settings": [{**COST_SETTING, "name": 7}]}, "settings[0].name"),
+        ({"settings": [{**COST_SETTING, "name": ["a"]}]}, "settings[0].name"),
+        ({"settings": [{**COST_SETTING, "name": None}]}, "settings[0].name"),
     ])
     def test_malformed_cost_config_exits_2(self, tmp_path, capsys, raw, field):
         cfg = self._write_config(tmp_path, raw)
         assert cli_main(["cost", "--config", cfg]) == 2
         assert f"config error: {field}: " in capsys.readouterr().err
+
+    def test_cost_setting_leaves_its_entry_as_given(self):
+        entry = {**self.COST_SETTING, "name": "mine"}
+        before = dict(entry)
+        assert cost_setting(entry, 0) == ("mine", CostParams(**self.COST_SETTING))
+        assert entry == before
+        assert cost_setting(dict(self.COST_SETTING), 3)[0] == "setting_3"
 
     def test_zero_link_rate_in_cost_config_exits_2(self, tmp_path, capsys):
         setting = {"cut_size_mb": 1, "model_size_mb": 2, "client_size_mb": 1,
