@@ -211,12 +211,21 @@ class MetricsRecord:
 class ExperimentResult:
     config: ExperimentConfig
     records: list[MetricsRecord]
-    final_accuracy: float
-    final_loss: float
-    total_comm_bytes: int
     formula_total_bytes: float
     ledger: comm.CommLedger
     trainer: SplitTrainer
+
+    @property
+    def final_accuracy(self) -> float:
+        return self.records[-1].val_accuracy
+
+    @property
+    def final_loss(self) -> float:
+        return self.records[-1].train_loss
+
+    @property
+    def total_comm_bytes(self) -> int:
+        return self.ledger.total_bytes()
 
     def summary_row(self) -> dict:
         return {
@@ -310,9 +319,6 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> ExperimentResult:
     result = ExperimentResult(
         config=cfg,
         records=records,
-        final_accuracy=records[-1].val_accuracy,
-        final_loss=records[-1].train_loss,
-        total_comm_bytes=ledger.total_bytes(),
         formula_total_bytes=formula,
         ledger=ledger,
         trainer=trainer,

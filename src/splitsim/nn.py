@@ -59,6 +59,7 @@ class Dense:
             )
         check_finite(self.weight, "dense weight")
         check_finite(self.bias, "dense bias")
+        self._bind_views()
 
     @property
     def in_dim(self) -> int:
@@ -76,13 +77,18 @@ class Dense:
         if weight.shape != self.weight.shape or bias.shape != self.bias.shape:
             raise DimensionError("parameter shapes changed in set_params")
         self.weight, self.bias = weight, bias
+        self._bind_views()
+
+    def _bind_views(self) -> None:
+        """The transposed weight and the bias row that ``forward`` uses."""
+        self._weight_t, self._bias_row = self.weight.swapaxes(-1, -2), self.bias[..., None, :]
 
     def forward(self, x: Array) -> Array:
         if x.shape[-1] != self.weight.shape[-1]:
             raise DimensionError(
                 f"dense layer expects {self.in_dim} features, got {x.shape[-1]}"
             )
-        return x @ self.weight.swapaxes(-1, -2) + self.bias[..., None, :]
+        return x @ self._weight_t + self._bias_row
 
     def backward(self, x: Array, upstream: Array, out=None, input_grad=True):
         grad_w, grad_b = out or (None, None)
@@ -176,12 +182,23 @@ def forward(layers: Sequence[Layer], x: Array, *, validate: bool = True) -> Acti
             raise DimensionError(f"input must be [(clients,) batch, features], got {x.shape}")
         check_finite(x, "network input")
     inputs: list[Array] = []
-    for i, layer in enumerate(layers):
+    for layer, where in zip(layers, _output_names(len(layers))):
         inputs.append(x)
         x = layer.forward(x)
         if layer.kind == "dense":
-            check_finite(x, f"output of layer {i} (dense)")
+            check_finite(x, where)
     return ActivationCache(layers, inputs, x)
+
+
+# ``forward``'s check_finite names by layer index; it only grows, to the deepest stack run.
+_OUTPUT_NAMES: list[str] = []
+
+
+def _output_names(n: int) -> list[str]:
+    """The "output of layer i (dense)" names for at least ``i < n``, each built once."""
+    if n > len(_OUTPUT_NAMES):
+        _OUTPUT_NAMES.extend(f"output of layer {i} (dense)" for i in range(len(_OUTPUT_NAMES), n))
+    return _OUTPUT_NAMES
 
 
 def backward(cache: ActivationCache, upstream: Array, out=None, input_grad: bool = True):
@@ -295,58 +312,81 @@ def adam_step(
 ADAM_CHUNK = 16_384
 
 
+class AdamWalk:
+    """The path of an Adam step, built once. Each flat (params, grads, m, v)
+    tile, cut into segments by its ``sizes``, is walked in ``ADAM_CHUNK``
+    pieces; a piece keeps its four views, its length and the (start:stop
+    slice, segment) parts of it that take each segment's rate. Segments are
+    numbered on across tiles."""
+
+    __slots__ = ("chunks", "segments", "width")
+
+    def __init__(self, tiles: Sequence[tuple[Array, Array, Array, Array, Sequence[int]]]):
+        self.chunks: list[tuple] = []
+        self.segments = self.width = 0
+        for *arrays, sizes in tiles:
+            n = sum(sizes)
+            if {a.size for a in arrays} != {n}:
+                raise InputError("flat arrays must be as long as the arrays they hold")
+            ends = list(accumulate(sizes, initial=0))
+            for lo in range(0, n, ADAM_CHUNK):
+                hi = min(lo + ADAM_CHUNK, n)
+                cuts = [(slice(max(a, lo) - lo, min(b, hi) - lo), self.segments + i)
+                        for i, (a, b) in enumerate(zip(ends, ends[1:])) if max(a, lo) < min(b, hi)]
+                self.chunks.append((*(a[lo:hi] for a in arrays), hi - lo, cuts))
+                self.width = max(self.width, hi - lo)
+            self.segments += len(sizes)
+
+    def step(self, rates: Sequence[float], state: OptimizerState) -> None:
+        """Adam step ``state.t``, segment i at ``rates[i]``, with one scratch
+        pair. Every operation keeps the textbook association,
+        ``((1-b2)*g)*g`` and ``(lr*m_hat)/(sqrt(v_hat)+eps)``, so results
+        equal it bit for bit."""
+        b1, b2, eps = state.beta1, state.beta2, state.eps
+        bc1, bc2 = 1.0 - b1**state.t, 1.0 - b2**state.t
+        s1, s2 = np.empty(self.width), np.empty(self.width)
+        for pc, gc, mc, vc, n, cuts in self.chunks:
+            t1, t2 = (s1, s2) if n == self.width else (s1[:n], s2[:n])
+            mc *= b1
+            np.multiply(gc, 1.0 - b1, out=t1)
+            mc += t1
+            vc *= b2
+            np.multiply(gc, 1.0 - b2, out=t1)
+            t1 *= gc
+            vc += t1
+            # x / 1.0 is x: skip the divide once 1 - beta1**t has rounded to 1.0.
+            m_hat = mc if bc1 == 1.0 else np.divide(mc, bc1, out=t1)
+            for part, i in cuts:
+                np.multiply(m_hat[part], rates[i], out=t1[part])
+            np.sqrt(np.divide(vc, bc2, out=t2), out=t2)
+            t2 += eps
+            t1 /= t2
+            pc -= t1
+
+
 def adam_update(
     params: Sequence[Array],
     grads: Sequence[Array],
     state: OptimizerState,
     lr: float | Sequence[float],
-    flat: Sequence[Array] | None = None,
+    flat: Sequence[Array] | AdamWalk | None = None,
 ) -> None:
-    """In-place Adam over C-contiguous arrays, in ``ADAM_CHUNK`` pieces, with
-    one ``lr`` or one per array. Every operation keeps the textbook
-    association, ``((1-b2)*g)*g`` and ``(lr*m_hat)/(sqrt(v_hat)+eps)``, so
-    results equal it bit for bit. ``flat`` (params, grads, m, v) are whole
-    arrays that the arrays and moments tile in order: one walk covers them."""
-    lrs = _learning_rates(lr, params, grads)
-    if state.m is None or state.v is None:
-        raise InputError("adam state is uninitialized")
-    if flat is not None and {a.size for a in flat} != {sum(p.size for p in params)}:
-        raise InputError("flat arrays must be as long as the arrays they hold")
-    walks = [(*flat, [p.size for p in params], lrs)] if flat is not None else [
-        (_writable_flat(p), g.reshape(-1), _writable_flat(m), _writable_flat(v), [p.size], [rate])
-        for p, g, m, v, rate in zip(params, grads, state.m, state.v, lrs, strict=True)]
+    """In-place Adam over C-contiguous arrays, in one ``AdamWalk``, with one
+    ``lr`` or one per array. ``flat`` (params, grads, m, v) are whole arrays
+    that the arrays and moments tile in order, so one walk covers them; or
+    ``flat`` is a walk built already (as ``ParamBuffer`` keeps), whose
+    arrays were checked when it was built: only the rates are checked."""
+    if isinstance(flat, AdamWalk):
+        walk, rates = flat, _rates(lr, flat.segments)
+    else:
+        rates = _learning_rates(lr, params, grads)
+        if state.m is None or state.v is None:
+            raise InputError("adam state is uninitialized")
+        walk = AdamWalk([(*flat, [p.size for p in params])] if flat is not None else [
+            (_writable_flat(p), g.reshape(-1), _writable_flat(m), _writable_flat(v), [p.size])
+            for p, g, m, v in zip(params, grads, state.m, state.v, strict=True)])
     state.t += 1
-    for walk in walks:
-        _adam_walk(*walk, state)
-
-
-def _adam_walk(p, g, m, v, sizes: Sequence[int], rates: Sequence[float], state) -> None:
-    """Adam step ``state.t`` over flat ``p, g, m, v``, segment i of ``sizes`` at ``rates[i]``."""
-    b1, b2, eps = state.beta1, state.beta2, state.eps
-    bc1, bc2 = 1.0 - b1**state.t, 1.0 - b2**state.t
-    ends, n = list(accumulate(sizes, initial=0)), p.size
-    t1, t2 = np.empty(min(n, ADAM_CHUNK)), np.empty(min(n, ADAM_CHUNK))
-    for lo in range(0, n, ADAM_CHUNK):
-        hi = min(lo + ADAM_CHUNK, n)
-        pc, gc, mc, vc = (p, g, m, v) if n <= ADAM_CHUNK else (a[lo:hi] for a in (p, g, m, v))
-        t1, t2 = t1[: hi - lo], t2[: hi - lo]
-        mc *= b1
-        np.multiply(gc, 1.0 - b1, out=t1)
-        mc += t1
-        vc *= b2
-        np.multiply(gc, 1.0 - b2, out=t1)
-        t1 *= gc
-        vc += t1
-        # x / 1.0 is x: skip the divide once 1 - beta1**t has rounded to 1.0.
-        m_hat = mc if bc1 == 1.0 else np.divide(mc, bc1, out=t1)
-        for a, b, rate in zip(ends, ends[1:], rates):
-            a, b = max(a, lo) - lo, min(b, hi) - lo
-            if a < b:
-                np.multiply(m_hat[a:b], rate, out=t1[a:b])
-        np.sqrt(np.divide(vc, bc2, out=t2), out=t2)
-        t2 += eps
-        t1 /= t2
-        pc -= t1
+    walk.step(rates, state)
 
 
 def optimizer_step(
@@ -354,7 +394,7 @@ def optimizer_step(
     grads: Sequence[Array],
     state: OptimizerState,
     lr: float | Sequence[float],
-    flat: Sequence[Array] | None = None,
+    flat: Sequence[Array] | AdamWalk | None = None,
 ) -> list[Array]:
     """Dispatch on ``state.kind``; updates ``params`` in place (one ``lr``
     or one per array; ``flat`` as in ``adam_update``) and returns them."""
@@ -369,12 +409,19 @@ def optimizer_step(
 
 def _learning_rates(lr, params: Sequence[Array], grads: Sequence[Array]) -> list[float]:
     """One positive learning rate per array, after checking the arrays align."""
-    lrs = list(lr) if isinstance(lr, (list, tuple)) else [lr] * len(params)
-    if not len(params) == len(grads) == len(lrs):
-        raise DimensionError("need a grad and a learning rate (or one for all) per param")
+    if len(params) != len(grads):
+        raise DimensionError("need a grad per param")
     for p, g in zip(params, grads):
         if p.shape != g.shape:
             raise DimensionError(f"param shape {p.shape} vs grad shape {g.shape}")
+    return _rates(lr, len(params))
+
+
+def _rates(lr, count: int) -> list[float]:
+    """``count`` positive learning rates: the list ``lr``, or ``lr`` for each."""
+    lrs = list(lr) if isinstance(lr, (list, tuple)) else [lr] * count
+    if len(lrs) != count:
+        raise DimensionError("need one learning rate for all, or one per array or segment")
     if min(lrs, default=1.0) <= 0:
         raise InputError("learning rate must be positive")
     return lrs
@@ -438,6 +485,7 @@ class ParamBuffer:
         cut = [[a[lo:hi] for lo, hi in zip(ends, ends[1:])] for a in self._whole]
         self._params, self._grads, *moments = cut
         self.opt.m, self.opt.v = moments or (None, None)
+        self._walk = AdamWalk([(*self._whole, sizes)]) if optimizer == "adam" else None
         self._claimed = 0
 
     def claim(self, size: int) -> list[Array]:
@@ -446,8 +494,9 @@ class ParamBuffer:
         return [a[lo : self._claimed] for a in self._whole]
 
     def step(self, lr: float | Sequence[float]) -> None:
-        """One optimizer step from ``grads``, in one walk; one lr, or one per segment."""
-        optimizer_step(self._params, self._grads, self.opt, lr, self._whole)
+        """One optimizer step from ``grads``, one lr or one per segment; Adam
+        takes the one walk built with the buffer."""
+        optimizer_step(self._params, self._grads, self.opt, lr, self._walk)
 
 
 class LayerStack:

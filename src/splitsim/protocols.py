@@ -77,8 +77,13 @@ STREAM_LEAKAGE = 6
 
 
 def keyed_rng(seed: int, stream: int, *key: int) -> np.random.Generator:
-    """Independent generator for (seed, stream, key...)."""
-    return np.random.default_rng([int(seed), int(stream), *map(int, key)])
+    """Independent generator for (seed, stream, key...). numpy reads an int
+    below 2**32 as one uint32 word, so words that all fit go in as a uint32
+    array, the same entropy, which numpy takes without converting each int."""
+    words = [int(seed), int(stream), *map(int, key)]
+    if 0 <= min(words) and max(words) < 2**32:
+        return np.random.default_rng(np.array(words, dtype=np.uint32))
+    return np.random.default_rng(words)
 
 
 @dataclass
@@ -311,6 +316,13 @@ def _epoch_batches(n: int, batch_size: int, rng: np.random.Generator) -> Array:
     return rng.permutation(n)[: rounds * batch_size].reshape(rounds, batch_size)
 
 
+def _recipients(ids, active: Sequence[int]) -> tuple[Array, list[int]]:
+    """Where a turn's cut gradients go: the ``active`` rows (an index array)
+    share one broadcast average, and the ``ids`` outside them keep their own."""
+    shared = set(active)
+    return np.array(active, dtype=np.intp), [c for c in ids if c not in shared]
+
+
 def _row_pool(pairs) -> tuple[Array, np.ndarray, Array]:
     """(features, labels, each pair's first row): the base arrays of which
     every pair is the same run of rows, or else the pairs concatenated once."""
@@ -423,9 +435,10 @@ class SplitTrainer:
         turns = [[cid] for cid in everyone] if kind.travelling else [everyone]
         losses = []
         for ids in turns:
+            averaged, unicast = _recipients(ids, active)
             rounds = min(len(batches[cid]) for cid in ids)
             for rows in np.stack([batches[c][:rounds] for c in ids], 1) + self._first[ids, None]:
-                losses.append(self._round(ids, rows, active))
+                losses.append(self._round(ids, rows, averaged, unicast))
                 if kind.loc_avg:
                     self._local_weight_average()
             if kind.travelling:
@@ -469,10 +482,11 @@ class SplitTrainer:
         (client id -> batch rows, ascending ids): every client, so row i is
         client i, or for ssl the one client holding the travelling segment."""
         rows = [self._first[cid] + ix for cid, ix in batch_ix.items()]
-        return self._round(list(batch_ix), np.stack(rows), active)
+        return self._round(list(batch_ix), np.stack(rows), *_recipients(batch_ix, active))
 
-    def _round(self, ids: list[int], rows: Array, active: list[int]) -> float:
-        """``_parallel_round`` in pool row numbers: row i is client ``ids[i]``'s batch."""
+    def _round(self, ids: list[int], rows: Array, averaged: Array, unicast: list[int]) -> float:
+        """``_parallel_round`` in pool row numbers: row i is client ``ids[i]``'s
+        batch; the cut gradients go out as ``_recipients`` of the turn says."""
         x, y = self._x.take(rows, 0), self._y.take(rows)
         cache = nn.forward(self.stack.layers, x, validate=False)
         if self.server is None:
@@ -484,12 +498,11 @@ class SplitTrainer:
             loss, upstream, _ = splitting.server_gradients(
                 self.server_layers, cache.output, y, self._server_weights, self._server_grads,
                 validate=False)
-            if active:
-                common = active_sum(upstream, active)
-                upstream[active] = common / len(active)
+            if len(averaged):
+                common = active_sum(upstream, averaged)
+                upstream[averaged] = common / len(averaged)
                 self._log("down", "cut-grad", [None], common.nbytes)
-            shared = set(active)
-            self._log("down", "cut-grad", [c for c in ids if c not in shared], nbytes)
+            self._log("down", "cut-grad", unicast, nbytes)
         nn.backward(cache, upstream, self.stack.grads, input_grad=False)
         self.buffer.step(self._lr)
         self.steps += 1

@@ -513,3 +513,62 @@ def test_one_walk_rejects_flat_arrays_the_arrays_do_not_tile(short):
     with pytest.raises(InputError, match="as long as"):
         nn.adam_update(buf._params, buf._grads, buf.opt, 1e-3, flat)
     assert buf.opt.t == 0
+
+
+# At 8 elements a chunk: segment edges inside the first chunk, on a chunk
+# edge, past the first chunk, and several in one chunk.
+SMALL_CHUNK_SIZES = [[3, 10], [8, 8], [13, 6], [5, 3, 17], [1, 23, 2]]
+
+
+@pytest.mark.parametrize("sizes", SMALL_CHUNK_SIZES, ids=str)
+@pytest.mark.parametrize("start", [0, 1, 354, 355, 356, 400])
+def test_prebuilt_walk_at_small_chunks_equals_per_segment_adam(monkeypatch, sizes, start):
+    """The walk a ``ParamBuffer`` builds at construction, cut into 8-element
+    chunks, equals ``adam_update`` on each segment alone and the textbook
+    formula bit for bit, over three steps from ``start``."""
+    monkeypatch.setattr(nn, "ADAM_CHUNK", 8)
+    rng = np.random.default_rng(sum(sizes) * 1000 + start)
+    lrs = [1e-2, 3.7e-2, 2.5e-3][: len(sizes)]
+    buf = nn.ParamBuffer(sizes, "adam")
+    assert len(buf._walk.chunks) == -(-sum(sizes) // 8)
+    buf.params[:] = rng.normal(size=buf.params.size)
+    buf.opt.t = start
+    for m, v in zip(buf.opt.m, buf.opt.v):
+        m[:] = rng.random(m.size)
+        v[:] = m**2
+    ends = np.cumsum([0, *sizes]).tolist()
+    cuts = list(zip(ends, ends[1:]))
+    want = [buf.params[lo:hi].copy() for lo, hi in cuts]
+    book = [w.copy() for w in want]
+    states = [nn.OptimizerState("adam", t=start, m=[m.copy()], v=[v.copy()])
+              for m, v in zip(buf.opt.m, buf.opt.v)]
+    books = [{"t": start, "m": [m.copy()], "v": [v.copy()]} for m, v in zip(buf.opt.m, buf.opt.v)]
+    for _ in range(3):
+        buf.grads[:] = rng.normal(size=buf.grads.size)
+        buf.step(lrs)
+        for i, (lo, hi) in enumerate(cuts):
+            g = buf.grads[lo:hi]
+            nn.adam_update([want[i]], [g], states[i], lrs[i])
+            (book[i],) = textbook_adam([book[i]], [g], books[i], lrs[i])
+    assert buf.opt.t == start + 3
+    for i, (lo, hi) in enumerate(cuts):
+        for got, per_segment, textbook in [(buf.params[lo:hi], want[i], book[i]),
+                                           (buf.opt.m[i], states[i].m[0], books[i]["m"][0]),
+                                           (buf.opt.v[i], states[i].v[0], books[i]["v"][0])]:
+            assert np.array_equal(got, per_segment) and np.array_equal(got, textbook)
+
+
+@pytest.mark.parametrize("shape", [(4, 3), (2, 4, 3)], ids=["2-d", "stacked"])
+def test_dense_forward_after_set_params_uses_the_new_weights(shape):
+    """``Dense`` binds its transposed weight and bias row once: ``set_params``
+    rebinds them, and writes into the weights in place show through."""
+    rng = np.random.default_rng(10)
+    layer = nn.Dense(rng.normal(size=shape), rng.normal(size=shape[:-1]))
+    x = rng.normal(size=(*shape[:-2], 5, shape[-1]))
+    layer.forward(x)
+    for _ in range(2):
+        w, b = rng.normal(size=shape), rng.normal(size=shape[:-1])
+        nn.set_params([layer], [w, b])
+        assert np.array_equal(layer.forward(x), x @ w.swapaxes(-1, -2) + b[..., None, :])
+    layer.weight[:] = 0.0
+    assert np.array_equal(layer.forward(x), np.broadcast_to(b[..., None, :], x.shape[:-1] + b.shape[-1:]))

@@ -152,6 +152,16 @@ class TestRunExperiment:
             record = json.loads(line)
             assert [(key, record[key]) for key, _ in header] == header
 
+    def test_final_fields_read_the_records_and_the_ledger(self):
+        result = run_experiment(ExperimentConfig.from_dict(base_config()))
+        assert result.final_accuracy == result.records[-1].val_accuracy
+        assert result.final_loss == result.records[-1].train_loss
+        assert result.total_comm_bytes == result.ledger.total_bytes() > 0
+        assert result.total_comm_bytes == sum(r.comm_bytes for r in result.records)
+        for name in ("final_accuracy", "final_loss", "total_comm_bytes"):
+            with pytest.raises(AttributeError):
+                setattr(result, name, 0)
+
     def test_one_record_per_epoch(self):
         result = run_experiment(ExperimentConfig.from_dict(base_config()))
         assert len(result.records) == 2

@@ -2,6 +2,7 @@
 mechanisms, and scripted-trace oracles built from nn/splitting primitives."""
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -74,6 +75,28 @@ class TestSplitLr:
         # 20 clients, alpha=2: the server rate becomes 0.4.
         _, eta_s = split_lr(1e-3, 20, 2.0)
         assert eta_s == pytest.approx(0.4)
+
+
+class TestKeyedRng:
+    # Words at, below and above 2**32: the array form covers only those below.
+    WORDS = st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32 - 2, 2**32 + 2),
+                      st.integers(0, 2**80))
+
+    @settings(max_examples=200, deadline=None)
+    @given(words=st.lists(WORDS, min_size=2, max_size=5))
+    @example(words=[0, 0])
+    @example(words=[2**32 - 1, 2**32, 7])
+    def test_state_equals_the_int_list_seed(self, words):
+        got = keyed_rng(*words)
+        want = np.random.default_rng(words)
+        assert got.bit_generator.state == want.bit_generator.state
+        assert got.integers(2**62) == want.integers(2**62)
+
+    def test_negative_word_raises_as_the_int_list_seed(self):
+        with pytest.raises(ValueError) as want:
+            np.random.default_rng([0, 1, -1])
+        with pytest.raises(ValueError, match=re.escape(str(want.value))):
+            keyed_rng(0, 1, -1)
 
 
 class TestActiveSampling:

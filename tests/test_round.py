@@ -233,3 +233,33 @@ def test_active_sum_equals_the_id_order_loop(ids, count, shape, zeros, seed):
     for cid in active:
         want += rows[cid]
     assert np.array_equal(bits(protocols.active_sum(rows, active)), bits(want))
+
+
+# The Dense outputs of make_model's client and server segments, then of the
+# whole model, which fl's clients hold.
+SPLIT_OUTPUTS = ["output of layer 0 (dense)"] * 2 + ["output of layer 2 (dense)"]
+FULL_OUTPUTS = [f"output of layer {i} (dense)" for i in (0, 2, 4)]
+
+
+@pytest.mark.parametrize("kind", PROTOCOL_KINDS)
+def test_one_round_checks_each_dense_output_once_and_steps_once(kind, monkeypatch):
+    """One ``_parallel_round`` calls ``nn.check_finite`` once per Dense output
+    of the client stack and of the server, and ``nn.optimizer_step`` once,
+    over the whole buffer: the counts that perfbench reads as
+    ``nn.check_finite.calls`` and ``nn.optimizer_step.*``."""
+    cfg = ProtocolConfig(kind=kind, clients=3, active_fraction=0.7, batch_size=4, seed=1)
+    trainer = SplitTrainer(make_model(seed=1), make_clients([8, 8, 8], "views", seed=1), cfg)
+    ids = [1] if trainer.kind.travelling else [0, 1, 2]
+    batch_ix = {cid: trainer._batches_for(trainer.clients[cid], 0)[0] for cid in ids}
+    checked, steps = [], []
+    check_finite, optimizer_step = nn.check_finite, nn.optimizer_step
+    monkeypatch.setattr(nn, "check_finite",
+                        lambda x, where: (checked.append(where), check_finite(x, where)))
+    monkeypatch.setattr(nn, "optimizer_step",
+                        lambda *args: (steps.append(args), optimizer_step(*args))[1])
+    trainer._parallel_round(batch_ix, [0, 2] if trainer.kind.grad_avg else [])
+    assert checked == (SPLIT_OUTPUTS if trainer.kind.server else FULL_OUTPUTS)
+    assert len(steps) == 1
+    params, _, state, *_ = steps[0]
+    assert state is trainer.buffer.opt and state.t == 1
+    assert sum(p.size for p in params) == trainer.buffer.params.size
