@@ -39,6 +39,7 @@ METHODS = ("fl", "ssl", "sfl", "sglr", "psl")
 
 BYTES_PER_SCALAR = 8
 MB = 1024 * 1024
+RECONCILE_TOLERANCE = 0.01  # relative error up to which measured bytes match a formula
 
 
 @dataclass
@@ -172,12 +173,6 @@ class CommLedger:
             out[kind] += nbytes
         return out
 
-    def bytes_by_client(self) -> dict[int | None, int]:
-        out: dict[int | None, int] = {}
-        for (_, _, cid), nbytes in self.entries.items():
-            out[cid] = out.get(cid, 0) + nbytes
-        return out
-
     def broadcast_bytes(self) -> int:
         return sum(n for (_, _, cid), n in self.entries.items() if cid is None)
 
@@ -197,20 +192,18 @@ class ReconcileItem:
 
 @dataclass
 class ReconcileReport:
-    method: str
     items: list[ReconcileItem]
     measured_total: int
     formula_total: float
-    tolerance: float
 
     @property
     def mismatches(self) -> list[ReconcileItem]:
-        return [i for i in self.items if i.relative_error > self.tolerance]
+        return [i for i in self.items if i.relative_error > RECONCILE_TOLERANCE]
 
     @property
     def ok(self) -> bool:
         total = ReconcileItem("total", self.measured_total, self.formula_total)
-        return not self.mismatches and total.relative_error <= self.tolerance
+        return not self.mismatches and total.relative_error <= RECONCILE_TOLERANCE
 
 
 def reconcile(
@@ -223,7 +216,6 @@ def reconcile(
     cut_width: int,
     active_count: int = 0,
     param_counts: dict[str, int] | None = None,
-    tolerance: float = 0.01,
     epochs: int = 1,
 ) -> ReconcileReport:
     """Check measured bytes against the analytic model for a finished run.
@@ -265,8 +257,7 @@ def reconcile(
     formula = formula_total(method, clients=clients, rounds=rounds, batch_size=batch_size,
                             cut_width=cut_width, active_count=active_count,
                             param_counts=param_counts, epochs=epochs)
-    return ReconcileReport(method=method, items=items, measured_total=ledger.total_bytes(),
-                           formula_total=formula, tolerance=tolerance)
+    return ReconcileReport(items=items, measured_total=ledger.total_bytes(), formula_total=formula)
 
 
 def formula_total(method: str, *, clients: int, rounds: int, batch_size: int, cut_width: int,

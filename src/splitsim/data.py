@@ -62,14 +62,25 @@ def _read_be32(f, path) -> int:
     return struct.unpack(">I", raw)[0]
 
 
+def _read_idx_dims(f, path, magic: int, name: str) -> list[int]:
+    """The header dims of the IDX file open as ``f``, as many as the low byte
+    of ``magic`` says (3 for images, 1 for labels)."""
+    got = _read_be32(f, path)
+    if got != magic:
+        raise FormatError(f"{path}: bad {name} magic 0x{got:08x}")
+    return [_read_be32(f, path) for _ in range(magic & 0xFF)]
+
+
+def idx_image_count(images_path) -> int:
+    """The image count in an IDX image file's header; no pixel is read."""
+    with open(images_path, "rb") as f:
+        return _read_idx_dims(f, images_path, IDX_IMAGE_MAGIC, "image")[0]
+
+
 def _read_idx(path, magic: int, name: str, payload: str) -> np.ndarray:
-    """The uint8 payload of one IDX file, shaped by its header; the rank is
-    the low byte of ``magic`` (3 for images, 1 for labels)."""
+    """The uint8 payload of one IDX file, shaped by its header."""
     with open(path, "rb") as f:
-        got = _read_be32(f, path)
-        if got != magic:
-            raise FormatError(f"{path}: bad {name} magic 0x{got:08x}")
-        dims = [_read_be32(f, path) for _ in range(magic & 0xFF)]
+        dims = _read_idx_dims(f, path, magic, name)
         # Never ask for more than the file holds: a corrupt header may claim 2**96 bytes.
         raw = f.read(min(math.prod(dims), os.fstat(f.fileno()).st_size))
         if len(raw) != math.prod(dims):

@@ -148,16 +148,18 @@ class ExperimentConfig:
                     raise ConfigError("required for idx datasets", field=f"dataset.{attr}")
                 if not os.path.exists(path):
                     raise ConfigError(f"file not found: {path}", field=f"dataset.{attr}")
+            rows = data.idx_image_count(ds.images)  # a malformed header raises FormatError
         else:
             if ds.dim < ds.classes:
                 raise ConfigError("dim must be >= classes", field="dataset.dim")
             if not 0.0 < ds.separation < np.inf:
                 raise ConfigError("must be positive and finite", field="dataset.separation")
-            available = ds.classes * ds.per_class - ds.validation
-            if self.protocol.clients * ds.per_client > available:
-                raise ConfigError(f"needs {self.protocol.clients * ds.per_client} training "
-                                  f"samples but only {available} remain after validation",
-                                  field="dataset.per_client")
+            rows = ds.classes * ds.per_class
+        available = rows - ds.validation
+        if self.protocol.clients * ds.per_client > available:
+            raise ConfigError(f"needs {self.protocol.clients * ds.per_client} training "
+                              f"samples but only {available} remain after validation",
+                              field="dataset.per_client")
         if ds.per_client < self.protocol.batch_size:
             raise ConfigError("per_client smaller than the batch size", field="dataset.per_client")
         n_layers = 2 * (len(self.model.hidden) + 1) - 1
@@ -398,14 +400,14 @@ def sweep(
 
     jobs = []
     for index, cell in enumerate(cells):
-        cell_raw = json.loads(json.dumps(base))  # deep copy
-        for key, value in zip(keys, cell):
-            set_by_path(cell_raw, key, value)
-        for seed in seeds:
-            # Copy again, so setting the seed leaves the cell's grid values as given.
-            raw = json.loads(json.dumps(cell_raw))
-            set_by_path(raw, "protocol.seed", seed)
-            jobs.append((index, ExperimentConfig.from_dict(raw)))
+        # A deep copy of both, so setting the seed leaves the grid values as given.
+        raw, values = json.loads(json.dumps([base, cell]))
+        for key, value in zip(keys, values):
+            set_by_path(raw, key, value)
+        # Checked once, at the first seed: a base seed the sweep overrides is never read.
+        set_by_path(raw, "protocol.seed", seeds[0])
+        cfg = ExperimentConfig.from_dict(raw)
+        jobs += [(index, replace(cfg, protocol=replace(cfg.protocol, seed=seed))) for seed in seeds]
     ids = [cfg.resolved_run_id() for _, cfg in jobs]
     for index, cfg in jobs:
         if ids.count(cfg.resolved_run_id()) > 1:

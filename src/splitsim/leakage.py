@@ -36,8 +36,6 @@ class MIEstimate:
     """Histogram MI in nats, clamped at zero."""
 
     value: float
-    bins: int
-    samples: int
     degenerate: bool = False
 
 
@@ -137,7 +135,7 @@ def mutual_information(x: Sequence[float], y: Sequence[float], bins: int = 16) -
     index, constant = bin_columns(np.column_stack([x, y]), bins)
     degenerate = bool(constant.any())
     value = 0.0 if degenerate else mi_from_joint(joint_histogram(index[:, 0], index[:, 1], bins))
-    return MIEstimate(value, bins, len(x), degenerate=degenerate)
+    return MIEstimate(value, degenerate=degenerate)
 
 
 def draw_pairs(d_in: int, d_out: int, n_pairs: int, seed: int) -> list[tuple[int, int]]:
@@ -150,7 +148,6 @@ def draw_pairs(d_in: int, d_out: int, n_pairs: int, seed: int) -> list[tuple[int
 class LeakageScore:
     value: float
     pairs: int
-    bins: int
 
 
 def smashed_leakage_score(
@@ -185,4 +182,4 @@ def smashed_leakage_score(
     live = ~(constant[x] | constant[y])
     mi = np.zeros(len(distinct))
     mi[live] = mi_from_joints(joint_histogram(index[:, x[live]], index[:, y[live]], bins))
-    return LeakageScore(value=float(np.mean(mi[which])), pairs=len(pairs), bins=bins)
+    return LeakageScore(value=float(np.mean(mi[which])), pairs=len(pairs))

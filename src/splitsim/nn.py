@@ -327,7 +327,7 @@ class AdamWalk:
         for *arrays, sizes in tiles:
             n = sum(sizes)
             if {a.size for a in arrays} != {n}:
-                raise InputError("flat arrays must be as long as the arrays they hold")
+                raise InputError("moments and grads must be as long as their params")
             ends = list(accumulate(sizes, initial=0))
             for lo in range(0, n, ADAM_CHUNK):
                 hi = min(lo + ADAM_CHUNK, n)
@@ -369,20 +369,18 @@ def adam_update(
     grads: Sequence[Array],
     state: OptimizerState,
     lr: float | Sequence[float],
-    flat: Sequence[Array] | AdamWalk | None = None,
+    walk: AdamWalk | None = None,
 ) -> None:
     """In-place Adam over C-contiguous arrays, in one ``AdamWalk``, with one
-    ``lr`` or one per array. ``flat`` (params, grads, m, v) are whole arrays
-    that the arrays and moments tile in order, so one walk covers them; or
-    ``flat`` is a walk built already (as ``ParamBuffer`` keeps), whose
-    arrays were checked when it was built: only the rates are checked."""
-    if isinstance(flat, AdamWalk):
-        walk, rates = flat, _rates(lr, flat.segments)
+    ``lr`` or one per array; a ``walk`` built already (as ``ParamBuffer``
+    keeps) had its arrays checked then, so only the rates are checked."""
+    if walk is not None:
+        rates = _rates(lr, walk.segments)
     else:
         rates = _learning_rates(lr, params, grads)
         if state.m is None or state.v is None:
             raise InputError("adam state is uninitialized")
-        walk = AdamWalk([(*flat, [p.size for p in params])] if flat is not None else [
+        walk = AdamWalk([
             (_writable_flat(p), g.reshape(-1), _writable_flat(m), _writable_flat(v), [p.size])
             for p, g, m, v in zip(params, grads, state.m, state.v, strict=True)])
     state.t += 1
@@ -394,12 +392,12 @@ def optimizer_step(
     grads: Sequence[Array],
     state: OptimizerState,
     lr: float | Sequence[float],
-    flat: Sequence[Array] | AdamWalk | None = None,
+    walk: AdamWalk | None = None,
 ) -> list[Array]:
     """Dispatch on ``state.kind``; updates ``params`` in place (one ``lr``
-    or one per array; ``flat`` as in ``adam_update``) and returns them."""
+    or one per array; ``walk`` as in ``adam_update``) and returns them."""
     if state.kind == "adam":
-        adam_update(params, grads, state, lr, flat)
+        adam_update(params, grads, state, lr, walk)
     else:
         lrs = _learning_rates(lr, params, grads)
         for p, g, rate in zip([_writable_flat(p) for p in params], grads, lrs):
@@ -513,7 +511,7 @@ class LayerStack:
         self._template = list(layers)
         self._shapes = [p.shape for p in params]
         size = slots * sum(p.size for p in params)
-        self.buffer, self.opt = buffer, buffer.opt
+        self.opt = buffer.opt
         self.flat, self.grad, *self._moments = [a.reshape(slots, -1) for a in buffer.claim(size)]
         self.flat[:] = np.concatenate([p.reshape(-1) for p in params])
         self.layers = self._bind(self.flat)

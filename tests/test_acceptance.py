@@ -444,7 +444,7 @@ def _reconcile_run(kind, clients, phi=0.0, active_count=0):
     trainer.run_epoch(0)
     return reconcile(
         ledger, kind, clients=clients, rounds=rounds, batch_size=batch,
-        cut_width=cut_width, active_count=active_count, tolerance=0.01,
+        cut_width=cut_width, active_count=active_count,
     )
 
 

@@ -145,7 +145,6 @@ class TestLedger:
         ledger.record("down", "cut-grad", None, 40)
         assert ledger.total_bytes() == 200
         assert sum(ledger.bytes_by_kind().values()) == 200
-        assert sum(ledger.bytes_by_client().values()) == 200
         assert ledger.broadcast_bytes() == 40
 
     def test_unknown_kind_rejected(self):

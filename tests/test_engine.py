@@ -138,7 +138,7 @@ def test_stack_step_and_average_equal_per_client(clients, optimizer, extra, seed
         grads = [[rng.normal(size=(clients,) + p.shape)] for p in params[0]]
         for view, g in zip(nn.collect_grads(stack.grads), nn.collect_grads(grads), strict=True):
             view[...] = g
-        stack.buffer.step(1e-2)
+        buffer.step(1e-2)
         for c in range(clients):
             own = [g[0][c] for g in grads]
             params[c] = reference_step(params[c], own, states[c], optimizer, 1e-2)
@@ -503,16 +503,17 @@ def test_bias_corrections_reach_one():
     assert 1.0 - 0.9**355 != 1.0 and 1.0 - 0.9**356 == 1.0
 
 
-@pytest.mark.parametrize("short", [0, 1, 2, 3])
-def test_one_walk_rejects_flat_arrays_the_arrays_do_not_tile(short):
-    """``flat`` must be exactly as long as the arrays it holds, so no element
-    outside every segment is stepped with a stale scratch value."""
-    buf = nn.ParamBuffer([4, 3], "adam")
-    flat = list(buf._whole)
-    flat[short] = np.zeros(flat[short].size + 1)
+@pytest.mark.parametrize(("moment", "extra"), [("m", 1), ("m", -1), ("v", 1), ("v", -1)],
+                         ids=["0", "1", "2", "3"])
+def test_one_walk_rejects_flat_arrays_the_arrays_do_not_tile(moment, extra):
+    """A moment must be exactly as long as its param, so no element outside
+    every segment is stepped with a stale scratch value."""
+    params, grads = [np.ones(4), np.ones(3)], [np.ones(4), np.ones(3)]
+    state = nn.init_optimizer("adam", params)
+    getattr(state, moment)[1] = np.zeros(3 + extra)
     with pytest.raises(InputError, match="as long as"):
-        nn.adam_update(buf._params, buf._grads, buf.opt, 1e-3, flat)
-    assert buf.opt.t == 0
+        nn.adam_update(params, grads, state, 1e-3)
+    assert state.t == 0
 
 
 # At 8 elements a chunk: segment edges inside the first chunk, on a chunk

@@ -613,6 +613,23 @@ class TestCli:
         assert capsys.readouterr().err == (
             "error: image count 40 does not match label count 39\n")
 
+    @pytest.mark.parametrize("validation, left", [(10, 50), (60, 0)])
+    def test_idx_short_of_rows_exits_2_before_loading_pixels(
+            self, tmp_path, capsys, monkeypatch, validation, left):
+        """The image count comes from the IDX header, and the capacity check
+        is the synthetic one: 4 clients x 20 rows do not fit in 60 images."""
+        images, labels = tmp_path / "images", tmp_path / "labels"
+        data.write_idx(images, labels, np.zeros((60, 3, 2)), np.arange(60) % 3)
+        monkeypatch.setattr(data, "load_idx", lambda *_: pytest.fail("pixels loaded"))
+        raw = base_config(**{"dataset.kind": "idx", "dataset.images": str(images),
+                             "dataset.labels": str(labels), "protocol.clients": 4,
+                             "dataset.per_client": 20, "dataset.validation": validation})
+        cfg = self._write_config(tmp_path, raw)
+        assert cli_main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            "config error: dataset.per_client: needs 80 training samples but only "
+            f"{left} remain after validation\n")
+
     def test_sweep_seed_flag_runs_only_that_seed(self, tmp_path, capsys):
         raw = {"experiment": base_config(**{"protocol.epochs": 1}),
                "grid": {"protocol.kind": ["psl", "sglr"]}, "seeds": [1, 2]}
