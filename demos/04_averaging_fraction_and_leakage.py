@@ -19,6 +19,7 @@ from splitsim import (
     SplitModel,
     SplitTrainer,
     build_mlp,
+    draw_pairs,
     keyed_rng,
     partition_iid,
     smashed_leakage_score,
@@ -35,6 +36,9 @@ train, val = split_validation(full, n_val=400, seed=SEED)
 part = partition_iid(train, clients=CLIENTS, per_client=160, seed=SEED)
 shards = [(train.features[ix], train.labels[ix]) for ix in part.client_indices]
 probe = val.features[:256]
+# The same 64 (input feature, cut unit) pairs score every phi; the cut
+# (layer 6 of the 16-32-32-24-6 stack) is 24 units wide.
+pairs = draw_pairs(probe.shape[1], 24, n_pairs=64, seed=SEED)
 
 print(f"{CLIENTS} clients, alpha=1.0 (server lr {1e-3 * CLIENTS:g}), "
       f"{EPOCHS} epochs\n")
@@ -48,9 +52,7 @@ for phi in (0.0, 0.25, 0.5, 0.75, 1.0):
     model = SplitModel(build_mlp([16, 32, 32, 24, 6], rng), cut_index=6)
     trainer = SplitTrainer(model, shards, config, val_data=(val.features, val.labels))
     metrics = trainer.run()
-    score = smashed_leakage_score(
-        trainer.clients[0].layers, probe, bins=16, n_pairs=64, seed=SEED
-    )
+    score = smashed_leakage_score(trainer.clients[0].layers, probe, bins=16, pairs=pairs)
     print(f"{phi:>5.2f} {metrics[-1].val_accuracy:>10.3f} {score.value:>15.4f}")
 
 print("\nphased training tempers the phi=1.0 failure mode: enable averaging")

@@ -32,7 +32,7 @@ from .errors import (
     NumericError,
     SplitSimError,
 )
-from .leakage import smashed_leakage_score
+from .leakage import draw_pairs, smashed_leakage_score
 from .nn import build_mlp
 from .protocols import ProtocolConfig, SplitTrainer, keyed_rng, split_lr
 from .splitting import SplitModel
@@ -51,6 +51,7 @@ __all__ = [
     "SplitTrainer",
     "build_mlp",
     "comm_per_client",
+    "draw_pairs",
     "keyed_rng",
     "partition_iid",
     "reconcile",

@@ -78,11 +78,11 @@ class CostParams:
 
 
 def _switches(method: str) -> Kind:
-    """The row of ``protocols.KINDS`` for ``method``; the kinds that share a
-    method share the switches the cost model reads."""
+    """``protocols.KINDS[method]``; the kinds that share a method's cost
+    share the switches the cost model reads."""
     if method not in METHODS:
         raise InputError(f"unknown method {method!r}")
-    return next(k for k in KINDS.values() if k.cost == method)
+    return KINDS[method]
 
 
 def total_comm(method: str, p: CostParams) -> float:

@@ -1,4 +1,5 @@
-"""Dataset ingestion (IDX binary format), a synthetic generator, IID
+"""Dataset ingestion (IDX binary format; ``idx_count`` checks a pair's
+headers without reading a payload), a synthetic generator, IID
 partitioning, and validation splits. Everything is seed-deterministic.
 Rows move in place (``permute_rows``), so a run keeps one copy of its data,
 and a run's set-up moves each row once: ``arrange`` composes the synthetic
@@ -48,7 +49,6 @@ class Partition:
     """Disjoint per-client index lists into a parent dataset."""
 
     client_indices: list[np.ndarray]
-    seed: int
 
     @property
     def clients(self) -> int:
@@ -71,10 +71,16 @@ def _read_idx_dims(f, path, magic: int, name: str) -> list[int]:
     return [_read_be32(f, path) for _ in range(magic & 0xFF)]
 
 
-def idx_image_count(images_path) -> int:
-    """The image count in an IDX image file's header; no pixel is read."""
+def idx_count(images_path, labels_path) -> int:
+    """The image count of an IDX pair, read from both headers, which must
+    agree; no pixel or label is read."""
     with open(images_path, "rb") as f:
-        return _read_idx_dims(f, images_path, IDX_IMAGE_MAGIC, "image")[0]
+        count = _read_idx_dims(f, images_path, IDX_IMAGE_MAGIC, "image")[0]
+    with open(labels_path, "rb") as f:
+        labels = _read_idx_dims(f, labels_path, IDX_LABEL_MAGIC, "label")[0]
+    if labels != count:
+        raise FormatError(f"image count {count} does not match label count {labels}")
+    return count
 
 
 def _read_idx(path, magic: int, name: str, payload: str) -> np.ndarray:
@@ -94,10 +100,9 @@ def load_idx(images_path, labels_path) -> Dataset:
     Pixels are scaled to [0, 1] and flattened row-major to d = rows*cols.
     """
     pixels = _read_idx(images_path, IDX_IMAGE_MAGIC, "image", "pixel")
+    idx_count(images_path, labels_path)  # the label header must match the images'
     labels = _read_idx(labels_path, IDX_LABEL_MAGIC, "label", "label")
     count, rows, cols = pixels.shape
-    if len(labels) != count:
-        raise FormatError(f"image count {count} does not match label count {len(labels)}")
     features = pixels.reshape(count, rows * cols).astype(np.float64)
     features /= 255.0
     n_classes = int(labels.max()) + 1 if labels.size else 0
@@ -176,7 +181,7 @@ def partition_iid(dataset: Dataset, clients: int, per_client: int, seed: int) ->
     """Disjoint uniform draws without replacement, ``per_client`` each."""
     drawn = partition_draw(len(dataset), clients, per_client, seed)
     chunks = [drawn[i * per_client : (i + 1) * per_client] for i in range(clients)]
-    return Partition(client_indices=chunks, seed=seed)
+    return Partition(client_indices=chunks)
 
 
 def split_validation(dataset: Dataset, n_val: int, seed: int) -> tuple[Dataset, Dataset]:

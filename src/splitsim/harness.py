@@ -148,7 +148,7 @@ class ExperimentConfig:
                     raise ConfigError("required for idx datasets", field=f"dataset.{attr}")
                 if not os.path.exists(path):
                     raise ConfigError(f"file not found: {path}", field=f"dataset.{attr}")
-            rows = data.idx_image_count(ds.images)  # a malformed header raises FormatError
+            rows = data.idx_count(ds.images, ds.labels)  # a bad header pair raises FormatError
         else:
             if ds.dim < ds.classes:
                 raise ConfigError("dim must be >= classes", field="dataset.dim")

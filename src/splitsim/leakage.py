@@ -8,13 +8,13 @@ over an equal-width binning of each variable's observed range; empty cells
 contribute nothing. The per-cell terms are sorted before summation, which
 makes I(X;Y) and I(Y;X) bitwise identical (same term multiset).
 
-An honest-but-curious server sees the smashed activations; the leakage
-score of a client segment is the mean MI over sampled
-(input feature, smashed unit) scalar pairs, so lower scores mean the cut
-output tells the server less about the raw input. A score bins every
-column it needs in one pass (``bin_columns``) and scores every distinct
-pair on one [pairs, bins, bins] stack (``mi_from_joints``); ``bin_index``
-and ``mi_from_joint`` are their one-column and one-joint cases.
+An honest-but-curious server sees the smashed activations; the leakage score
+of a client segment is the mean MI over the (input feature, smashed unit)
+pairs it is given (``draw_pairs`` samples them), so lower scores mean the
+cut output tells the server less about the raw input. A score bins every
+column it needs in one pass (``bin_columns``) and scores every distinct pair
+on one [pairs, bins, bins] stack (``mi_from_joints``); ``bin_index`` and
+``mi_from_joint`` are their one-column and one-joint cases.
 """
 
 from __future__ import annotations
@@ -153,25 +153,20 @@ class LeakageScore:
 def smashed_leakage_score(
     client_layers,
     probe_features: Array,
-    bins: int = 16,
-    n_pairs: int = 64,
-    seed: int = 0,
-    pairs: Sequence[tuple[int, int]] | None = None,
+    bins: int,
+    pairs: Sequence[tuple[int, int]],
 ) -> LeakageScore:
-    """Mean pairwise MI between input features and cut-layer units.
-
-    Pairs are ``draw_pairs`` draws unless given explicitly. The columns the
-    pairs use are binned in one pass, and every distinct pair's joint is
-    counted and scored at once; a pair's MI equals ``mutual_information``.
-    The mean follows the pair list order, so scores are deterministic.
+    """Mean MI over the given (feature index, unit index) ``pairs`` between
+    input features and cut-layer units. The columns the pairs use are binned
+    in one pass, and every distinct pair's joint is counted and scored at
+    once; a pair's MI equals ``mutual_information``. The mean follows the
+    pair list order, so scores are deterministic.
     """
     probe_features = nn.as_tensor(probe_features)
     if probe_features.shape[0] == 0:
         raise InputError("probe dataset is empty")
     smashed = nn.forward(client_layers, probe_features).output
     shape = (probe_features.shape[1], smashed.shape[1])
-    if pairs is None:
-        pairs = draw_pairs(*shape, n_pairs, seed)
     codes = np.ravel_multi_index(np.array(pairs, dtype=np.intp).reshape(-1, 2).T, shape)
     distinct, which = np.unique(codes, return_inverse=True)
     features, x = np.unique(distinct // shape[1], return_inverse=True)

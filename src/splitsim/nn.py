@@ -271,9 +271,6 @@ class OptimizerState:
     t: int = 0
     m: list[Array] | None = None
     v: list[Array] | None = None
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
 
 def init_optimizer(kind: str, params: Sequence[Array]) -> OptimizerState:
@@ -306,6 +303,9 @@ def adam_step(
     adam_update(out, grads, state, lr)
     return out, state
 
+
+# Adam's moment decay rates and denominator guard, the same for every run.
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 # Elements per pass of the Adam kernel: its two scratch rows (256 KiB) stay
 # in cache, where whole-array temporaries of a wide client stack would not.
@@ -342,16 +342,15 @@ class AdamWalk:
         pair. Every operation keeps the textbook association,
         ``((1-b2)*g)*g`` and ``(lr*m_hat)/(sqrt(v_hat)+eps)``, so results
         equal it bit for bit."""
-        b1, b2, eps = state.beta1, state.beta2, state.eps
-        bc1, bc2 = 1.0 - b1**state.t, 1.0 - b2**state.t
+        bc1, bc2 = 1.0 - ADAM_BETA1**state.t, 1.0 - ADAM_BETA2**state.t
         s1, s2 = np.empty(self.width), np.empty(self.width)
         for pc, gc, mc, vc, n, cuts in self.chunks:
             t1, t2 = (s1, s2) if n == self.width else (s1[:n], s2[:n])
-            mc *= b1
-            np.multiply(gc, 1.0 - b1, out=t1)
+            mc *= ADAM_BETA1
+            np.multiply(gc, 1.0 - ADAM_BETA1, out=t1)
             mc += t1
-            vc *= b2
-            np.multiply(gc, 1.0 - b2, out=t1)
+            vc *= ADAM_BETA2
+            np.multiply(gc, 1.0 - ADAM_BETA2, out=t1)
             t1 *= gc
             vc += t1
             # x / 1.0 is x: skip the divide once 1 - beta1**t has rounded to 1.0.
@@ -359,7 +358,7 @@ class AdamWalk:
             for part, i in cuts:
                 np.multiply(m_hat[part], rates[i], out=t1[part])
             np.sqrt(np.divide(vc, bc2, out=t2), out=t2)
-            t2 += eps
+            t2 += ADAM_EPS
             t1 /= t2
             pc -= t1
 

@@ -374,7 +374,6 @@ class SplitTrainer:
             )
         self.config = config
         self.kind = kind = KINDS[config.kind]
-        self.model = model
         self.ledger = ledger
         self._log = (lambda *payload: None) if ledger is None else ledger.record_each
         self.steps = 0

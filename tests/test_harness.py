@@ -613,6 +613,30 @@ class TestCli:
         assert capsys.readouterr().err == (
             "error: image count 40 does not match label count 39\n")
 
+    @pytest.mark.parametrize("label_file, message", [
+        (struct.pack(">II", 0x802, 60) + bytes(60), "{labels}: bad label magic 0x00000802"),
+        (struct.pack(">II", data.IDX_LABEL_MAGIC, 59) + bytes(59),
+         "image count 60 does not match label count 59"),
+    ], ids=["magic", "count"])
+    def test_idx_label_header_fault_exits_3_before_loading_pixels(
+            self, tmp_path, capsys, monkeypatch, label_file, message):
+        """Both headers are read when the config is checked, so a bad label
+        header fails before any payload of the pair is read."""
+        images, labels = tmp_path / "images", tmp_path / "labels"
+        data.write_idx(images, labels, np.zeros((60, 3, 2)), np.arange(60) % 3)
+        labels.write_bytes(label_file)
+        reads = []
+        read_idx = data._read_idx
+        monkeypatch.setattr(data, "_read_idx",
+                            lambda *args: (reads.append(args), read_idx(*args))[1])
+        raw = base_config(**{"dataset.kind": "idx", "dataset.images": str(images),
+                             "dataset.labels": str(labels), "dataset.per_client": 12,
+                             "dataset.validation": 8})
+        cfg = self._write_config(tmp_path, raw)
+        assert cli_main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
+        assert capsys.readouterr().err == f"error: {message.format(labels=labels)}\n"
+        assert reads == []
+
     @pytest.mark.parametrize("validation, left", [(10, 50), (60, 0)])
     def test_idx_short_of_rows_exits_2_before_loading_pixels(
             self, tmp_path, capsys, monkeypatch, validation, left):

@@ -59,6 +59,13 @@ def test_kinds_sharing_a_cost_method_share_its_switches():
     assert by_method["psl"] == ["psl", "slr"] and by_method["sglr"] == ["sgl", "sglr"]
 
 
+@pytest.mark.parametrize("method", comm.METHODS)
+def test_each_cost_method_is_the_kind_of_its_name(method):
+    """comm reads a method's switches from ``KINDS[method]``, so that row's
+    cost must be the method itself."""
+    assert protocols.KINDS[method].cost == method
+
+
 @pytest.mark.parametrize("method", ["sgl", "slr", "bogus"])
 def test_cost_model_rejects_a_kind_that_is_no_method(method):
     p = comm.CostParams(1.0, 2.0, 1.0, dataset_size=10, clients=2)

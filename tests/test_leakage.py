@@ -98,7 +98,7 @@ class TestLeakageScore:
         d = 6
         probe = self._probe(d=d)
         constant = [nn.Dense(np.zeros((4, d)), np.ones(4))]
-        score = smashed_leakage_score(constant, probe, bins=8, n_pairs=16, seed=1)
+        score = smashed_leakage_score(constant, probe, bins=8, pairs=draw_pairs(d, 4, 16, seed=1))
         assert score.value == 0.0
 
     def test_random_segment_between_baselines(self):
@@ -120,13 +120,14 @@ class TestLeakageScore:
         probe = self._probe()
         rng = np.random.default_rng(5)
         seg = [nn.Dense(rng.normal(size=(3, 6)), np.zeros(3))]
-        a = smashed_leakage_score(seg, probe, bins=8, n_pairs=32, seed=9)
-        b = smashed_leakage_score(seg, probe, bins=8, n_pairs=32, seed=9)
+        a = smashed_leakage_score(seg, probe, bins=8, pairs=draw_pairs(6, 3, 32, seed=9))
+        b = smashed_leakage_score(seg, probe, bins=8, pairs=draw_pairs(6, 3, 32, seed=9))
         assert a.value == b.value
 
     def test_empty_probe_rejected(self):
         with pytest.raises(InputError):
-            smashed_leakage_score([nn.Relu()], np.zeros((0, 3)))
+            smashed_leakage_score([nn.Relu()], np.zeros((0, 3)), bins=16,
+                                  pairs=draw_pairs(3, 3, 64, seed=0))
 
 
 class TestAveragingFractionTrend:
@@ -163,7 +164,7 @@ class TestAveragingFractionTrend:
             trainer.run()
             return smashed_leakage_score(
                 trainer.clients[0].layers, val.features[:200],
-                bins=16, n_pairs=48, seed=seed,
+                bins=16, pairs=draw_pairs(16, 24, 48, seed=seed),
             ).value
 
         none = [score_for(0.0, seed) for seed in range(5)]
@@ -379,10 +380,5 @@ def test_stacked_mi_equals_one_joint_at_a_time(joints, bins, fill, probabilities
 
 
 def test_draw_pairs_is_the_default_draw():
-    rng = np.random.default_rng(7)
-    layers = [nn.Dense(rng.normal(size=(5, 9)), np.zeros(5))]
-    probe = rng.normal(size=(40, 9))
     pairs = draw_pairs(9, 5, 12, seed=3)
     assert all(0 <= f < 9 and 0 <= u < 5 for f, u in pairs)
-    drawn = smashed_leakage_score(layers, probe, bins=4, n_pairs=12, seed=3)
-    assert drawn == smashed_leakage_score(layers, probe, bins=4, pairs=pairs)

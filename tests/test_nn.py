@@ -226,7 +226,7 @@ class TestOptimizers:
         state = nn.init_optimizer("adam", [w])
         out, state = nn.adam_step([w], [np.ones(2)], state, 1e-3)
         # Bias correction gives m_hat = v_hat = 1 on step one.
-        expected = w - 1e-3 / (1.0 + state.eps)
+        expected = w - 1e-3 / (1.0 + nn.ADAM_EPS)
         assert np.allclose(out[0], expected, rtol=0, atol=1e-15)
         assert state.t == 1
 
