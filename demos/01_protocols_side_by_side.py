@@ -31,8 +31,8 @@ EPOCHS = 10
 
 full = synth_dataset(n_classes=6, per_class=300, dim=16, separation=3.0, seed=SEED)
 train, val = split_validation(full, n_val=300, seed=SEED)
-part = partition_iid(train, clients=CLIENTS, per_client=240, seed=SEED)
-shards = [(train.features[ix], train.labels[ix]) for ix in part.client_indices]
+indices = partition_iid(train, clients=CLIENTS, per_client=240, seed=SEED)
+shards = [(train.features[ix], train.labels[ix]) for ix in indices]
 
 print(f"{CLIENTS} clients x 240 samples, validation {len(val)}, {EPOCHS} epochs\n")
 

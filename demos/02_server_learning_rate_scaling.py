@@ -39,8 +39,8 @@ EPOCHS = 4
 
 full = synth_dataset(n_classes=8, per_class=900, dim=24, separation=2.2, seed=SEED)
 train, val = split_validation(full, n_val=600, seed=SEED)
-part = partition_iid(train, clients=CLIENTS, per_client=800, seed=SEED)
-shards = [(train.features[ix], train.labels[ix]) for ix in part.client_indices]
+indices = partition_iid(train, clients=CLIENTS, per_client=800, seed=SEED)
+shards = [(train.features[ix], train.labels[ix]) for ix in indices]
 
 print(f"\naccuracy after {EPOCHS} epochs, {CLIENTS} clients (early/steep phase):")
 for alpha in (0.0, 0.5, 1.0):

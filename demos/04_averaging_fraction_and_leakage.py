@@ -33,8 +33,8 @@ EPOCHS = 14
 
 full = synth_dataset(n_classes=6, per_class=601, dim=16, separation=4.5, seed=SEED)
 train, val = split_validation(full, n_val=400, seed=SEED)
-part = partition_iid(train, clients=CLIENTS, per_client=160, seed=SEED)
-shards = [(train.features[ix], train.labels[ix]) for ix in part.client_indices]
+indices = partition_iid(train, clients=CLIENTS, per_client=160, seed=SEED)
+shards = [(train.features[ix], train.labels[ix]) for ix in indices]
 probe = val.features[:256]
 # The same 64 (input feature, cut unit) pairs score every phi; the cut
 # (layer 6 of the 16-32-32-24-6 stack) is 24 units wide.
@@ -53,7 +53,7 @@ for phi in (0.0, 0.25, 0.5, 0.75, 1.0):
     trainer = SplitTrainer(model, shards, config, val_data=(val.features, val.labels))
     metrics = trainer.run()
     score = smashed_leakage_score(trainer.clients[0].layers, probe, bins=16, pairs=pairs)
-    print(f"{phi:>5.2f} {metrics[-1].val_accuracy:>10.3f} {score.value:>15.4f}")
+    print(f"{phi:>5.2f} {metrics[-1].val_accuracy:>10.3f} {score:>15.4f}")
 
 print("\nphased training tempers the phi=1.0 failure mode: enable averaging")
 print("only for an initial or final fraction of epochs via the phase spec,")

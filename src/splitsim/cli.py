@@ -136,16 +136,23 @@ def cmd_leakage(args) -> int:
     return EXIT_OK
 
 
+# verb: (handler, help, whether it runs an experiment and so takes --seed and needs --config)
+VERBS = {
+    "run": (cmd_run, "execute one configured experiment", True),
+    "sweep": (cmd_sweep, "run a config grid over seeds", True),
+    "cost": (cmd_cost, "emit the analytic cost table", False),
+    "leakage": (cmd_leakage, "run with leakage scoring enabled", True),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="splitsim",
         description="Deterministic split-learning protocol simulator",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, experiment=True):
-        """Options of every verb; only the verbs that run an experiment take a
-        seed and need a config."""
+    for name, (func, help_text, experiment) in VERBS.items():
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=experiment, help="JSON config path")
         if experiment:
             p.add_argument("--seed", type=int, default=None, help="override protocol.seed")
@@ -156,23 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
             help="override a config field by dotted path (repeatable)",
         )
         p.add_argument("--out", default=None, help="directory for metrics output")
-
-    p_run = sub.add_parser("run", help="execute one configured experiment")
-    common(p_run)
-    p_run.set_defaults(func=cmd_run)
-
-    p_sweep = sub.add_parser("sweep", help="run a config grid over seeds")
-    common(p_sweep)
-    p_sweep.set_defaults(func=cmd_sweep)
-
-    p_cost = sub.add_parser("cost", help="emit the analytic cost table")
-    common(p_cost, experiment=False)
-    p_cost.set_defaults(func=cmd_cost)
-
-    p_leak = sub.add_parser("leakage", help="run with leakage scoring enabled")
-    common(p_leak)
-    p_leak.set_defaults(func=cmd_leakage)
-
+        p.set_defaults(func=func)
     return parser
 
 
@@ -184,10 +175,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except SplitSimError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
-    except OSError as exc:
+    except (SplitSimError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

@@ -44,17 +44,6 @@ class Dataset:
         return Dataset(self.features[indices], self.labels[indices], self.n_classes)
 
 
-@dataclass
-class Partition:
-    """Disjoint per-client index lists into a parent dataset."""
-
-    client_indices: list[np.ndarray]
-
-    @property
-    def clients(self) -> int:
-        return len(self.client_indices)
-
-
 def _read_be32(f, path) -> int:
     raw = f.read(4)
     if len(raw) != 4:
@@ -177,11 +166,11 @@ def permute_rows(a: np.ndarray, order: np.ndarray) -> None:
         a[start:stop] = staged
 
 
-def partition_iid(dataset: Dataset, clients: int, per_client: int, seed: int) -> Partition:
-    """Disjoint uniform draws without replacement, ``per_client`` each."""
+def partition_iid(dataset: Dataset, clients: int, per_client: int, seed: int) -> list[np.ndarray]:
+    """Each client's row indices into ``dataset``: disjoint uniform draws
+    without replacement, ``per_client`` each."""
     drawn = partition_draw(len(dataset), clients, per_client, seed)
-    chunks = [drawn[i * per_client : (i + 1) * per_client] for i in range(clients)]
-    return Partition(client_indices=chunks)
+    return [drawn[i * per_client : (i + 1) * per_client] for i in range(clients)]
 
 
 def split_validation(dataset: Dataset, n_val: int, seed: int) -> tuple[Dataset, Dataset]:

@@ -305,7 +305,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> ExperimentResult:
             layers = trainer.clients[0].layers
             if pairs is None:  # drawn once, at the first score: set-up does not pay for it
                 pairs = draw_pairs(probe.shape[1], cut_width, cfg.leakage.pairs, cfg.protocol.seed)
-            leak_value = smashed_leakage_score(layers, probe, cfg.leakage.bins, pairs=pairs).value
+            leak_value = smashed_leakage_score(layers, probe, cfg.leakage.bins, pairs=pairs)
         records.append(
             MetricsRecord(
                 **header,
@@ -378,7 +378,8 @@ def sweep(
     one row per cell with per-seed finals plus mean and standard deviation,
     and writes ``sweep.csv`` when ``out_dir`` is given. Runs execute one
     after another in grid order. Runs whose ids collide (the default id does
-    not encode every grid key) get their grid cell appended, so no run
+    not encode every grid key) get their grid cell appended, and those that
+    still collide (an experiment's own ``run_id``) their seed, so no run
     overwrites another's files.
     """
     if not isinstance(grid, dict) or not grid:
@@ -413,8 +414,13 @@ def sweep(
         if ids.count(cfg.resolved_run_id()) > 1:
             suffix = "-".join(f"{k.rsplit('.', 1)[-1]}{v}" for k, v in zip(keys, cells[index]))
             cfg.run_id = cfg.resolved_run_id() + "-" + re.sub(f"[^{RUN_ID_CHARS}]+", "_", suffix)
+    ids = [cfg.resolved_run_id() for _, cfg in jobs]
+    for _, cfg in jobs:  # an experiment's own run_id is the same for every seed
+        if ids.count(cfg.resolved_run_id()) > 1:
+            cfg.run_id = f"{cfg.resolved_run_id()}-seed{cfg.protocol.seed}"
     if len({cfg.resolved_run_id() for _, cfg in jobs}) < len(jobs):
-        raise ConfigError("sweep runs share a run id even with their grid cell", field="grid")
+        raise ConfigError("sweep runs share a run id even with their grid cell and seed",
+                          field="grid")
 
     run_dir = Path(out_dir) / "runs" if out_dir is not None else None
     finals: list[list] = [[] for _ in cells]  # by cell index: grid values need not hash

@@ -144,18 +144,12 @@ def draw_pairs(d_in: int, d_out: int, n_pairs: int, seed: int) -> list[tuple[int
     return [(int(rng.integers(d_in)), int(rng.integers(d_out))) for _ in range(n_pairs)]
 
 
-@dataclass
-class LeakageScore:
-    value: float
-    pairs: int
-
-
 def smashed_leakage_score(
     client_layers,
     probe_features: Array,
     bins: int,
     pairs: Sequence[tuple[int, int]],
-) -> LeakageScore:
+) -> float:
     """Mean MI over the given (feature index, unit index) ``pairs`` between
     input features and cut-layer units. The columns the pairs use are binned
     in one pass, and every distinct pair's joint is counted and scored at
@@ -177,4 +171,4 @@ def smashed_leakage_score(
     live = ~(constant[x] | constant[y])
     mi = np.zeros(len(distinct))
     mi[live] = mi_from_joints(joint_histogram(index[:, x[live]], index[:, y[live]], bins))
-    return LeakageScore(value=float(np.mean(mi[which])), pairs=len(pairs))
+    return float(np.mean(mi[which]))

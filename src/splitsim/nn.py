@@ -182,23 +182,12 @@ def forward(layers: Sequence[Layer], x: Array, *, validate: bool = True) -> Acti
             raise DimensionError(f"input must be [(clients,) batch, features], got {x.shape}")
         check_finite(x, "network input")
     inputs: list[Array] = []
-    for layer, where in zip(layers, _output_names(len(layers))):
+    for i, layer in enumerate(layers):
         inputs.append(x)
         x = layer.forward(x)
         if layer.kind == "dense":
-            check_finite(x, where)
+            check_finite(x, f"output of layer {i} (dense)")
     return ActivationCache(layers, inputs, x)
-
-
-# ``forward``'s check_finite names by layer index; it only grows, to the deepest stack run.
-_OUTPUT_NAMES: list[str] = []
-
-
-def _output_names(n: int) -> list[str]:
-    """The "output of layer i (dense)" names for at least ``i < n``, each built once."""
-    if n > len(_OUTPUT_NAMES):
-        _OUTPUT_NAMES.extend(f"output of layer {i} (dense)" for i in range(len(_OUTPUT_NAMES), n))
-    return _OUTPUT_NAMES
 
 
 def backward(cache: ActivationCache, upstream: Array, out=None, input_grad: bool = True):

@@ -127,6 +127,7 @@ class ProtocolConfig:
         if self.optimizer not in ("sgd", "adam"):
             raise InputError(f"unknown optimizer {self.optimizer!r}")
         parse_phase(self.phase)  # validates
+        split_lr(self.base_lr, self.clients, self.effective_mechanisms()[1])  # validates
 
     def effective_mechanisms(self) -> tuple[float, float]:
         """(phi, alpha) actually applied, given the protocol kind."""
@@ -185,7 +186,13 @@ def split_lr(base_lr: float, clients: int, exponent: float) -> tuple[float, floa
         raise InputError("clients must be >= 1")
     if exponent < 0:
         raise InputError("exponent must be nonnegative")
-    return base_lr, base_lr * clients**exponent
+    try:
+        server_lr = base_lr * clients**exponent
+    except OverflowError:
+        server_lr = math.inf
+    if not math.isfinite(server_lr):
+        raise InputError(f"server learning rate {base_lr:g} * {clients}**{exponent:g} overflows")
+    return base_lr, server_lr
 
 
 def sample_active_clients(

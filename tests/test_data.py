@@ -114,17 +114,17 @@ class TestPartition:
     def test_shapes_and_disjointness(self):
         ds = data.synth_dataset(10, 1200, 12, 2.0, seed=4)
         part = data.partition_iid(ds, clients=10, per_client=1000, seed=5)
-        assert part.clients == 10
-        all_ix = np.concatenate(part.client_indices)
+        assert len(part) == 10
+        all_ix = np.concatenate(part)
         assert len(all_ix) == 10_000
         assert len(np.unique(all_ix)) == 10_000
-        for ix in part.client_indices:
+        for ix in part:
             assert len(ix) == 1000
 
     def test_single_client_whole_dataset(self):
         ds = data.synth_dataset(2, 16, 4, 2.0, seed=6)
         part = data.partition_iid(ds, clients=1, per_client=32, seed=7)
-        assert sorted(part.client_indices[0]) == list(range(32))
+        assert sorted(part[0]) == list(range(32))
 
     def test_insufficient_data(self):
         ds = data.synth_dataset(2, 4, 4, 2.0, seed=8)
@@ -135,7 +135,7 @@ class TestPartition:
         ds = data.synth_dataset(2, 50, 4, 2.0, seed=10)
         a = data.partition_iid(ds, 4, 20, seed=11)
         b = data.partition_iid(ds, 4, 20, seed=11)
-        for x, y in zip(a.client_indices, b.client_indices):
+        for x, y in zip(a, b):
             assert np.array_equal(x, y)
 
 

@@ -7,6 +7,7 @@ import struct
 import subprocess
 import sys
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -305,6 +306,18 @@ class TestSweep:
         with pytest.raises(ConfigError):
             sweep(base_config(), grid={}, seeds=[1])
 
+    def test_named_run_id_keeps_every_seed(self, tmp_path):
+        """An experiment's own run_id is the same for every seed; runs that
+        still collide after their grid cell get their seed appended."""
+        sweep(base_config(run_id="mine"), grid={"protocol.kind": ["psl", "sglr"]},
+              seeds=[0, 1], out_dir=tmp_path)
+        names = sorted(p.name for p in (tmp_path / "runs").glob("*.metrics.jsonl"))
+        assert names == [f"mine-kind{kind}-seed{seed}.metrics.jsonl"
+                         for kind in ("psl", "sglr") for seed in (0, 1)]
+        for name in names:
+            record = json.loads((tmp_path / "runs" / name).read_text().splitlines()[0])
+            assert record["run_id"] == name.removesuffix(".metrics.jsonl")
+
     def test_sweep_rows_identical_across_reruns(self):
         grid = {"protocol.kind": ["psl", "sglr"]}
         first = sweep(base_config(), grid=grid, seeds=[4, 5])
@@ -367,6 +380,20 @@ class TestCli:
         blocker = tmp_path / "not-a-dir"
         blocker.write_text("occupied")
         assert cli_main(["run", "--config", cfg, "--out", str(blocker)]) == 3
+
+    @pytest.mark.parametrize("exponent", ["400", "200.0"])
+    def test_overflowing_server_lr_exits_2(self, tmp_path, capsys, exponent):
+        cfg = self._write_config(tmp_path, base_config(**{"protocol.clients": 100}))
+        code = cli_main(["run", "--config", cfg, "--set", f"protocol.lr_exponent={exponent}"])
+        assert code == 2
+        assert "protocol" in capsys.readouterr().err
+
+    def test_cost_out_writes_the_report(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert cli_main(["cost", "--out", str(out)]) == 0
+        assert capsys.readouterr().out == f"{out / 'cost_report.csv'}\n"
+        golden = Path(__file__).parent / "golden" / "cost_default.csv"
+        assert (out / "cost_report.csv").read_bytes() == golden.read_bytes()
 
     def test_leakage_rejects_fl(self, tmp_path, capsys):
         cfg = self._write_config(tmp_path, base_config(**{"protocol.kind": "fl"}))

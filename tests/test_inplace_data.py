@@ -103,7 +103,7 @@ def reference_sets(full, n_val, clients, per_client, val_seed, part_seed):
     else:
         train, val = full, full.subset(np.arange(0))
     part = data.partition_iid(train, clients, per_client, seed=part_seed)
-    return train, val, [train.subset(ix) for ix in part.client_indices]
+    return train, val, [train.subset(ix) for ix in part]
 
 
 @settings(max_examples=40, deadline=None)

@@ -76,6 +76,10 @@ class TestSplitLr:
         _, eta_s = split_lr(1e-3, 20, 2.0)
         assert eta_s == pytest.approx(0.4)
 
+    def test_overflowing_server_rate_rejected(self):
+        with pytest.raises(InputError, match="overflows"):
+            split_lr(1e-3, 100, 400)
+
 
 class TestKeyedRng:
     # Words at, below and above 2**32: the array form covers only those below.
