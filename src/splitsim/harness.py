@@ -166,14 +166,11 @@ class ExperimentConfig:
         if not 1 <= self.model.cut_index < n_layers:
             raise ConfigError(f"must lie in [1, {n_layers})", field="model.cut_index")
         leak = self.leakage
-        probe_rows = min(leak.probe, ds.validation or leak.probe)  # validation caps the probe
+        probe_rows = min(leak.probe, ds.validation or rows)  # validation, else the data, caps it
         for name, value, least in (("bins", leak.bins, 2), ("pairs", leak.pairs, 1),
                                    ("probe", probe_rows, leak.bins)):
             if leak.enabled and value < least:
                 raise ConfigError(f"needs at least {least}, got {value}", field=f"leakage.{name}")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
     def resolved_run_id(self) -> str:
         if self.run_id:
@@ -266,12 +263,6 @@ def build_dataset(cfg: ExperimentConfig) -> tuple[list, data.Dataset, np.ndarray
     return clients, val, probe
 
 
-def build_model(cfg: ExperimentConfig, input_dim: int, n_classes: int) -> splitting.SplitModel:
-    widths = [input_dim, *cfg.model.hidden, n_classes]
-    rng = keyed_rng(cfg.protocol.seed, STREAM_INIT)
-    return splitting.SplitModel(nn.build_mlp(widths, rng), cfg.model.cut_index)
-
-
 def run_experiment(cfg: ExperimentConfig, out_dir=None) -> ExperimentResult:
     """Execute one configured run; optionally write metrics files.
 
@@ -281,7 +272,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> ExperimentResult:
     """
     clients, val, probe = build_dataset(cfg)
     client_data = [(c.features, c.labels) for c in clients]
-    model = build_model(cfg, val.features.shape[1], val.n_classes)
+    widths = [val.features.shape[1], *cfg.model.hidden, val.n_classes]
+    layers = nn.build_mlp(widths, keyed_rng(cfg.protocol.seed, STREAM_INIT))
+    model = splitting.SplitModel(layers, cfg.model.cut_index)
     ledger = comm.CommLedger()
     val_pair = (val.features, val.labels) if len(val) else None
     trainer = SplitTrainer(model, client_data, cfg.protocol, val_data=val_pair, ledger=ledger)
@@ -293,7 +286,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> ExperimentResult:
                     batch_size=p.batch_size, cut_width=cut_width,
                     param_counts={"segment": trainer.stack.flat.shape[1],
                                   "model": nn.param_count(model.layers)})
-    prev_bytes, pairs, formula = 0, None, 0.0
+    pairs = None if probe is None else draw_pairs(probe.shape[1], cut_width, cfg.leakage.pairs,
+                                                  cfg.protocol.seed)
+    prev_bytes, formula = 0, 0.0
     for epoch in range(cfg.protocol.epochs):
         m = trainer.run_epoch(epoch)
         formula += comm.formula_total(COST_METHOD[p.kind], active_count=len(m.active_ids),
@@ -302,10 +297,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> ExperimentResult:
         prev_bytes = ledger.total_bytes()
         leak_value = None
         if probe is not None:
-            layers = trainer.clients[0].layers
-            if pairs is None:  # drawn once, at the first score: set-up does not pay for it
-                pairs = draw_pairs(probe.shape[1], cut_width, cfg.leakage.pairs, cfg.protocol.seed)
-            leak_value = smashed_leakage_score(layers, probe, cfg.leakage.bins, pairs=pairs)
+            leak_value = smashed_leakage_score(trainer.clients[0].layers, probe, cfg.leakage.bins,
+                                               pairs=pairs)
         records.append(
             MetricsRecord(
                 **header,
@@ -339,7 +332,7 @@ def write_metrics(result: ExperimentResult, out_dir) -> None:
     with open(out / f"{run_id}.summary.csv", "w", newline="") as f:
         _write_csv(f, [result.summary_row()])
     (out / f"{run_id}.config.json").write_text(
-        json.dumps(result.config.to_dict(), indent=2, sort_keys=True) + "\n")
+        json.dumps(asdict(result.config), indent=2, sort_keys=True) + "\n")
 
 
 def _write_csv(stream, rows: list[dict], columns=None) -> None:

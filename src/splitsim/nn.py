@@ -302,29 +302,25 @@ ADAM_CHUNK = 16_384
 
 
 class AdamWalk:
-    """The path of an Adam step, built once. Each flat (params, grads, m, v)
-    tile, cut into segments by its ``sizes``, is walked in ``ADAM_CHUNK``
+    """The path of an Adam step, built once. The flat (params, grads, m, v)
+    ``arrays``, cut into segments by ``sizes``, are walked in ``ADAM_CHUNK``
     pieces; a piece keeps its four views, its length and the (start:stop
-    slice, segment) parts of it that take each segment's rate. Segments are
-    numbered on across tiles."""
+    slice, segment) parts of it that take each segment's rate."""
 
     __slots__ = ("chunks", "segments", "width")
 
-    def __init__(self, tiles: Sequence[tuple[Array, Array, Array, Array, Sequence[int]]]):
+    def __init__(self, arrays: Sequence[Array], sizes: Sequence[int]):
+        n = sum(sizes)
+        if {a.size for a in arrays} != {n}:
+            raise InputError("moments and grads must be as long as their params")
+        ends = list(accumulate(sizes, initial=0))
         self.chunks: list[tuple] = []
-        self.segments = self.width = 0
-        for *arrays, sizes in tiles:
-            n = sum(sizes)
-            if {a.size for a in arrays} != {n}:
-                raise InputError("moments and grads must be as long as their params")
-            ends = list(accumulate(sizes, initial=0))
-            for lo in range(0, n, ADAM_CHUNK):
-                hi = min(lo + ADAM_CHUNK, n)
-                cuts = [(slice(max(a, lo) - lo, min(b, hi) - lo), self.segments + i)
-                        for i, (a, b) in enumerate(zip(ends, ends[1:])) if max(a, lo) < min(b, hi)]
-                self.chunks.append((*(a[lo:hi] for a in arrays), hi - lo, cuts))
-                self.width = max(self.width, hi - lo)
-            self.segments += len(sizes)
+        self.segments, self.width = len(sizes), min(n, ADAM_CHUNK)
+        for lo in range(0, n, ADAM_CHUNK):
+            hi = min(lo + ADAM_CHUNK, n)
+            cuts = [(slice(max(a, lo) - lo, min(b, hi) - lo), i)
+                    for i, (a, b) in enumerate(zip(ends, ends[1:])) if max(a, lo) < min(b, hi)]
+            self.chunks.append((*(a[lo:hi] for a in arrays), hi - lo, cuts))
 
     def step(self, rates: Sequence[float], state: OptimizerState) -> None:
         """Adam step ``state.t``, segment i at ``rates[i]``, with one scratch
@@ -359,20 +355,21 @@ def adam_update(
     lr: float | Sequence[float],
     walk: AdamWalk | None = None,
 ) -> None:
-    """In-place Adam over C-contiguous arrays, in one ``AdamWalk``, with one
+    """In-place Adam over C-contiguous arrays, one ``AdamWalk`` each, with one
     ``lr`` or one per array; a ``walk`` built already (as ``ParamBuffer``
     keeps) had its arrays checked then, so only the rates are checked."""
     if walk is not None:
-        rates = _rates(lr, walk.segments)
+        walks = [(walk, _rates(lr, walk.segments))]
     else:
-        rates = _learning_rates(lr, params, grads)
+        lrs = _learning_rates(lr, params, grads)
         if state.m is None or state.v is None:
             raise InputError("adam state is uninitialized")
-        walk = AdamWalk([
-            (_writable_flat(p), g.reshape(-1), _writable_flat(m), _writable_flat(v), [p.size])
-            for p, g, m, v in zip(params, grads, state.m, state.v, strict=True)])
+        walks = [(AdamWalk([_writable_flat(p), g.reshape(-1), _writable_flat(m),
+                            _writable_flat(v)], [p.size]), [rate])
+                 for p, g, m, v, rate in zip(params, grads, state.m, state.v, lrs, strict=True)]
     state.t += 1
-    walk.step(rates, state)
+    for walk, rates in walks:
+        walk.step(rates, state)
 
 
 def optimizer_step(
@@ -471,7 +468,7 @@ class ParamBuffer:
         cut = [[a[lo:hi] for lo, hi in zip(ends, ends[1:])] for a in self._whole]
         self._params, self._grads, *moments = cut
         self.opt.m, self.opt.v = moments or (None, None)
-        self._walk = AdamWalk([(*self._whole, sizes)]) if optimizer == "adam" else None
+        self._walk = AdamWalk(self._whole, sizes) if optimizer == "adam" else None
         self._claimed = 0
 
     def claim(self, size: int) -> list[Array]:

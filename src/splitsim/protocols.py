@@ -32,6 +32,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -147,10 +148,6 @@ class ClientState:
     delta: float
     stack: nn.LayerStack
     slot: int
-
-    @property
-    def sample_count(self) -> int:
-        return self.features.shape[0]
 
     @property
     def layers(self) -> list:
@@ -270,16 +267,17 @@ def phased_schedule(epoch: int, total_epochs: int, spec: str) -> bool:
     """Whether gradient averaging is enabled at ``epoch`` under ``spec``.
 
     'initial(p)': on for the first ceil(p*E) epochs.
-    'final(p)': on from epoch floor((1-p)*E) onward.
+    'final(p)': on from epoch floor((1-p)*E) onward; p is exact, as written.
     """
-    kind, p = parse_phase(spec)
+    kind, _ = parse_phase(spec)
     if kind == "always":
         return True
     if kind == "never":
         return False
+    p = Fraction(spec[len(kind) + 1 : -1])
     if kind == "initial":
         return epoch < math.ceil(p * total_epochs)
-    return epoch >= math.floor((1.0 - p) * total_epochs)
+    return epoch >= math.floor((1 - p) * total_epochs)
 
 
 def _checked(x, y, layers, owner: str) -> tuple[Array, np.ndarray]:
@@ -294,11 +292,10 @@ def _checked(x, y, layers, owner: str) -> tuple[Array, np.ndarray]:
     return x, y
 
 
-def evaluate(model, features: Array, labels, validate: bool = True) -> float:
-    """Top-1 accuracy; ``model`` is a layer list or (client, server) pair;
-    ``validate=False`` takes features and labels as already checked arrays.
-    Rows go through ``nn.forward`` in even blocks, so no short tail rounds apart."""
-    layers = [*model[0], *model[1]] if isinstance(model, tuple) else list(model)
+def evaluate(layers, features: Array, labels, validate: bool = True) -> float:
+    """Top-1 accuracy of the layer list ``layers``; ``validate=False`` takes
+    features and labels as already checked arrays. Rows go through
+    ``nn.forward`` in even blocks, so no short tail rounds apart."""
     if validate:
         features, labels = _checked(features, labels, layers, "evaluation data")
     n = features.shape[0]
@@ -462,7 +459,7 @@ class SplitTrainer:
 
     def evaluate_on(self, features: Array, labels) -> float:
         """Accuracy through client 0's segment (or full model for fl)."""
-        return evaluate((self.clients[0].layers, self.server_layers or []), features, labels)
+        return evaluate([*self.clients[0].layers, *(self.server_layers or [])], features, labels)
 
     @property
     def server_opt(self) -> nn.OptimizerState | None:
@@ -474,12 +471,12 @@ class SplitTrainer:
     def _validation_accuracy(self) -> float:
         if self.val_data is None:
             return 0.0
-        segments = (self.clients[0].layers, self.server_layers or [])
-        return evaluate(segments, *self.val_data, validate=False)  # checked at build
+        layers = [*self.clients[0].layers, *(self.server_layers or [])]
+        return evaluate(layers, *self.val_data, validate=False)  # checked at build
 
     def _batches_for(self, client: ClientState, epoch: int) -> Array:
         rng = keyed_rng(self.config.seed, STREAM_BATCH, epoch, client.client_id)
-        return _epoch_batches(client.sample_count, self.config.batch_size, rng)
+        return _epoch_batches(len(client.labels), self.config.batch_size, rng)
 
     # -- the round engine -------------------------------------------------------
 

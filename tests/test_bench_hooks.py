@@ -30,12 +30,15 @@ def bench_run(monkeypatch):
     return importlib.import_module("run")
 
 
-@pytest.mark.parametrize("workload", ["small-sglr", "protocol-sweep"])
-def test_worker_digest_matches_reference(bench_run, workload, tmp_path):
-    """One untraced benchmark repeat at seed 0, run as ``perfbench/run.py``
-    runs its workers: no check fails and the digest is the recorded one."""
+@pytest.mark.parametrize(("workload", "trace"), [
+    ("small-sglr", "0"), ("protocol-sweep", "0"), ("small-sglr", "1"), ("protocol-sweep", "1"),
+], ids=["small-sglr", "protocol-sweep", "small-sglr-traced", "protocol-sweep-traced"])
+def test_worker_digest_matches_reference(bench_run, workload, trace, tmp_path):
+    """One benchmark repeat at seed 0, untraced or traced, run as
+    ``perfbench/run.py`` runs its workers: no check fails and the digest is
+    the recorded one, so the trace's wrappers leave the program's bits alone."""
     cmd = [sys.executable, str(PERFBENCH / "worker.py"), "--workload", workload,
-           "--seed", "0", "--trace", "0", "--out", str(tmp_path)]
+           "--seed", "0", "--trace", trace, "--out", str(tmp_path)]
     proc = subprocess.run(cmd, cwd=PERFBENCH.parent, env=bench_run.worker_env(),
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr[-2000:]

@@ -60,11 +60,11 @@ def base_config(**overrides):
 class TestConfig:
     def test_roundtrip(self, tmp_path):
         cfg = ExperimentConfig.from_dict(base_config(run_id="back"))
-        again = ExperimentConfig.from_dict(cfg.to_dict())
-        assert again.to_dict() == cfg.to_dict()
+        again = ExperimentConfig.from_dict(dataclasses.asdict(cfg))
+        assert dataclasses.asdict(again) == dataclasses.asdict(cfg)
         run_experiment(cfg, tmp_path)  # the config.json a run writes loads back too
         written = json.loads((tmp_path / "back.config.json").read_text())
-        assert ExperimentConfig.from_dict(written).to_dict() == cfg.to_dict()
+        assert dataclasses.asdict(ExperimentConfig.from_dict(written)) == dataclasses.asdict(cfg)
 
     def test_missing_protocol_section(self):
         with pytest.raises(ConfigError) as err:
@@ -430,7 +430,11 @@ class TestCli:
         {"leakage.probe": 0},
         {"leakage.probe": 256, "dataset.validation": 10},  # 10 probe rows < 16 bins
         {"leakage.probe": 8, "dataset.validation": 0},
-    ], ids=["bins", "pairs", "probe", "probe-capped-by-validation", "probe-no-validation"])
+        # Without validation rows the data caps the probe: 2 x 6 rows < 16 bins.
+        {"dataset.classes": 2, "dataset.per_class": 6, "dataset.per_client": 4,
+         "dataset.validation": 0},
+    ], ids=["bins", "pairs", "probe", "probe-capped-by-validation", "probe-no-validation",
+            "probe-capped-by-the-data"])
     def test_bad_leakage_settings_exit_2_before_training(self, tmp_path, capsys, overrides):
         raw = base_config(**{"leakage.enabled": True, **overrides})
         cfg = self._write_config(tmp_path, raw)

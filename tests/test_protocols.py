@@ -4,6 +4,7 @@ mechanisms, and scripted-trace oracles built from nn/splitting primitives."""
 import math
 import re
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from splitsim import nn, protocols, splitting
+from splitsim.comm import CommLedger
 from splitsim.data import synth_dataset
 from splitsim.errors import InputError, NumericError
 from splitsim.protocols import (
@@ -242,12 +244,17 @@ class TestPhasedSchedule:
     @given(total=st.integers(1, 60),
            p=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True).filter(
                lambda p: 1.0 - p < 1.0))
+    # In floats (1 - 0.8) * 5, 0.14 * 50 and (1 - 0.55) * 60 round across an integer.
+    @example(total=5, p=0.8)
+    @example(total=50, p=0.14)
+    @example(total=60, p=0.55)
     def test_bounds(self, total, p):
         assert parse_phase(f"initial({p!r})") == ("initial", p)
-        first = math.ceil(p * total)
+        exact = Fraction(repr(p))  # the spec's own text, read exactly
+        first = math.ceil(exact * total)
         assert [phased_schedule(e, total, f"initial({p!r})") for e in range(total)] == (
             [True] * first + [False] * (total - first))
-        start = math.floor((1.0 - p) * total)
+        start = math.floor((1 - exact) * total)
         assert [phased_schedule(e, total, f"final({p!r})") for e in range(total)] == (
             [False] * start + [True] * (total - start))
         assert all(phased_schedule(e, total, "always") for e in range(total))
@@ -298,17 +305,6 @@ class TestEvaluate:
         x = rng.normal(size=(30, 4))
         y = rng.integers(0, 3, size=30)
         assert protocols.evaluate(layers, x, y) == protocols.evaluate(shifted, x, y)
-
-    def test_split_pair_equals_joined(self):
-        model = make_model(seed=2)
-        rng = np.random.default_rng(0)
-        x = rng.normal(size=(10, 6))
-        y = rng.integers(0, 4, size=10)
-        joined = protocols.evaluate(model.layers, x, y)
-        paired = protocols.evaluate(
-            (model.client_segment, model.server_segment), x, y
-        )
-        assert joined == paired
 
 
 class TestBlockedEvaluate:
@@ -452,6 +448,62 @@ class TestCollapseIdentities:
         t_psl.run_epoch(0)
         t_sfl.run_epoch(0)
         assert_bitwise_equal(params_of(t_psl), params_of(t_sfl))
+
+
+def unequal_clients(counts, seed):
+    ds = synth_dataset(4, sum(counts), 6, 4.0, seed)
+    bounds = np.cumsum([0, *counts])
+    return [(ds.features[lo:hi], ds.labels[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+
+
+class TestContractProperties:
+    """The contract over drawn geometries: with its mechanisms off, every
+    psl-family kind is psl bit for bit, and at one client every kind, with
+    any mechanism, is monolithic training."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(counts=st.lists(st.integers(3, 12), min_size=2, max_size=5),
+           batch=st.integers(1, 3), cut=st.integers(1, 3),
+           optimizer=st.sampled_from(["sgd", "adam"]),
+           phase=st.sampled_from(["always", "never", "initial(0.5)", "final(0.5)"]),
+           seed=st.integers(0, 2**16))
+    def test_mechanisms_off_equal_psl(self, counts, batch, cut, optimizer, phase, seed):
+        data, model = unequal_clients(counts, seed), make_model(seed=seed, cut=cut)
+        runs = []
+        for kind in ("psl", "sglr", "sgl", "slr"):
+            ledger = CommLedger()
+            cfg = config(kind, len(counts), batch_size=batch, optimizer=optimizer, phase=phase,
+                         active_fraction=0.0, lr_exponent=0.0, seed=seed)
+            t = SplitTrainer(model.copy(), data, cfg, ledger=ledger)
+            runs.append(([(m.train_loss, m.steps) for m in t.run()], t.buffer, ledger.entries))
+        (epochs, buf, entries), *others = runs
+        for other_epochs, other_buf, other_entries in others:
+            assert other_epochs == epochs
+            assert np.array_equal(other_buf.params, buf.params)
+            assert other_buf.opt.t == buf.opt.t
+            for a, b in zip([*(buf.opt.m or []), *(buf.opt.v or [])],
+                            [*(other_buf.opt.m or []), *(other_buf.opt.v or [])], strict=True):
+                assert np.array_equal(a, b)
+            assert other_entries == entries
+
+    @settings(max_examples=100, deadline=None)
+    @given(kind=st.sampled_from(protocols.PROTOCOL_KINDS), phi=st.sampled_from([0.0, 1.0]),
+           alpha=st.sampled_from([0.0, 0.5, 1.0]), rows=st.integers(3, 16),
+           batch=st.integers(1, 3), cut=st.integers(1, 3),
+           optimizer=st.sampled_from(["sgd", "adam"]), seed=st.integers(0, 2**16))
+    def test_one_client_equals_monolithic(self, kind, phi, alpha, rows, batch, cut, optimizer,
+                                          seed):
+        (x, y), = unequal_clients([rows], seed)
+        model = make_model(seed=seed, cut=cut)
+        cfg = config(kind, 1, batch_size=batch, optimizer=optimizer, active_fraction=phi,
+                     lr_exponent=alpha, seed=seed)
+        t = SplitTrainer(model.copy(), [(x, y)], cfg)
+        losses = [m.train_loss for m in t.run()]
+        mono = nn.copy_layers(model.layers)
+        assert losses == protocols.train_monolithic(
+            mono, x, y, batch_size=batch, epochs=cfg.epochs, lr=cfg.base_lr,
+            optimizer=optimizer, seed=seed)
+        assert_bitwise_equal(params_of(t), nn.collect_params(mono))
 
 
 class TestSSL:

@@ -169,7 +169,7 @@ def one_at_a_time(trainer, records, batch, width):
     for rec in records:
         turns = [[cid] for cid in clients] if kind.travelling else [list(clients)]
         for ids in turns:
-            for _ in range(min(trainer.clients[cid].sample_count // batch for cid in ids)):
+            for _ in range(min(len(trainer.clients[cid].labels) // batch for cid in ids)):
                 if kind.server:
                     for cid in ids:
                         log("up", "smashed", cid, row)
