@@ -54,7 +54,3 @@ for phi in (0.0, 0.25, 0.5, 0.75, 1.0):
     metrics = trainer.run()
     score = smashed_leakage_score(trainer.clients[0].layers, probe, bins=16, pairs=pairs)
     print(f"{phi:>5.2f} {metrics[-1].val_accuracy:>10.3f} {score:>15.4f}")
-
-print("\nphased training tempers the phi=1.0 failure mode: enable averaging")
-print("only for an initial or final fraction of epochs via the phase spec,")
-print("e.g. ProtocolConfig(phase='final(0.4)').")

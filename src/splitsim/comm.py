@@ -114,8 +114,6 @@ def training_time(method: str, p: CostParams) -> float:
     """Seconds per epoch: compute plus the transfers at the link rate, all
     of the total for a travelling segment (its clients take turns), one
     client's share else."""
-    if p.link_rate <= 0:
-        raise InputError("link rate must be positive")
     mb = total_comm(method, p) if _switches(method).travelling else comm_per_client(method, p)
     return p.compute_time + mb / p.link_rate
 

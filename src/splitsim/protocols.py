@@ -167,10 +167,6 @@ class RoundMetrics:
     active_ids: list[int]
     steps: int
 
-    def __post_init__(self):
-        if not 0.0 <= self.val_accuracy <= 1.0:
-            raise InputError("accuracy must lie in [0, 1]")
-
 
 # ---------------------------------------------------------------------------
 # The four standalone mechanisms
@@ -245,22 +241,31 @@ def active_sum(rows: Array, active: Sequence[int]) -> Array:
     return total
 
 
-_PHASE_RE = re.compile(r"^(initial|final)\(((?:\d+\.?\d*|\.\d+)(?:e[-+]?\d+)?)\)$")
+_PHASE_RE = re.compile(r"^(initial|final)\(((?:\d+\.?\d*|\.\d+)(?:e[-+]?\d{1,3})?)\)$")
+
+
+def _phase_fraction(spec: str) -> tuple[str, Fraction]:
+    """(kind, p) of a phase spec, ``p`` read once and exactly as written
+    (0 for 'always' and 'never'). The exponent has at most three digits, so
+    the exact reading stays small."""
+    if spec in ("always", "never"):
+        return spec, Fraction(0)
+    m = _PHASE_RE.match(spec)
+    try:
+        p = Fraction(m.group(2)) if m else None
+    except ValueError:  # more digits than ``int`` converts
+        p = None
+    if p is None:
+        raise InputError(f"bad phase spec {spec!r}")
+    if not 0 < p < 1:
+        raise InputError("phase fraction must lie in (0, 1)")
+    return m.group(1), p
 
 
 def parse_phase(spec: str) -> tuple[str, float]:
     """Parse a phase spec: 'always', 'never', 'initial(p)' or 'final(p)'."""
-    if spec in ("always", "never"):
-        return spec, 0.0
-    m = _PHASE_RE.match(spec)
-    if not m:
-        raise InputError(f"bad phase spec {spec!r}")
-    p = float(m.group(2))
-    if not 0.0 < p < 1.0:
-        raise InputError("phase fraction must lie in (0, 1)")
-    if 1.0 - p == 1.0:  # final(p) would start at floor(1.0 * E) and never run
-        raise InputError(f"phase fraction {p!r} is indistinguishable from 0")
-    return m.group(1), p
+    kind, p = _phase_fraction(spec)
+    return kind, float(p)
 
 
 def phased_schedule(epoch: int, total_epochs: int, spec: str) -> bool:
@@ -269,15 +274,12 @@ def phased_schedule(epoch: int, total_epochs: int, spec: str) -> bool:
     'initial(p)': on for the first ceil(p*E) epochs.
     'final(p)': on from epoch floor((1-p)*E) onward; p is exact, as written.
     """
-    kind, _ = parse_phase(spec)
-    if kind == "always":
-        return True
-    if kind == "never":
-        return False
-    p = Fraction(spec[len(kind) + 1 : -1])
+    kind, p = _phase_fraction(spec)
     if kind == "initial":
         return epoch < math.ceil(p * total_epochs)
-    return epoch >= math.floor((1 - p) * total_epochs)
+    if kind == "final":
+        return epoch >= math.floor((1 - p) * total_epochs)
+    return kind == "always"
 
 
 def _checked(x, y, layers, owner: str) -> tuple[Array, np.ndarray]:
@@ -382,12 +384,11 @@ class SplitTrainer:
         self._log = (lambda *payload: None) if ledger is None else ledger.record_each
         self.steps = 0
 
-        total = sum(x.shape[0] for x, _ in client_data)
-        if total == 0:
-            raise InputError("no training data")
-
         checked = [_checked(x, y, model.layers, f"client {cid}")
                    for cid, (x, y) in enumerate(client_data)]
+        total = sum(len(y) for _, y in checked)
+        if total == 0:
+            raise InputError("no training data")
         self._x, self._y, self._first = _row_pool(checked)
         self.val_data = (None if val_data is None
                          else _checked(*val_data, model.layers, "validation"))

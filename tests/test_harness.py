@@ -515,10 +515,14 @@ class TestCli:
         assert "config error: run_id: must be a string of" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [tmp_path / "config.json"]
 
-    def test_phase_fraction_indistinguishable_from_zero_exits_2(self, tmp_path, capsys):
+    def test_phase_fraction_read_exactly(self, tmp_path, capsys):
+        # final(1e-17) rounds to final(0) as a float; exactly, it averages in the last epoch.
         cfg = self._write_config(tmp_path, base_config())
-        assert cli_main(["run", "--config", cfg, "--set", "protocol.phase=final(1e-17)"]) == 2
-        assert "config error: protocol: " in capsys.readouterr().err
+        assert cli_main(["run", "--config", cfg, "--set", "protocol.phase=final(1e-17)"]) == 0
+        assert json.loads(capsys.readouterr().out)["protocol"] == "sglr"
+        for spec in ("final(0.0)", "initial(1.00000000000000000001)"):
+            assert cli_main(["run", "--config", cfg, "--set", f"protocol.phase={spec}"]) == 2
+            assert "config error: protocol: " in capsys.readouterr().err
 
     @pytest.mark.parametrize("override, field", [
         ("protocol.base_lr=NaN", "protocol: base_lr"),

@@ -261,13 +261,38 @@ class TestPhasedSchedule:
         assert not any(phased_schedule(e, total, "never") for e in range(total))
 
     @pytest.mark.parametrize("p", [5e-324, 1e-17, 2**-54])
-    def test_fraction_indistinguishable_from_zero_rejected(self, p):
-        # 1.0 - p rounds to 1.0, so final(p) would never turn averaging on.
+    def test_fraction_near_zero_read_exactly(self, p):
+        # 1.0 - p rounds to 1.0 in floats; read exactly, final(p) still runs.
         for kind in ("initial", "final"):
-            with pytest.raises(InputError):
-                parse_phase(f"{kind}({p!r})")
+            assert parse_phase(f"{kind}({p!r})") == (kind, p)
+        ProtocolConfig(kind="sgl", clients=2, phase=f"final({p!r})")
+        assert [phased_schedule(e, 10, f"initial({p!r})") for e in range(10)] == (
+            [True] + [False] * 9)
+        assert [phased_schedule(e, 10, f"final({p!r})") for e in range(10)] == (
+            [False] * 9 + [True])
+
+    @pytest.mark.parametrize("total", [1, 3, 10, 60])
+    @pytest.mark.parametrize("kind, text", [("final", "1e-17"), ("initial", "1e-400"),
+                                            ("final", "0.9999999999999999999")])
+    def test_schedule_takes_the_exact_fraction(self, kind, text, total):
+        # Each of these rounds to 0 or 1 as a float.
+        spec, p = f"{kind}({text})", Fraction(text)
+        ProtocolConfig(kind="sgl", clients=2, epochs=total, phase=spec)
+        if kind == "initial":
+            start, stop = 0, math.ceil(p * total)
+        else:
+            start, stop = math.floor((1 - p) * total), total
+        assert [phased_schedule(e, total, spec) for e in range(total)] == (
+            [start <= e < stop for e in range(total)])
+
+    @pytest.mark.parametrize("spec", [
+        "final(0)", "initial(0e999)", "final(1.0)", "initial(1.00000000000000000001)",
+        "final(1e-1000)", pytest.param(f"final(0.{'0' * 5000}1)", id="5002-digits")])
+    def test_fraction_zero_at_least_one_or_too_long_rejected(self, spec):
         with pytest.raises(InputError):
-            ProtocolConfig(kind="sgl", clients=2, phase=f"final({p!r})")
+            parse_phase(spec)
+        with pytest.raises(InputError):
+            ProtocolConfig(kind="sgl", clients=2, phase=spec)
 
 
 class TestEvaluate:
@@ -884,6 +909,24 @@ class TestDeltaHandling:
     def test_config_client_count_mismatch(self):
         with pytest.raises(InputError):
             SplitTrainer(make_model(), make_clients(2), config("psl", 3))
+
+
+class TestClientData:
+    def test_nested_lists_train_as_arrays(self):
+        data = make_clients(3, seed=24)
+        lists = [(x.tolist(), y.tolist()) for x, y in data]
+        runs = []
+        for client_data in (data, lists):
+            t = SplitTrainer(make_model(seed=24), client_data,
+                             config("sglr", 3, active_fraction=0.5, lr_exponent=0.5))
+            runs.append(([m.train_loss for m in t.run()], t.buffer.params))
+        assert runs[0][0] == runs[1][0]
+        assert np.array_equal(runs[0][1], runs[1][1])
+
+    def test_clients_without_rows_rejected(self):
+        empty = [(np.empty((0, 6)), np.empty(0, dtype=np.int64))] * 2
+        with pytest.raises(InputError, match="no training data"):
+            SplitTrainer(make_model(), empty, config("psl", 2))
 
 
 class TestRun:
