@@ -150,6 +150,9 @@ class ExperimentConfig:
                     raise ConfigError(f"file not found: {path}", field=f"dataset.{attr}")
             rows = data.idx_count(ds.images, ds.labels)  # a bad header pair raises FormatError
         else:
+            for name in ("classes", "per_class"):
+                if getattr(ds, name) < 1:
+                    raise ConfigError("must be at least 1", field=f"dataset.{name}")
             if ds.dim < ds.classes:
                 raise ConfigError("dim must be >= classes", field="dataset.dim")
             if not 0.0 < ds.separation < np.inf:

@@ -13,8 +13,8 @@ of a client segment is the mean MI over the (input feature, smashed unit)
 pairs it is given (``draw_pairs`` samples them), so lower scores mean the
 cut output tells the server less about the raw input. A score bins every
 column it needs in one pass (``bin_columns``) and scores every distinct pair
-on one [pairs, bins, bins] stack (``mi_from_joints``); ``bin_index`` and
-``mi_from_joint`` are their one-column and one-joint cases.
+on one [pairs, bins, bins] stack (``mi_from_joints``); ``mi_from_joint``
+is its one-joint case.
 """
 
 from __future__ import annotations
@@ -106,14 +106,8 @@ def bin_columns(columns: Array, bins: int) -> tuple[Array, Array]:
     return index, lo == hi
 
 
-def bin_index(column: Array, bins: int) -> Array | None:
-    """``bin_columns`` of one column; None for a constant column."""
-    index, constant = bin_columns(np.asarray(column)[:, None], bins)
-    return None if constant[0] else index[:, 0]
-
-
 def joint_histogram(ix: Array, iy: Array, bins: int) -> Array:
-    """[bins, bins] counts of the (x bin, y bin) pairs from ``bin_index``; for
+    """[bins, bins] counts of the (x bin, y bin) pairs of two bin columns; for
     [n, pairs] bin columns, a [pairs, bins, bins] stack, one joint per pair."""
     codes = (ix * bins + iy).reshape(len(ix), -1)
     cells = bins * bins * codes.shape[1]

@@ -108,18 +108,11 @@ class Relu:
     def params(self) -> list[Array]:
         return []
 
-    def set_params(self, params: Sequence[Array]) -> None:
-        if params:
-            raise DimensionError("relu has no parameters")
-
     def forward(self, x: Array) -> Array:
         return np.maximum(x, 0.0)
 
     def backward(self, x: Array, upstream: Array, *_) -> tuple[list[Array], Array]:
         return [], upstream * (x > 0.0)
-
-    def copy(self) -> "Relu":
-        return Relu()
 
 
 class Softmax:
@@ -135,10 +128,6 @@ class Softmax:
     def params(self) -> list[Array]:
         return []
 
-    def set_params(self, params: Sequence[Array]) -> None:
-        if params:
-            raise DimensionError("softmax has no parameters")
-
     def forward(self, x: Array) -> Array:
         return _softmax(x)
 
@@ -146,9 +135,6 @@ class Softmax:
         p = _softmax(x)
         inner = (upstream * p).sum(axis=1, keepdims=True)
         return [], p * (upstream - inner)
-
-    def copy(self) -> "Softmax":
-        return Softmax()
 
 
 Layer = Dense | Relu | Softmax
@@ -437,11 +423,12 @@ def collect_grads(param_grads: Sequence[Sequence[Array]]) -> list[Array]:
 
 
 def set_params(layers: Sequence[Layer], flat: Sequence[Array]) -> None:
-    """Write a flat parameter list back into the layers."""
+    """Write a flat parameter list back into the layers that hold parameters."""
     i = 0
     for layer in layers:
         n = len(layer.params())
-        layer.set_params(list(flat[i : i + n]))
+        if n:
+            layer.set_params(list(flat[i : i + n]))
         i += n
     if i != len(flat):
         raise DimensionError("flat parameter list does not match layer stack")
@@ -452,7 +439,8 @@ def param_count(layers: Sequence[Layer]) -> int:
 
 
 def copy_layers(layers: Sequence[Layer]) -> list[Layer]:
-    return [layer.copy() for layer in layers]
+    """Copies of the layers that hold parameters; a parameter-free layer is shared."""
+    return [layer.copy() if layer.params() else layer for layer in layers]
 
 
 class ParamBuffer:
@@ -531,7 +519,7 @@ class LayerStack:
 
     def _bind(self, buf: Array) -> list[Layer]:
         return [
-            type(layer)(*views) if views else layer.copy()
+            type(layer)(*views) if views else layer
             for layer, views in zip(self._template, self._group(buf))
         ]
 

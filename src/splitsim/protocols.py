@@ -127,7 +127,7 @@ class ProtocolConfig:
             raise InputError("seed must be nonnegative")
         if self.optimizer not in ("sgd", "adam"):
             raise InputError(f"unknown optimizer {self.optimizer!r}")
-        parse_phase(self.phase)  # validates
+        _phase_fraction(self.phase)  # validates
         split_lr(self.base_lr, self.clients, self.effective_mechanisms()[1])  # validates
 
     def effective_mechanisms(self) -> tuple[float, float]:
@@ -191,12 +191,10 @@ def split_lr(base_lr: float, clients: int, exponent: float) -> tuple[float, floa
 def sample_active_clients(
     clients: int, fraction: float, rng: np.random.Generator
 ) -> list[int]:
-    """Uniformly sample floor(fraction * clients) ids without replacement.
-
-    Truncation (1.5 -> 1) rather than round-half-up; a small epsilon guards
-    float fuzz so fractions meant to be integral stay integral. Returns a
-    sorted id list.
-    """
+    """Uniformly sample floor(fraction * clients + 1e-9) ids without
+    replacement, as a sorted list. The 1e-9 makes a decimal fraction k/clients
+    activate k (0.29 * 100 is 28.999999999999996 in floats), so a fraction
+    within 1e-9 / clients below a multiple of 1/clients rounds up to it."""
     if not 0.0 <= fraction <= 1.0:
         raise InputError("fraction must lie in [0, 1]")
     count = int(math.floor(fraction * clients + 1e-9))
@@ -260,12 +258,6 @@ def _phase_fraction(spec: str) -> tuple[str, Fraction]:
     if not 0 < p < 1:
         raise InputError("phase fraction must lie in (0, 1)")
     return m.group(1), p
-
-
-def parse_phase(spec: str) -> tuple[str, float]:
-    """Parse a phase spec: 'always', 'never', 'initial(p)' or 'final(p)'."""
-    kind, p = _phase_fraction(spec)
-    return kind, float(p)
 
 
 def phased_schedule(epoch: int, total_epochs: int, spec: str) -> bool:

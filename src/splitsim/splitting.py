@@ -75,10 +75,6 @@ class SmashedBatch:
         if len(self.labels) != self.smashed.shape[0]:
             raise DimensionError("label count does not match smashed rows")
 
-    @property
-    def sample_count(self) -> int:
-        return self.smashed.shape[0]
-
 
 @dataclass
 class ConcatBatch:
@@ -88,11 +84,6 @@ class ConcatBatch:
     labels: np.ndarray
     client_ids: list[int]
     offsets: list[tuple[int, int]]
-
-    @property
-    def effective_size(self) -> int:
-        """|B_s|: the server-side effective batch size."""
-        return self.smashed.shape[0]
 
 
 def client_forward(
@@ -139,8 +130,8 @@ def concat(batches: Sequence[SmashedBatch]) -> ConcatBatch:
     offsets = []
     start = 0
     for b in ordered:
-        offsets.append((start, start + b.sample_count))
-        start += b.sample_count
+        offsets.append((start, start + len(b.labels)))
+        start += len(b.labels)
     return ConcatBatch(
         smashed=np.concatenate([b.smashed for b in ordered], axis=0),
         labels=np.concatenate([b.labels for b in ordered]),
@@ -204,7 +195,7 @@ def server_forward_backward(
     if np.any(d < 0) or abs(d.sum() - 1.0) > DELTA_TOL:
         raise InputError("delta weights must be nonnegative and sum to 1")
     c = len(batch.client_ids)
-    b = batch.effective_size // c
+    b = batch.smashed.shape[0] // c
     if any(stop - start != b for start, stop in batch.offsets):
         raise DimensionError("every client must send the same number of rows")
     loss, cut_grad, param_grads = server_gradients(

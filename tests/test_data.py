@@ -198,3 +198,19 @@ class TestFashionMnist:
         assert len(ds) == 60_000
         assert ds.features.shape[1] == 784
         assert ds.n_classes == 10
+
+
+@pytest.mark.parametrize("call, match", [
+    pytest.param(lambda path: data.Dataset(np.zeros((3, 2)), [0, 1], 2), "one label per row",
+                 id="label-count"),
+    pytest.param(lambda path: data.Dataset(np.zeros((2, 2)), [0, 2], 2), "exceeds class count",
+                 id="label-at-class-count"),
+    pytest.param(lambda path: data.write_idx(path / "i", path / "l", np.zeros((2, 3)), [0, 1]),
+                 r"\[N, rows, cols\]", id="write-2d-images"),
+    pytest.param(lambda path: data.synth_blocks(2, 4, 4, 0.0, 0), "separation",
+                 id="zero-separation"),
+])
+def test_bad_input_rejected(tmp_path, call, match):
+    with pytest.raises(InputError, match=match):
+        call(tmp_path)
+    assert not any(tmp_path.iterdir())

@@ -468,6 +468,7 @@ class TestCli:
         ({"settings": [{**COST_SETTING, "name": 7}]}, "settings[0].name"),
         ({"settings": [{**COST_SETTING, "name": ["a"]}]}, "settings[0].name"),
         ({"settings": [{**COST_SETTING, "name": None}]}, "settings[0].name"),
+        ({"settings": [{**COST_SETTING, "clients": 0}]}, "settings[0]"),
     ])
     def test_malformed_cost_config_exits_2(self, tmp_path, capsys, raw, field):
         cfg = self._write_config(tmp_path, raw)
@@ -579,6 +580,7 @@ class TestCli:
         ("run", ["leakage.enabled=1"], "leakage.enabled"),
         ("cost", ["settings=" + json.dumps([{**COST_SETTING, "cut_size_mb": True}])],
          "settings[0].cut_size_mb"),
+        ("run", ["protocol=5"], "protocol"),
     ])
     def test_value_of_the_wrong_type_exits_2_naming_the_field(self, tmp_path, capsys, verb,
                                                              overrides, field):
@@ -598,6 +600,12 @@ class TestCli:
         ("model.hidden=[-3]", "model.hidden: every width must be at least 1"),
         ("model.hidden=[0]", "model.hidden: every width must be at least 1"),
         ("model.hidden=[8, 0]", "model.hidden: every width must be at least 1"),
+        ("protocol.clients=0", "protocol: need at least one client"),
+        ("protocol.epochs=0", "protocol: batch_size and epochs must be at least 1"),
+        ("dataset.classes=0", "dataset.classes: must be at least 1"),
+        ("dataset.per_class=-5", "dataset.per_class: must be at least 1"),
+        ("dataset.dim=2", "dataset.dim: dim must be >= classes"),
+        ("dataset.per_client=3", "dataset.per_client: per_client smaller than the batch size"),
     ])
     def test_out_of_range_count_exits_2_naming_the_field(self, tmp_path, capsys, override,
                                                         field):
@@ -606,6 +614,32 @@ class TestCli:
         assert cli_main(["run", "--config", cfg, "--set", override, "--out", str(out)]) == 2
         assert f"config error: {field}" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("override, field", [
+        ("protocol.active_fraction=1.5", "protocol: active_fraction must lie in [0, 1]"),
+        ("protocol.lr_exponent=-1", "protocol: lr_exponent must be nonnegative"),
+        ("protocol.base_lr=0", "protocol: base_lr must be positive"),
+        ('protocol.optimizer="rmsprop"', "protocol: unknown optimizer 'rmsprop'"),
+        ("dataset.kind=idx", "dataset.images: required for idx datasets"),
+        ("protocol.kind.x=1", "protocol.kind.x: path crosses a non-object value"),
+        ("foo", "--set expects key=value, got 'foo'"),
+    ])
+    def test_rejected_setting_exits_2_naming_it(self, tmp_path, capsys, override, field):
+        cfg = self._write_config(tmp_path, base_config())
+        out = tmp_path / "out"
+        assert cli_main(["run", "--config", cfg, "--set", override, "--out", str(out)]) == 2
+        assert f"config error: {field}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text, message", [
+        ("{not json", "config is not valid JSON"),
+        ("[1, 2]", "config root must be a JSON object"),
+    ], ids=["not-json", "root-not-object"])
+    def test_config_that_is_no_json_object_exits_2(self, tmp_path, capsys, text, message):
+        path = tmp_path / "config.json"
+        path.write_text(text)
+        assert cli_main(["run", "--config", str(path)]) == 2
+        assert f"config error: {message}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("key, value", [("splitavg_mean", False),
                                             ("lr_scale_basis", "batch")])
@@ -709,6 +743,15 @@ class TestCli:
         assert cli_main(["sweep", "--config", self._write_config(tmp_path, raw),
                          "--out", str(out)]) == 2
         assert f"config error: grid.{key}: must be a non-empty list" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_sweep_grid_value_listed_twice_exits_2(self, tmp_path, capsys):
+        raw = {"experiment": base_config(), "grid": {"protocol.kind": ["psl", "psl"]},
+               "seeds": [0]}
+        out = tmp_path / "out"
+        assert cli_main(["sweep", "--config", self._write_config(tmp_path, raw),
+                         "--out", str(out)]) == 2
+        assert "config error: grid: sweep runs share a run id" in capsys.readouterr().err
         assert not out.exists()
 
     def test_cost_config_methods_subset(self, tmp_path, capsys):

@@ -6,10 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from splitsim import nn
-from splitsim.errors import InputError
+from splitsim.errors import DimensionError, InputError
 from splitsim.leakage import (
     bin_columns,
-    bin_index,
     draw_pairs,
     joint_histogram,
     mi_from_joint,
@@ -223,13 +222,14 @@ def test_bincount_joint_equals_histogram2d(n, bins, x_levels, seed):
     x = tied_column(rng, n, x_levels)
     y = np.round(rng.normal(size=n), 1)
     y[rng.integers(0, n, size=3)] = y.max()
-    ix, iy = bin_index(x, bins), bin_index(y, bins)
-    if np.ptp(x) == 0.0:
-        assert ix is None
+    index, constant = bin_columns(np.column_stack([x, y]), bins)
+    assert constant.tolist() == [np.ptp(x) == 0.0, False]
+    if constant[0]:
         est = mutual_information(x, y, bins)
         assert est.value == 0.0 and est.degenerate
         return
-    assert np.array_equal(joint_histogram(ix, iy, bins), np.histogram2d(x, y, bins)[0])
+    joint = joint_histogram(index[:, 0], index[:, 1], bins)
+    assert np.array_equal(joint, np.histogram2d(x, y, bins)[0])
     want = mi_from_joint(np.histogram2d(x, y, bins)[0])
     assert mutual_information(x, y, bins).value == want
 
@@ -322,11 +322,8 @@ def test_bin_columns_equals_per_column_bin_index(n, bins, kinds, seed):
     for j in range(columns.shape[1]):
         want = reference_bin_index(columns[:, j], bins)
         assert constant[j] == (want is None)
-        got = bin_index(columns[:, j], bins)
-        if want is None:
-            assert got is None
-        else:
-            assert np.array_equal(index[:, j], want) and np.array_equal(got, want)
+        if want is not None:
+            assert np.array_equal(index[:, j], want)
 
 
 def test_bin_columns_checks_as_bin_index_did():
@@ -380,3 +377,12 @@ def test_stacked_mi_equals_one_joint_at_a_time(joints, bins, fill, probabilities
 def test_draw_pairs_is_the_default_draw():
     pairs = draw_pairs(9, 5, 12, seed=3)
     assert all(0 <= f < 9 and 0 <= u < 5 for f, u in pairs)
+
+
+@pytest.mark.parametrize("joints, error, match", [
+    pytest.param(np.ones((2, 2)), DimensionError, "stacked as", id="2d-joint"),
+    pytest.param(np.zeros((1, 2, 2)), InputError, "empty", id="all-zero-joint"),
+])
+def test_mi_from_joints_rejects(joints, error, match):
+    with pytest.raises(error, match=match):
+        mi_from_joints(joints)

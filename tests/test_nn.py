@@ -296,3 +296,44 @@ class TestDeterminism:
         a, b = run(), run()
         for x, y in zip(a, b):
             assert np.array_equal(x, y)
+
+
+P = np.zeros((2, 3))
+
+
+@pytest.mark.parametrize("call, error, match", [
+    pytest.param(lambda: nn.Dense(np.ones(3), np.zeros(1)), DimensionError,
+                 "dense weight must be", id="dense-1d-weight"),
+    pytest.param(lambda: nn.Dense(P, np.zeros(3)), DimensionError, "bias shape",
+                 id="dense-bias-shape"),
+    pytest.param(lambda: nn.Dense(P, np.zeros(2)).set_params([np.zeros((3, 3)), np.zeros(3)]),
+                 DimensionError, "parameter shapes changed", id="set-params-new-shape"),
+    pytest.param(lambda: nn.forward([nn.Dense(P, np.zeros(2))], np.zeros(3)), DimensionError,
+                 "input must be", id="forward-1d-input"),
+    pytest.param(lambda: nn.loss_softmax_ce(P, [0, 1, 2]), DimensionError, "a label per row",
+                 id="loss-label-shape"),
+    pytest.param(lambda: nn.init_optimizer("rmsprop", [P]), InputError, "unknown optimizer",
+                 id="unknown-optimizer"),
+    pytest.param(lambda: nn.adam_update([P.copy()], [P], nn.OptimizerState("adam"), 0.1),
+                 InputError, "uninitialized", id="adam-without-moments"),
+    pytest.param(lambda: nn.optimizer_step([P.copy()], [P, P], nn.OptimizerState("sgd"), 0.1),
+                 DimensionError, "a grad per param", id="grad-count"),
+    pytest.param(lambda: nn.optimizer_step([P.copy()], [P], nn.OptimizerState("sgd"),
+                                           [0.1, 0.1]),
+                 DimensionError, "one learning rate", id="rate-count"),
+    pytest.param(lambda: nn.optimizer_step([P.copy()], [P], nn.OptimizerState("sgd"), 0.0),
+                 InputError, "must be positive", id="zero-rate"),
+    pytest.param(lambda: nn.optimizer_step([np.zeros((3, 2)).T], [P], nn.OptimizerState("sgd"),
+                                           0.1),
+                 DimensionError, "C-contiguous", id="non-contiguous-param"),
+    pytest.param(lambda: nn.set_params([nn.Dense(P, np.zeros(2)), nn.Relu()],
+                                       [P, np.zeros(2), P]),
+                 DimensionError, "does not match layer stack", id="one-array-too-many"),
+    pytest.param(lambda: nn.build_mlp([3], np.random.default_rng(0)), InputError,
+                 "input and output widths", id="one-width"),
+    pytest.param(lambda: nn.finite_diff_grad(lambda ps: 0.0, [P], h=0.0), InputError,
+                 "step size", id="zero-step"),
+])
+def test_bad_input_rejected(call, error, match):
+    with pytest.raises(error, match=match):
+        call()

@@ -14,14 +14,13 @@ from hypothesis import strategies as st
 from splitsim import nn, protocols, splitting
 from splitsim.comm import CommLedger
 from splitsim.data import synth_dataset
-from splitsim.errors import InputError, NumericError
+from splitsim.errors import DimensionError, InputError, NumericError
 from splitsim.protocols import (
     STREAM_ACTIVE,
     STREAM_BATCH,
     ProtocolConfig,
     SplitTrainer,
     keyed_rng,
-    parse_phase,
     phased_schedule,
     sample_active_clients,
     split_avg,
@@ -121,6 +120,14 @@ class TestActiveSampling:
     def test_fractional_count_truncates(self):
         rng = np.random.default_rng(0)
         assert len(sample_active_clients(6, 0.25, rng)) == 1
+
+    @pytest.mark.parametrize("phi, clients, count", [
+        (0.29, 100, 29), (0.57, 100, 57), (0.299999999995, 100, 30), (0.99999999995, 10, 10)])
+    def test_count_is_floor_of_phi_c_plus_1e_9(self, phi, clients, count):
+        # 0.29 * 100 is 28.999999999999996 in floats; the 1e-9 counts k/C as k, and
+        # rounds a phi within 1e-9 / C below a multiple of 1/C up to it.
+        rng = keyed_rng(0, STREAM_ACTIVE, 0)
+        assert len(sample_active_clients(clients, phi, rng)) == count
 
     def test_deterministic_per_generator_state(self):
         a = sample_active_clients(10, 0.4, np.random.default_rng(3))
@@ -249,7 +256,8 @@ class TestPhasedSchedule:
     @example(total=50, p=0.14)
     @example(total=60, p=0.55)
     def test_bounds(self, total, p):
-        assert parse_phase(f"initial({p!r})") == ("initial", p)
+        for kind in ("initial", "final"):
+            ProtocolConfig(kind="sgl", clients=2, epochs=total, phase=f"{kind}({p!r})")
         exact = Fraction(repr(p))  # the spec's own text, read exactly
         first = math.ceil(exact * total)
         assert [phased_schedule(e, total, f"initial({p!r})") for e in range(total)] == (
@@ -264,8 +272,7 @@ class TestPhasedSchedule:
     def test_fraction_near_zero_read_exactly(self, p):
         # 1.0 - p rounds to 1.0 in floats; read exactly, final(p) still runs.
         for kind in ("initial", "final"):
-            assert parse_phase(f"{kind}({p!r})") == (kind, p)
-        ProtocolConfig(kind="sgl", clients=2, phase=f"final({p!r})")
+            ProtocolConfig(kind="sgl", clients=2, phase=f"{kind}({p!r})")
         assert [phased_schedule(e, 10, f"initial({p!r})") for e in range(10)] == (
             [True] + [False] * 9)
         assert [phased_schedule(e, 10, f"final({p!r})") for e in range(10)] == (
@@ -290,7 +297,7 @@ class TestPhasedSchedule:
         "final(1e-1000)", pytest.param(f"final(0.{'0' * 5000}1)", id="5002-digits")])
     def test_fraction_zero_at_least_one_or_too_long_rejected(self, spec):
         with pytest.raises(InputError):
-            parse_phase(spec)
+            phased_schedule(0, 10, spec)
         with pytest.raises(InputError):
             ProtocolConfig(kind="sgl", clients=2, phase=spec)
 
@@ -948,3 +955,22 @@ class TestDeterminism:
             t.run_epoch(0)
             runs.append(params_of(t))
         assert_bitwise_equal(*runs)
+
+
+@pytest.mark.parametrize("call, error, match", [
+    pytest.param(lambda: split_lr(1e-3, 0, 0.5), InputError, "clients", id="no-clients"),
+    pytest.param(lambda: split_lr(1e-3, 2, -1.0), InputError, "exponent",
+                 id="negative-exponent"),
+    pytest.param(lambda: sample_active_clients(4, 1.5, keyed_rng(0, STREAM_ACTIVE, 0)),
+                 InputError, "fraction", id="fraction-above-1"),
+    pytest.param(lambda: protocols.evaluate(nn.build_mlp([3, 2], np.random.default_rng(0)),
+                                            np.zeros((0, 3)), []),
+                 InputError, "empty dataset", id="evaluate-no-rows"),
+    pytest.param(lambda: split_avg({0: np.zeros(2)}, [0, 1]), InputError,
+                 "active client 1 has no cut gradient", id="active-without-gradient"),
+    pytest.param(lambda: split_avg({0: np.zeros(2), 1: np.zeros(3)}, [0, 1]), DimensionError,
+                 "differ in shape", id="gradient-shapes"),
+])
+def test_bad_input_rejected(call, error, match):
+    with pytest.raises(error, match=match):
+        call()

@@ -52,7 +52,7 @@ class TestClientForward:
         x = rng.normal(size=(8, 10))
         batch, _ = splitting.client_forward(seg, x, np.zeros(8, dtype=int), 3)
         assert batch.smashed.shape == (8, 32)
-        assert batch.sample_count == 8
+        assert batch.labels.shape == (8,)
 
     def test_matches_plain_forward_bitwise(self):
         rng = np.random.default_rng(3)
@@ -87,7 +87,7 @@ class TestConcat:
     def test_effective_size_is_sum(self):
         rng = np.random.default_rng(4)
         cb = splitting.concat(self._batches(rng, [8] * 5))
-        assert cb.effective_size == 40
+        assert cb.smashed.shape[0] == len(cb.labels) == 40
 
     def test_single_client_identity(self):
         rng = np.random.default_rng(5)
@@ -108,7 +108,7 @@ class TestConcat:
         rng = np.random.default_rng(7)
         counts = [1, 7, 3, 9]
         cb = splitting.concat(self._batches(rng, counts))
-        assert cb.effective_size == sum(counts)
+        assert cb.smashed.shape[0] == len(cb.labels) == sum(counts)
         assert cb.client_ids == list(range(len(counts)))
         assert [stop - start for start, stop in cb.offsets] == counts
 
@@ -236,3 +236,33 @@ class TestServerRound:
             loss, _ = nn.loss_softmax_ce(out, b.labels)
             expected += deltas[b.client_id] * loss
         assert result.loss == pytest.approx(expected, rel=1e-12)
+
+
+def server_round(deltas, rows):
+    """``server_forward_backward`` on one batch per entry of ``rows``."""
+    rng = np.random.default_rng(0)
+    server = nn.build_mlp([3, 2], rng)
+    batches = [splitting.SmashedBatch(cid, rng.normal(size=(n, 3)), np.zeros(n, dtype=int))
+               for cid, n in enumerate(rows)]
+    state = nn.init_optimizer("sgd", nn.collect_params(server))
+    splitting.server_forward_backward(server, splitting.concat(batches), deltas, 0.1, state)
+
+
+@pytest.mark.parametrize("call, error, match", [
+    pytest.param(lambda: splitting.SmashedBatch(0, np.zeros(3), np.zeros(3, dtype=int)),
+                 DimensionError, "smashed data must be", id="1d-smashed"),
+    pytest.param(lambda: splitting.SmashedBatch(0, np.zeros((3, 2)), np.zeros(2, dtype=int)),
+                 DimensionError, "label count", id="label-count"),
+    pytest.param(lambda: splitting.concat([]), InputError, "no smashed batches",
+                 id="concat-nothing"),
+    pytest.param(lambda: splitting.concat(
+                     [splitting.SmashedBatch(0, np.zeros((1, 2)), np.zeros(1, dtype=int))] * 2),
+                 InputError, "duplicate", id="concat-duplicate-id"),
+    pytest.param(lambda: server_round({0: 1.0}, [2, 2]), InputError, "missing delta",
+                 id="missing-delta"),
+    pytest.param(lambda: server_round({0: 0.5, 1: 0.5}, [2, 3]), DimensionError,
+                 "same number of rows", id="unequal-rows"),
+])
+def test_bad_input_rejected(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
