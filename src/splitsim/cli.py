@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from .comm import METHODS, CostParams
@@ -88,6 +89,7 @@ def cost_setting(entry, index: int) -> tuple[str, CostParams]:
     name = entry.get("name", f"setting_{index}")
     if not isinstance(name, str):
         raise ConfigError(f"must be a string, got {name!r}", field=f"{field}.name")
+    check_keys(entry, ["name", *(f.name for f in fields(CostParams))], field, f"{field}.")
     params = {key: value for key, value in entry.items() if key != "name"}
     return name, build_section(CostParams, params, field)
 

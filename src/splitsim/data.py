@@ -89,9 +89,10 @@ def load_idx(images_path, labels_path) -> Dataset:
     Pixels are scaled to [0, 1] and flattened row-major to d = rows*cols.
     """
     pixels = _read_idx(images_path, IDX_IMAGE_MAGIC, "image", "pixel")
-    idx_count(images_path, labels_path)  # the label header must match the images'
     labels = _read_idx(labels_path, IDX_LABEL_MAGIC, "label", "label")
     count, rows, cols = pixels.shape
+    if len(labels) != count:
+        raise FormatError(f"image count {count} does not match label count {len(labels)}")
     features = pixels.reshape(count, rows * cols).astype(np.float64)
     features /= 255.0
     n_classes = int(labels.max()) + 1 if labels.size else 0

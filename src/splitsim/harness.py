@@ -16,7 +16,7 @@ import io
 import json
 import os
 import re
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from itertools import product
 from pathlib import Path
 
@@ -77,28 +77,35 @@ FIELD_TYPES = {
 
 def build_section(cls, payload, field: str):
     """``cls(**payload)``, with a payload that is no object or that ``cls``
-    rejects raised as a ConfigError naming ``field``. Each field must hold its
-    annotation's type per ``FIELD_TYPES`` (each entry of a ``list[int]`` a
-    Python int), or the error names ``field.name``."""
+    rejects raised as a ConfigError naming ``field``. An unknown key, a
+    missing required field or a field not of its annotation's type per
+    ``FIELD_TYPES`` (each entry of a ``list[int]`` a Python int) is named
+    as ``field.name``."""
     if not isinstance(payload, dict):
         raise ConfigError("must be an object", field=field)
+    check_keys(payload, [f.name for f in fields(cls)], field, f"{field}.")
     for f in fields(cls):
-        if f.name in payload:
-            value, (types, what) = payload[f.name], FIELD_TYPES[f.type]
-            if (not isinstance(value, types) or isinstance(value, bool) != (types is bool)
-                    or types is list and any(type(v) is not int for v in value)):
-                raise ConfigError(f"must be {what}, got {value!r}", field=f"{field}.{f.name}")
+        if f.name not in payload:
+            if f.default is MISSING and f.default_factory is MISSING:
+                raise ConfigError("required", field=f"{field}.{f.name}")
+            continue
+        value, (types, what) = payload[f.name], FIELD_TYPES[f.type]
+        if (not isinstance(value, types) or isinstance(value, bool) != (types is bool)
+                or types is list and any(type(v) is not int for v in value)):
+            raise ConfigError(f"must be {what}, got {value!r}", field=f"{field}.{f.name}")
     try:
         return cls(**payload)
-    except (TypeError, InputError) as exc:
+    except InputError as exc:
         raise ConfigError(str(exc), field=field) from exc
 
 
-def check_keys(raw: dict, keys, what: str) -> None:
-    """Raise a ConfigError naming the first key of ``raw`` not in ``keys``."""
+def check_keys(raw: dict, keys, what: str, prefix: str = "") -> None:
+    """Raise a ConfigError naming the first key of ``raw`` not in ``keys``,
+    after ``prefix``."""
     unknown = [key for key in raw if key not in keys]
     if unknown:
-        raise ConfigError(f"unknown key; {what} holds only {', '.join(keys)}", field=unknown[0])
+        raise ConfigError(f"unknown key; {what} holds only {', '.join(keys)}",
+                          field=prefix + unknown[0])
 
 
 # Protocol kinds -> analytic cost-model rows.
@@ -116,8 +123,6 @@ class ExperimentConfig:
 
     @staticmethod
     def from_dict(raw: dict) -> "ExperimentConfig":
-        if "protocol" not in raw:
-            raise ConfigError("missing section", field="protocol")
         check_keys(raw, [f.name for f in fields(ExperimentConfig)], "a config")
         proto, ds, model, leak = (
             build_section(cls, raw.get(name, {}), name)

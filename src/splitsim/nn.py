@@ -116,7 +116,7 @@ class Relu:
 
 
 class Softmax:
-    """Row-wise softmax output layer (probabilities over classes).
+    """Softmax output layer: probabilities over the last (class) axis.
 
     Training normally keeps logits and uses the fused ``loss_softmax_ce``;
     this layer exists for probability outputs and carries the exact Jacobian
@@ -129,21 +129,24 @@ class Softmax:
         return []
 
     def forward(self, x: Array) -> Array:
-        return _softmax(x)
+        return np.exp(_log_softmax(x))
 
     def backward(self, x: Array, upstream: Array, *_) -> tuple[list[Array], Array]:
-        p = _softmax(x)
-        inner = (upstream * p).sum(axis=1, keepdims=True)
+        p = np.exp(_log_softmax(x))
+        inner = (upstream * p).sum(axis=-1, keepdims=True)
         return [], p * (upstream - inner)
 
 
 Layer = Dense | Relu | Softmax
 
 
-def _softmax(z: Array) -> Array:
-    shifted = z - z.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+def _log_softmax(z: Array) -> Array:
+    """Log-probabilities over the last axis: the max-shifted logits minus
+    their log-sum-exp, as ``Softmax`` and ``loss_softmax_ce`` both take them.
+    The ufunc reductions are what ndarray max/sum run, minus wrappers."""
+    shifted = z - np.maximum.reduce(z, axis=-1, keepdims=True)
+    shifted -= np.log(np.add.reduce(np.exp(shifted), axis=-1, keepdims=True))
+    return shifted
 
 
 @dataclass(slots=True)
@@ -218,13 +221,10 @@ def loss_softmax_ce(logits: Array, labels, *, validate: bool = True) -> tuple[fl
             raise InputError(f"labels must lie in [0, {logits.shape[-1]})")
     n, k = logits.shape[-2:]
     # Flat index of each row's label entry in the (contiguous) [..., k] arrays.
-    # The ufunc reductions are what ndarray max/sum/mean run, minus wrappers.
     target = np.arange(0, labels.size * k, k) + labels.reshape(-1)
-    shifted = logits - np.maximum.reduce(logits, axis=-1, keepdims=True)
-    log_z = np.log(np.add.reduce(np.exp(shifted), axis=-1))
-    per_row = log_z - shifted.take(target).reshape(labels.shape)
-    loss = np.add.reduce(per_row, axis=-1) / n
-    grad = np.exp(shifted - log_z[..., None])
+    log_p = _log_softmax(logits)
+    loss = -np.add.reduce(log_p.take(target).reshape(labels.shape), axis=-1) / n
+    grad = np.exp(log_p)
     grad.reshape(-1)[target] -= 1.0
     grad /= n
     return (float(loss) if logits.ndim == 2 else loss), grad
@@ -423,15 +423,16 @@ def collect_grads(param_grads: Sequence[Sequence[Array]]) -> list[Array]:
 
 
 def set_params(layers: Sequence[Layer], flat: Sequence[Array]) -> None:
-    """Write a flat parameter list back into the layers that hold parameters."""
-    i = 0
-    for layer in layers:
-        n = len(layer.params())
-        if n:
-            layer.set_params(list(flat[i : i + n]))
-        i += n
-    if i != len(flat):
+    """Write a flat parameter list back into the layers that hold parameters;
+    a list that differs from ``collect_params(layers)`` in length or in any
+    shape raises before any layer is written."""
+    old = collect_params(layers)
+    if len(flat) != len(old) or any(p.shape != q.shape for p, q in zip(flat, old)):
         raise DimensionError("flat parameter list does not match layer stack")
+    arrays = iter(flat)
+    for layer in layers:
+        if layer.params():
+            layer.set_params([next(arrays) for _ in layer.params()])
 
 
 def param_count(layers: Sequence[Layer]) -> int:

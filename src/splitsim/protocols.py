@@ -78,13 +78,8 @@ STREAM_LEAKAGE = 6
 
 
 def keyed_rng(seed: int, stream: int, *key: int) -> np.random.Generator:
-    """Independent generator for (seed, stream, key...). numpy reads an int
-    below 2**32 as one uint32 word, so words that all fit go in as a uint32
-    array, the same entropy, which numpy takes without converting each int."""
-    words = [int(seed), int(stream), *map(int, key)]
-    if 0 <= min(words) and max(words) < 2**32:
-        return np.random.default_rng(np.array(words, dtype=np.uint32))
-    return np.random.default_rng(words)
+    """Independent generator for (seed, stream, key...)."""
+    return np.random.default_rng([int(seed), int(stream), *map(int, key)])
 
 
 @dataclass
@@ -198,8 +193,6 @@ def sample_active_clients(
     if not 0.0 <= fraction <= 1.0:
         raise InputError("fraction must lie in [0, 1]")
     count = int(math.floor(fraction * clients + 1e-9))
-    if count == 0:
-        return []
     return sorted(int(i) for i in rng.choice(clients, size=count, replace=False))
 
 
@@ -423,8 +416,8 @@ class SplitTrainer:
         cfg, kind = self.config, self.kind
         phi, _ = cfg.effective_mechanisms()
         on = phi > 0 and phased_schedule(epoch, cfg.epochs, cfg.phase)
-        rng = keyed_rng(cfg.seed, STREAM_ACTIVE, epoch) if on else None
-        active = sample_active_clients(cfg.clients, phi, rng) if on else []
+        active = sample_active_clients(
+            cfg.clients, phi, keyed_rng(cfg.seed, STREAM_ACTIVE, epoch)) if on else []
 
         batches = [self._batches_for(c, epoch) for c in self.clients]
         everyone = range(cfg.clients)

@@ -1,4 +1,5 @@
-"""Every demo script runs to completion; demo 03's narrative is pinned."""
+"""Every demo script runs to completion with warnings as errors; demo 03's
+narrative is pinned."""
 
 import os
 import subprocess
@@ -18,8 +19,8 @@ def run_demo(path: Path) -> subprocess.CompletedProcess:
     src = str(Path(splitsim.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
-    return subprocess.run([sys.executable, str(path)], capture_output=True, text=True,
-                          env=env, cwd=ROOT)
+    return subprocess.run([sys.executable, "-W", "error", str(path)], capture_output=True,
+                          text=True, env=env, cwd=ROOT)
 
 
 def test_four_demos():

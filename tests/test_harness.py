@@ -469,6 +469,8 @@ class TestCli:
         ({"settings": [{**COST_SETTING, "name": ["a"]}]}, "settings[0].name"),
         ({"settings": [{**COST_SETTING, "name": None}]}, "settings[0].name"),
         ({"settings": [{**COST_SETTING, "clients": 0}]}, "settings[0]"),
+        ({"settings": [{**COST_SETTING, "foo": 1}]}, "settings[0].foo"),
+        ({"settings": [{"cut_size_mb": 1}]}, "settings[0].model_size_mb"),
     ])
     def test_malformed_cost_config_exits_2(self, tmp_path, capsys, raw, field):
         cfg = self._write_config(tmp_path, raw)
@@ -623,6 +625,8 @@ class TestCli:
         ("dataset.kind=idx", "dataset.images: required for idx datasets"),
         ("protocol.kind.x=1", "protocol.kind.x: path crosses a non-object value"),
         ("foo", "--set expects key=value, got 'foo'"),
+        ("dataset.foo=1", "dataset.foo: unknown key; dataset holds only kind, classes, per_class"),
+        ('protocol={"clients": 2}', "protocol.kind: required\n"),
     ])
     def test_rejected_setting_exits_2_naming_it(self, tmp_path, capsys, override, field):
         cfg = self._write_config(tmp_path, base_config())
@@ -648,8 +652,7 @@ class TestCli:
         a config that still sets either is rejected, not silently ignored."""
         cfg = self._write_config(tmp_path, base_config(**{f"protocol.{key}": value}))
         assert cli_main(["run", "--config", cfg]) == 2
-        err = capsys.readouterr().err
-        assert "config error: protocol: " in err and key in err
+        assert f"config error: protocol.{key}: unknown key" in capsys.readouterr().err
 
     def test_model_hidden_must_be_a_list(self, tmp_path, capsys):
         cfg = self._write_config(tmp_path, base_config())

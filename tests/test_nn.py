@@ -76,6 +76,16 @@ class TestForward:
         assert len(cache.inputs) == len(layers)
         assert np.array_equal(cache.inputs[0], x)
 
+    def test_softmax_on_a_client_stack_equals_each_slice(self):
+        rng = np.random.default_rng(5)
+        x, upstream = rng.normal(size=(2, 5, 3)), rng.normal(size=(2, 5, 3))
+        out = nn.forward([nn.Softmax()], x).output
+        _, grad = nn.Softmax().backward(x, upstream)
+        for c in range(2):
+            assert np.array_equal(out[c], nn.forward([nn.Softmax()], x[c]).output)
+            assert np.array_equal(grad[c], nn.Softmax().backward(x[c], upstream[c])[1])
+        assert np.abs(out.sum(axis=-1) - 1.0).max() <= 1e-15
+
 
 class TestSoftmaxCE:
     def test_uniform_logits_loss_is_log_k(self):
@@ -301,6 +311,17 @@ class TestDeterminism:
 P = np.zeros((2, 3))
 
 
+def set_params_keeping_old(bad_list):
+    """``nn.set_params`` on ``build_mlp([3, 4, 2])`` with ``bad_list(params)``,
+    asserting that every layer still holds its old arrays afterwards."""
+    layers = nn.build_mlp([3, 4, 2], np.random.default_rng(0))
+    old = nn.collect_params(layers)
+    try:
+        nn.set_params(layers, bad_list([p + 1.0 for p in old]))
+    finally:
+        assert all(a is b for a, b in zip(nn.collect_params(layers), old, strict=True))
+
+
 @pytest.mark.parametrize("call, error, match", [
     pytest.param(lambda: nn.Dense(np.ones(3), np.zeros(1)), DimensionError,
                  "dense weight must be", id="dense-1d-weight"),
@@ -329,6 +350,13 @@ P = np.zeros((2, 3))
     pytest.param(lambda: nn.set_params([nn.Dense(P, np.zeros(2)), nn.Relu()],
                                        [P, np.zeros(2), P]),
                  DimensionError, "does not match layer stack", id="one-array-too-many"),
+    pytest.param(lambda: set_params_keeping_old(lambda ps: [*ps, ps[-1]]), DimensionError,
+                 "does not match layer stack", id="set-params-extra-array-writes-nothing"),
+    pytest.param(lambda: set_params_keeping_old(lambda ps: ps[:-1]), DimensionError,
+                 "does not match layer stack", id="set-params-short-list-writes-nothing"),
+    pytest.param(lambda: set_params_keeping_old(lambda ps: [*ps[:-1], np.zeros(3)]),
+                 DimensionError, "does not match layer stack",
+                 id="set-params-last-shape-writes-nothing"),
     pytest.param(lambda: nn.build_mlp([3], np.random.default_rng(0)), InputError,
                  "input and output widths", id="one-width"),
     pytest.param(lambda: nn.finite_diff_grad(lambda ps: 0.0, [P], h=0.0), InputError,

@@ -83,7 +83,7 @@ class TestSplitLr:
 
 
 class TestKeyedRng:
-    # Words at, below and above 2**32: the array form covers only those below.
+    # Words at, below and above 2**32, where a uint32 word no longer holds one.
     WORDS = st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32 - 2, 2**32 + 2),
                       st.integers(0, 2**80))
 
@@ -122,7 +122,8 @@ class TestActiveSampling:
         assert len(sample_active_clients(6, 0.25, rng)) == 1
 
     @pytest.mark.parametrize("phi, clients, count", [
-        (0.29, 100, 29), (0.57, 100, 57), (0.299999999995, 100, 30), (0.99999999995, 10, 10)])
+        (0.29, 100, 29), (0.57, 100, 57), (0.299999999995, 100, 30), (0.99999999995, 10, 10),
+        (0.05, 10, 0)])
     def test_count_is_floor_of_phi_c_plus_1e_9(self, phi, clients, count):
         # 0.29 * 100 is 28.999999999999996 in floats; the 1e-9 counts k/C as k, and
         # rounds a phi within 1e-9 / C below a multiple of 1/C up to it.
