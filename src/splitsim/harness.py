@@ -78,9 +78,9 @@ FIELD_TYPES = {
 def build_section(cls, payload, field: str):
     """``cls(**payload)``, with a payload that is no object or that ``cls``
     rejects raised as a ConfigError naming ``field``. An unknown key, a
-    missing required field or a field not of its annotation's type per
-    ``FIELD_TYPES`` (each entry of a ``list[int]`` a Python int) is named
-    as ``field.name``."""
+    missing required field, a field not of its annotation's type per
+    ``FIELD_TYPES`` (each entry of a ``list[int]`` a Python int) or a
+    ``float`` field too large for a float is named as ``field.name``."""
     if not isinstance(payload, dict):
         raise ConfigError("must be an object", field=field)
     check_keys(payload, [f.name for f in fields(cls)], field, f"{field}.")
@@ -93,6 +93,11 @@ def build_section(cls, payload, field: str):
         if (not isinstance(value, types) or isinstance(value, bool) != (types is bool)
                 or types is list and any(type(v) is not int for v in value)):
             raise ConfigError(f"must be {what}, got {value!r}", field=f"{field}.{f.name}")
+        if f.type == "float":
+            try:
+                float(value)  # only a check: keeping the value writes an integer 1 as 1, not 1.0
+            except OverflowError:
+                raise ConfigError("is too large for a float", field=f"{field}.{f.name}") from None
     try:
         return cls(**payload)
     except InputError as exc:

@@ -30,9 +30,7 @@ still draw identical batches.
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -99,7 +97,6 @@ class ProtocolConfig:
     batch_size: int = 8
     epochs: int = 30
     optimizer: str = "adam"
-    phase: str = "always"
     seed: int = 0
 
     def __post_init__(self):
@@ -122,7 +119,6 @@ class ProtocolConfig:
             raise InputError("seed must be nonnegative")
         if self.optimizer not in ("sgd", "adam"):
             raise InputError(f"unknown optimizer {self.optimizer!r}")
-        _phase_fraction(self.phase)  # validates
         split_lr(self.base_lr, self.clients, self.effective_mechanisms()[1])  # validates
 
     def effective_mechanisms(self) -> tuple[float, float]:
@@ -230,41 +226,6 @@ def active_sum(rows: Array, active: Sequence[int]) -> Array:
     for cid in active:
         total += rows[cid]
     return total
-
-
-_PHASE_RE = re.compile(r"^(initial|final)\(((?:\d+\.?\d*|\.\d+)(?:e[-+]?\d{1,3})?)\)$")
-
-
-def _phase_fraction(spec: str) -> tuple[str, Fraction]:
-    """(kind, p) of a phase spec, ``p`` read once and exactly as written
-    (0 for 'always' and 'never'). The exponent has at most three digits, so
-    the exact reading stays small."""
-    if spec in ("always", "never"):
-        return spec, Fraction(0)
-    m = _PHASE_RE.match(spec)
-    try:
-        p = Fraction(m.group(2)) if m else None
-    except ValueError:  # more digits than ``int`` converts
-        p = None
-    if p is None:
-        raise InputError(f"bad phase spec {spec!r}")
-    if not 0 < p < 1:
-        raise InputError("phase fraction must lie in (0, 1)")
-    return m.group(1), p
-
-
-def phased_schedule(epoch: int, total_epochs: int, spec: str) -> bool:
-    """Whether gradient averaging is enabled at ``epoch`` under ``spec``.
-
-    'initial(p)': on for the first ceil(p*E) epochs.
-    'final(p)': on from epoch floor((1-p)*E) onward; p is exact, as written.
-    """
-    kind, p = _phase_fraction(spec)
-    if kind == "initial":
-        return epoch < math.ceil(p * total_epochs)
-    if kind == "final":
-        return epoch >= math.floor((1 - p) * total_epochs)
-    return kind == "always"
 
 
 def _checked(x, y, layers, owner: str) -> tuple[Array, np.ndarray]:
@@ -415,9 +376,8 @@ class SplitTrainer:
         next client (cyclic at epoch end)."""
         cfg, kind = self.config, self.kind
         phi, _ = cfg.effective_mechanisms()
-        on = phi > 0 and phased_schedule(epoch, cfg.epochs, cfg.phase)
         active = sample_active_clients(
-            cfg.clients, phi, keyed_rng(cfg.seed, STREAM_ACTIVE, epoch)) if on else []
+            cfg.clients, phi, keyed_rng(cfg.seed, STREAM_ACTIVE, epoch)) if phi > 0 else []
 
         batches = [self._batches_for(c, epoch) for c in self.clients]
         everyone = range(cfg.clients)

@@ -371,7 +371,7 @@ def test_criterion_6_full_averaging_instability():
         raw = {
             "protocol": {"kind": "sglr", "clients": 20, "active_fraction": phi,
                          "lr_exponent": 1.0, "batch_size": 8, "epochs": 20,
-                         "phase": "always", "seed": seed},
+                         "seed": seed},
             "dataset": {"kind": "synthetic", "classes": 6, "per_class": 601,
                         "dim": 16, "separation": 4.5, "per_client": 160,
                         "validation": 400},

@@ -128,9 +128,7 @@ class TestRunExperiment:
         row = result.summary_row()
         assert row["formula_total_bytes"] == row["total_comm_bytes"] > 0
 
-    @pytest.mark.parametrize("overrides", [{"protocol.active_fraction": 0.0},
-                                           {"protocol.phase": "never"}],
-                             ids=["phi0", "never"])
+    @pytest.mark.parametrize("overrides", [{"protocol.active_fraction": 0.0}], ids=["phi0"])
     def test_sglr_without_averaging_sends_no_broadcast_in_the_formula(self, overrides):
         """An epoch in which no client averages has no broadcast in the run or
         in its closed form: 2 epochs of 2 * D * S_L, C = 4, 10 rounds of 4 rows."""
@@ -518,15 +516,6 @@ class TestCli:
         assert "config error: run_id: must be a string of" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [tmp_path / "config.json"]
 
-    def test_phase_fraction_read_exactly(self, tmp_path, capsys):
-        # final(1e-17) rounds to final(0) as a float; exactly, it averages in the last epoch.
-        cfg = self._write_config(tmp_path, base_config())
-        assert cli_main(["run", "--config", cfg, "--set", "protocol.phase=final(1e-17)"]) == 0
-        assert json.loads(capsys.readouterr().out)["protocol"] == "sglr"
-        for spec in ("final(0.0)", "initial(1.00000000000000000001)"):
-            assert cli_main(["run", "--config", cfg, "--set", f"protocol.phase={spec}"]) == 2
-            assert "config error: protocol: " in capsys.readouterr().err
-
     @pytest.mark.parametrize("override, field", [
         ("protocol.base_lr=NaN", "protocol: base_lr"),
         ("protocol.base_lr=Infinity", "protocol: base_lr"),
@@ -577,7 +566,7 @@ class TestCli:
         ("run", ["dataset.kind=idx", "dataset.images=[1]"], "dataset.images"),
         ("run", ["protocol.active_fraction=true"], "protocol.active_fraction"),
         ("run", ["protocol.base_lr=true"], "protocol.base_lr"),
-        ("run", ["protocol.phase=5"], "protocol.phase"),
+        ("run", ["protocol.optimizer=5"], "protocol.optimizer"),
         ("run", ['leakage.enabled="yes"'], "leakage.enabled"),
         ("run", ["leakage.enabled=1"], "leakage.enabled"),
         ("cost", ["settings=" + json.dumps([{**COST_SETTING, "cut_size_mb": True}])],
@@ -594,6 +583,22 @@ class TestCli:
             args += ["--set", override]
         assert cli_main(args) == 2
         assert f"config error: {field}: must be " in capsys.readouterr().err
+        assert not out.exists()
+
+    BEYOND_FLOAT = 10**400  # an integer too large for a float
+
+    @pytest.mark.parametrize("verb, override, field", [
+        ("run", f"protocol.base_lr={BEYOND_FLOAT}", "protocol.base_lr"),
+        ("run", f"dataset.separation={BEYOND_FLOAT}", "dataset.separation"),
+        ("cost", "settings=" + json.dumps([{**COST_SETTING, "cut_size_mb": BEYOND_FLOAT}]),
+         "settings[0].cut_size_mb"),
+    ], ids=["base_lr", "separation", "cut_size_mb"])
+    def test_number_too_large_for_a_float_exits_2_naming_the_field(self, tmp_path, capsys, verb,
+                                                                  override, field):
+        cfg = self._write_config(tmp_path, base_config() if verb == "run" else {})
+        out = tmp_path / "out"
+        assert cli_main([verb, "--config", cfg, "--set", override, "--out", str(out)]) == 2
+        assert f"config error: {field}: is too large for a float" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("override, field", [
@@ -653,6 +658,18 @@ class TestCli:
         cfg = self._write_config(tmp_path, base_config(**{f"protocol.{key}": value}))
         assert cli_main(["run", "--config", cfg]) == 2
         assert f"config error: protocol.{key}: unknown key" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("where", ["file", "set"])
+    def test_phase_key_exits_2(self, tmp_path, capsys, where):
+        """Averaging has no schedule: phi alone decides who averages, and a
+        config that still sets a phase is rejected before anything is written."""
+        in_file = {"protocol.phase": "always"} if where == "file" else {}
+        cfg = self._write_config(tmp_path, base_config(**in_file))
+        out = tmp_path / "out"
+        args = ["run", "--config", cfg, "--out", str(out)]
+        assert cli_main(args + (["--set", "protocol.phase=always"] if where == "set" else [])) == 2
+        assert "config error: protocol.phase: unknown key" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [tmp_path / "config.json"]
 
     def test_model_hidden_must_be_a_list(self, tmp_path, capsys):
         cfg = self._write_config(tmp_path, base_config())

@@ -4,7 +4,6 @@ mechanisms, and scripted-trace oracles built from nn/splitting primitives."""
 import math
 import re
 import tracemalloc
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -21,7 +20,6 @@ from splitsim.protocols import (
     ProtocolConfig,
     SplitTrainer,
     keyed_rng,
-    phased_schedule,
     sample_active_clients,
     split_avg,
     split_lr,
@@ -229,80 +227,6 @@ class TestSplitAvg:
             assert np.array_equal(after, np.stack([assignment[c] for c in range(clients)]))
 
 
-class TestPhasedSchedule:
-    def test_always(self):
-        assert all(phased_schedule(e, 10, "always") for e in range(10))
-
-    def test_never(self):
-        assert not any(phased_schedule(e, 10, "never") for e in range(10))
-
-    def test_initial_60_percent(self):
-        flags = [phased_schedule(e, 10, "initial(0.6)") for e in range(10)]
-        assert flags == [True] * 6 + [False] * 4
-
-    def test_final_40_percent(self):
-        flags = [phased_schedule(e, 10, "final(0.4)") for e in range(10)]
-        assert flags == [False] * 6 + [True] * 4
-
-    def test_bad_spec(self):
-        with pytest.raises(InputError):
-            phased_schedule(0, 10, "initial(1.5)")
-
-    @settings(max_examples=200, deadline=None)
-    @given(total=st.integers(1, 60),
-           p=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True).filter(
-               lambda p: 1.0 - p < 1.0))
-    # In floats (1 - 0.8) * 5, 0.14 * 50 and (1 - 0.55) * 60 round across an integer.
-    @example(total=5, p=0.8)
-    @example(total=50, p=0.14)
-    @example(total=60, p=0.55)
-    def test_bounds(self, total, p):
-        for kind in ("initial", "final"):
-            ProtocolConfig(kind="sgl", clients=2, epochs=total, phase=f"{kind}({p!r})")
-        exact = Fraction(repr(p))  # the spec's own text, read exactly
-        first = math.ceil(exact * total)
-        assert [phased_schedule(e, total, f"initial({p!r})") for e in range(total)] == (
-            [True] * first + [False] * (total - first))
-        start = math.floor((1 - exact) * total)
-        assert [phased_schedule(e, total, f"final({p!r})") for e in range(total)] == (
-            [False] * start + [True] * (total - start))
-        assert all(phased_schedule(e, total, "always") for e in range(total))
-        assert not any(phased_schedule(e, total, "never") for e in range(total))
-
-    @pytest.mark.parametrize("p", [5e-324, 1e-17, 2**-54])
-    def test_fraction_near_zero_read_exactly(self, p):
-        # 1.0 - p rounds to 1.0 in floats; read exactly, final(p) still runs.
-        for kind in ("initial", "final"):
-            ProtocolConfig(kind="sgl", clients=2, phase=f"{kind}({p!r})")
-        assert [phased_schedule(e, 10, f"initial({p!r})") for e in range(10)] == (
-            [True] + [False] * 9)
-        assert [phased_schedule(e, 10, f"final({p!r})") for e in range(10)] == (
-            [False] * 9 + [True])
-
-    @pytest.mark.parametrize("total", [1, 3, 10, 60])
-    @pytest.mark.parametrize("kind, text", [("final", "1e-17"), ("initial", "1e-400"),
-                                            ("final", "0.9999999999999999999")])
-    def test_schedule_takes_the_exact_fraction(self, kind, text, total):
-        # Each of these rounds to 0 or 1 as a float.
-        spec, p = f"{kind}({text})", Fraction(text)
-        ProtocolConfig(kind="sgl", clients=2, epochs=total, phase=spec)
-        if kind == "initial":
-            start, stop = 0, math.ceil(p * total)
-        else:
-            start, stop = math.floor((1 - p) * total), total
-        assert [phased_schedule(e, total, spec) for e in range(total)] == (
-            [start <= e < stop for e in range(total)])
-
-    @pytest.mark.parametrize("spec", [
-        "final(0)", "initial(0e999)", "final(1.0)", "initial(1.00000000000000000001)",
-        "final(1e-1000)", pytest.param(f"final(0.{'0' * 5000}1)", id="5002-digits")])
-    def test_fraction_zero_at_least_one_or_too_long_rejected(self, spec):
-        with pytest.raises(InputError):
-            phased_schedule(0, 10, spec)
-        with pytest.raises(InputError):
-            ProtocolConfig(kind="sgl", clients=2, phase=spec)
-
-
 class TestEvaluate:
     def test_constant_model_balanced_set(self):
         # A model that always answers class 0 gets exactly 1/k on a
@@ -498,14 +422,13 @@ class TestContractProperties:
     @given(counts=st.lists(st.integers(3, 12), min_size=2, max_size=5),
            batch=st.integers(1, 3), cut=st.integers(1, 3),
            optimizer=st.sampled_from(["sgd", "adam"]),
-           phase=st.sampled_from(["always", "never", "initial(0.5)", "final(0.5)"]),
            seed=st.integers(0, 2**16))
-    def test_mechanisms_off_equal_psl(self, counts, batch, cut, optimizer, phase, seed):
+    def test_mechanisms_off_equal_psl(self, counts, batch, cut, optimizer, seed):
         data, model = unequal_clients(counts, seed), make_model(seed=seed, cut=cut)
         runs = []
         for kind in ("psl", "sglr", "sgl", "slr"):
             ledger = CommLedger()
-            cfg = config(kind, len(counts), batch_size=batch, optimizer=optimizer, phase=phase,
+            cfg = config(kind, len(counts), batch_size=batch, optimizer=optimizer,
                          active_fraction=0.0, lr_exponent=0.0, seed=seed)
             t = SplitTrainer(model.copy(), data, cfg, ledger=ledger)
             runs.append(([(m.train_loss, m.steps) for m in t.run()], t.buffer, ledger.entries))
@@ -891,19 +814,6 @@ class TestSGLR:
             nn.collect_params(t.server_layers), nn.collect_params(server_layers)
         ):
             assert np.max(np.abs(got - want)) < 1e-12
-
-    def test_phase_never_disables_averaging(self):
-        data = make_clients(2, seed=20)
-        model = make_model(seed=20)
-        t_off = SplitTrainer(
-            model.copy(), data,
-            config("sglr", 2, active_fraction=1.0, phase="never", epochs=1),
-        )
-        t_psl = SplitTrainer(model.copy(), data, config("psl", 2, epochs=1))
-        m = t_off.run_epoch(0)
-        t_psl.run_epoch(0)
-        assert m.active_ids == []
-        assert_bitwise_equal(params_of(t_off), params_of(t_psl))
 
 
 class TestDeltaHandling:
