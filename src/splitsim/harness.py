@@ -430,11 +430,12 @@ def sweep(
 
     run_dir = Path(out_dir) / "runs" if out_dir is not None else None
     finals: list[list] = [[] for _ in cells]  # by cell index: grid values need not hash
-    for index, cfg in jobs:
-        result = run_experiment(cfg, run_dir)
-        finals[index].append((result.final_accuracy, result.final_loss))
-        # Drop the trainer (all client data) and ledger before the next run.
-        del result
+    with protocols.shared_batch_orders():
+        for index, cfg in jobs:
+            result = run_experiment(cfg, run_dir)
+            finals[index].append((result.final_accuracy, result.final_loss))
+            # Drop the trainer (all client data) and ledger before the next run.
+            del result
 
     rows = []
     for cell, entries in zip(cells, finals):

@@ -19,17 +19,18 @@ rate scaling, a server or none, one travelling segment, LocAvg after each
 round. ``SplitTrainer.run_epoch`` is one epoch loop for all of them over the
 same client-stacked round, ``_round``, so the degenerate cases
 collapse bitwise: sglr with active_fraction 0 and lr_exponent 0 runs exactly
-psl's arithmetic.
+psl's arithmetic. fl's and ssl's rounds run their whole models as one chain.
 
 All randomness flows through ``keyed_rng``: every consumer (weight init,
 per-client batch shuffles, active-set sampling) owns an independent stream
 derived from (seed, stream id, key...), so protocols that skip a mechanism
-still draw identical batches.
+still draw identical batches; a sweep draws each once (``shared_batch_orders``).
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -64,6 +65,7 @@ KINDS = {
 }
 PROTOCOL_KINDS = tuple(KINDS)
 EVAL_ROWS = 1024  # most rows one ``evaluate`` block sends through ``nn.forward``
+_shared_orders: dict | None = None  # the open ``shared_batch_orders`` scope's orders
 
 # Stream ids for keyed_rng; fixed so runs stay reproducible across versions.
 STREAM_INIT = 0
@@ -268,6 +270,18 @@ def _epoch_batches(n: int, batch_size: int, rng: np.random.Generator) -> Array:
     return rng.permutation(n)[: rounds * batch_size].reshape(rounds, batch_size)
 
 
+@contextmanager
+def shared_batch_orders():
+    """A scope in which every trainer draws each (seed, epoch, client, rows,
+    batch size) batch order once, as all kinds draw the same batches."""
+    global _shared_orders
+    _shared_orders = {}
+    try:
+        yield
+    finally:
+        _shared_orders = None
+
+
 def _recipients(ids, active: Sequence[int]) -> tuple[Array, list[int]]:
     """Where a turn's cut gradients go: the ``active`` rows (an index array)
     share one broadcast average, and the ``ids`` outside them keep their own."""
@@ -359,10 +373,15 @@ class SplitTrainer:
         self._server_weights = np.ones(1) if kind.travelling else self._delta_array
 
         self.server, self.server_layers, self._server_grads = None, None, None
+        # fl's rows, and ssl's one row with its one server row, are whole models: one chain.
+        self._chain = (self.stack.layers, self.stack.grads) if not kind.server else None
         if kind.server:
             self.server = nn.LayerStack(model.server_segment, 1, self.buffer)
             self.server_layers = self.server.slot_layers(0)
             self._server_grads = [[g[0] for g in grads] for grads in self.server.grads]
+            if kind.travelling:
+                self._chain = (self.stack.layers + self.server.layers,
+                               self.stack.grads + self.server.grads)
 
     # -- public API ---------------------------------------------------------
 
@@ -421,8 +440,13 @@ class SplitTrainer:
         return evaluate(layers, *self.val_data, validate=False)  # checked at build
 
     def _batches_for(self, client: ClientState, epoch: int) -> Array:
-        rng = keyed_rng(self.config.seed, STREAM_BATCH, epoch, client.client_id)
-        return _epoch_batches(len(client.labels), self.config.batch_size, rng)
+        """The client's batch order for ``epoch``, read-only; drawn once per scope."""
+        cfg, orders = self.config, {} if _shared_orders is None else _shared_orders
+        seed, cid, rows, size = cfg.seed, client.client_id, len(client.labels), cfg.batch_size
+        if (key := (seed, epoch, cid, rows, size)) not in orders:
+            orders[key] = _epoch_batches(rows, size, keyed_rng(seed, STREAM_BATCH, epoch, cid))
+            orders[key].flags.writeable = False
+        return orders[key]
 
     # -- the round engine -------------------------------------------------------
 
@@ -437,10 +461,15 @@ class SplitTrainer:
         """``_parallel_round`` in pool row numbers: row i is client ``ids[i]``'s
         batch; the cut gradients go out as ``_recipients`` of the turn says."""
         x, y = self._x.take(rows, 0), self._y.take(rows)
-        cache = nn.forward(self.stack.layers, x, validate=False)
-        if self.server is None:
+        layers, grads = self._chain or (self.stack.layers, self.stack.grads)
+        cache = nn.forward(layers, x, validate=False)
+        if self._chain is not None:
             losses, upstream = nn.loss_softmax_ce(cache.output, y, validate=False)
-            loss = splitting.combine_losses(self._delta_array, losses)
+            loss = splitting.combine_losses(self._server_weights, losses)
+            if self.server is not None:  # ssl: its one cut gradient goes back unicast
+                nbytes = cache.inputs[len(self.stack.layers)][0].nbytes
+                self._log("up", "smashed", ids, nbytes)
+                self._log("down", "cut-grad", unicast, nbytes)
         else:
             nbytes = cache.output[0].nbytes
             self._log("up", "smashed", ids, nbytes)
@@ -452,7 +481,7 @@ class SplitTrainer:
                 upstream[averaged] = common / len(averaged)
                 self._log("down", "cut-grad", [None], common.nbytes)
             self._log("down", "cut-grad", unicast, nbytes)
-        nn.backward(cache, upstream, self.stack.grads, input_grad=False)
+        nn.backward(cache, upstream, grads, input_grad=False)
         self.buffer.step(self._lr)
         self.steps += 1
         return loss

@@ -12,11 +12,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from splitsim import data, harness
+from splitsim import data, harness, nn, protocols, splitting
 from splitsim.cli import cost_setting
 from splitsim.cli import main as cli_main
 from splitsim.comm import CostParams
-from splitsim.errors import ConfigError
+from splitsim.errors import ConfigError, NumericError
 from splitsim.harness import (
     DatasetSpec,
     ExperimentConfig,
@@ -27,7 +27,7 @@ from splitsim.harness import (
     set_by_path,
     sweep,
 )
-from splitsim.protocols import ProtocolConfig
+from splitsim.protocols import PROTOCOL_KINDS, STREAM_BATCH, ProtocolConfig, SplitTrainer
 
 
 def base_config(**overrides):
@@ -321,6 +321,76 @@ class TestSweep:
         first = sweep(base_config(), grid=grid, seeds=[4, 5])
         again = sweep(base_config(), grid=grid, seeds=[4, 5])
         assert first == again
+
+
+class TestSharedBatchOrders:
+    """A sweep draws each batch order once and shares it between its runs."""
+
+    @pytest.mark.parametrize("grid", [{"protocol.kind": list(PROTOCOL_KINDS)},
+                                      {"protocol.batch_size": [4, 8]}], ids=["kinds", "batch"])
+    def test_sweep_files_equal_the_runs_one_by_one(self, tmp_path, grid):
+        """Every file a sweep writes is byte-identical to the one its config,
+        run on its own outside any sweep, writes."""
+        sweep(base_config(), grid=grid, seeds=[1, 2], out_dir=tmp_path / "sweep")
+        swept = tmp_path / "sweep" / "runs"
+        configs = sorted(swept.glob("*.config.json"))
+        assert len(configs) == 2 * len(next(iter(grid.values())))
+        for path in configs:
+            raw = json.loads(path.read_text())
+            run_experiment(ExperimentConfig.from_dict(raw), tmp_path / "alone")
+        alone = sorted(p.name for p in (tmp_path / "alone").iterdir())
+        assert alone == sorted(p.name for p in swept.iterdir())
+        for name in alone:
+            assert (tmp_path / "alone" / name).read_bytes() == (swept / name).read_bytes()
+
+    def test_repeated_key_returns_one_read_only_order(self):
+        """Inside the scope, trainers of any kind get one object per key:
+        the fresh keyed draw, read-only. Outside it, each call draws anew."""
+        rng = np.random.default_rng(0)
+        model = splitting.SplitModel(nn.build_mlp([5, 6, 3], rng), 1)
+        pairs = [(rng.normal(size=(n, 5)), rng.integers(0, 3, size=n)) for n in (9, 12)]
+        cfg = ProtocolConfig(kind="psl", clients=2, batch_size=4, seed=7)
+        psl = SplitTrainer(model.copy(), pairs, cfg)
+        ssl = SplitTrainer(model.copy(), pairs, dataclasses.replace(cfg, kind="ssl"))
+        with protocols.shared_batch_orders():
+            for client in psl.clients:
+                order = psl._batches_for(client, 1)
+                assert psl._batches_for(client, 1) is order
+                assert ssl._batches_for(ssl.clients[client.client_id], 1) is order
+                assert not order.flags.writeable
+                fresh = protocols._epoch_batches(
+                    len(client.labels), 4, protocols.keyed_rng(7, STREAM_BATCH, 1,
+                                                               client.client_id))
+                assert np.array_equal(order, fresh)
+        assert protocols._shared_orders is None
+        client = psl.clients[0]
+        assert psl._batches_for(client, 1) is not psl._batches_for(client, 1)
+
+    def test_scope_is_released_after_a_sweep(self, monkeypatch):
+        held, original = [], harness.run_experiment
+
+        def spy(cfg, out_dir=None):
+            held.append(protocols._shared_orders is not None)
+            return original(cfg, out_dir)
+
+        monkeypatch.setattr(harness, "run_experiment", spy)
+        sweep(base_config(), grid={"protocol.kind": ["psl", "ssl"]}, seeds=[1])
+        assert held == [True, True] and protocols._shared_orders is None
+
+    def test_scope_is_released_after_a_run_raises(self):
+        with pytest.raises((NumericError, RuntimeWarning)):  # an overflow warning may raise first
+            sweep(base_config(**{"protocol.base_lr": 1e300}), grid={"protocol.kind": ["psl"]},
+                  seeds=[1])
+        assert protocols._shared_orders is None
+
+    def test_a_single_run_holds_nothing(self, monkeypatch):
+        draws, original = [], protocols._epoch_batches
+        monkeypatch.setattr(protocols, "_epoch_batches",
+                            lambda *args: draws.append(args) or original(*args))
+        run_experiment(ExperimentConfig.from_dict(base_config()))
+        assert protocols._shared_orders is None
+        run_experiment(ExperimentConfig.from_dict(base_config()))
+        assert len(draws) == 2 * 2 * 2  # every run draws its own: 2 epochs x 2 clients
 
 
 class TestCostReport:

@@ -67,21 +67,22 @@ def slabs(arrays):
 
 
 def spy_round_inputs(monkeypatch):
-    """Record the client-stack input and the server's labels of every round."""
+    """Record the client-stack input and the labels of every round: the ones
+    ``nn.loss_softmax_ce`` gets, which every kind calls once a round."""
     seen = []
-    forward, server_gradients = nn.forward, splitting.server_gradients
+    forward, loss_softmax_ce = nn.forward, nn.loss_softmax_ce
 
     def spy_forward(layers, x, **kw):
         if x.ndim == 3:
             seen.append([x.copy(), None])
         return forward(layers, x, **kw)
 
-    def spy_server(layers, smashed, y, *args, **kw):
+    def spy_loss(logits, y, **kw):
         seen[-1][1] = y.copy()
-        return server_gradients(layers, smashed, y, *args, **kw)
+        return loss_softmax_ce(logits, y, **kw)
 
-    monkeypatch.setattr(protocols.nn, "forward", spy_forward)
-    monkeypatch.setattr(protocols.splitting, "server_gradients", spy_server)
+    monkeypatch.setattr(nn, "forward", spy_forward)
+    monkeypatch.setattr(nn, "loss_softmax_ce", spy_loss)
     return seen
 
 
@@ -235,8 +236,25 @@ def test_active_sum_equals_the_id_order_loop(ids, count, shape, zeros, seed):
     assert np.array_equal(bits(protocols.active_sum(rows, active)), bits(want))
 
 
+def test_ssl_round_runs_one_chain(monkeypatch):
+    """ssl's one row and its server row are one model: a round makes one
+    ``nn.forward``, one loss and one ``nn.backward`` over the chain, and no
+    separate server pass."""
+    cfg = ProtocolConfig(kind="ssl", clients=3, batch_size=4, seed=1)
+    trainer = SplitTrainer(make_model(seed=1), make_clients([8, 8, 8], "views", seed=1), cfg)
+    calls = []
+    for owner, name in ((nn, "forward"), (nn, "backward"), (nn, "loss_softmax_ce"),
+                        (splitting, "server_gradients")):
+        original = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *a, _f=original, _n=name, **kw:
+                            (calls.append(_n), _f(*a, **kw))[1])
+    trainer._parallel_round({1: trainer._batches_for(trainer.clients[1], 0)[0]}, [])
+    assert calls == ["forward", "loss_softmax_ce", "backward"]
+
+
 # The Dense outputs of make_model's client and server segments, then of the
-# whole model, which fl's clients hold.
+# whole model, which fl's clients hold and which ssl's one row and its server
+# row run as, in one chain.
 SPLIT_OUTPUTS = ["output of layer 0 (dense)"] * 2 + ["output of layer 2 (dense)"]
 FULL_OUTPUTS = [f"output of layer {i} (dense)" for i in (0, 2, 4)]
 
@@ -258,7 +276,8 @@ def test_one_round_checks_each_dense_output_once_and_steps_once(kind, monkeypatc
     monkeypatch.setattr(nn, "optimizer_step",
                         lambda *args: (steps.append(args), optimizer_step(*args))[1])
     trainer._parallel_round(batch_ix, [0, 2] if trainer.kind.grad_avg else [])
-    assert checked == (SPLIT_OUTPUTS if trainer.kind.server else FULL_OUTPUTS)
+    one_chain = not trainer.kind.server or trainer.kind.travelling
+    assert checked == (FULL_OUTPUTS if one_chain else SPLIT_OUTPUTS)
     assert len(steps) == 1
     params, _, state, *_ = steps[0]
     assert state is trainer.buffer.opt and state.t == 1
