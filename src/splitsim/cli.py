@@ -180,6 +180,9 @@ def main(argv=None) -> int:
     except (SplitSimError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
+    except MemoryError as exc:
+        print(f"error: out of memory{f': {exc}' if str(exc) else ''}", file=sys.stderr)
+        return EXIT_RUNTIME
 
 
 if __name__ == "__main__":

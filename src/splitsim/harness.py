@@ -16,6 +16,7 @@ import io
 import json
 import os
 import re
+import sys
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from itertools import product
 from pathlib import Path
@@ -168,6 +169,11 @@ class ExperimentConfig:
             if not 0.0 < ds.separation < np.inf:
                 raise ConfigError("must be positive and finite", field="dataset.separation")
             rows = ds.classes * ds.per_class
+            if 8 * rows * ds.dim > sys.maxsize:
+                raise ConfigError(f"{rows} x {ds.dim} float64 features exceed the "
+                                  f"{sys.maxsize} bytes an array can hold",
+                                  field="dataset.per_class" if 8 * rows > sys.maxsize
+                                  else "dataset.dim")
         available = rows - ds.validation
         if self.protocol.clients * ds.per_client > available:
             raise ConfigError(f"needs {self.protocol.clients * ds.per_client} training "
@@ -178,6 +184,18 @@ class ExperimentConfig:
         n_layers = 2 * (len(self.model.hidden) + 1) - 1
         if not 1 <= self.model.cut_index < n_layers:
             raise ConfigError(f"must lie in [1, {n_layers})", field="model.cut_index")
+        # The trainer's buffer holds a segment per client row, then the server's;
+        # an IDX pair's widths are read only at load, so 1 bounds them below.
+        kind = protocols.KINDS[self.protocol.kind]
+        dim, classes = (ds.dim, ds.classes) if ds.kind == "synthetic" else (1, 1)
+        widths = [dim, *self.model.hidden, classes]
+        dense = [a * b + b for a, b in zip(widths, widths[1:])]
+        total = sum(dense)
+        segment = sum(dense[: (self.model.cut_index + 1) // 2]) if kind.server else total
+        params = (1 if kind.travelling else self.protocol.clients) * segment + total - segment
+        if 8 * params > sys.maxsize:
+            raise ConfigError(f"a trainer buffer of {params} float64 parameters exceeds the "
+                              f"{sys.maxsize} bytes an array can hold", field="model.hidden")
         leak = self.leakage
         probe_rows = min(leak.probe, ds.validation or rows)  # validation, else the data, caps it
         for name, value, least in (("bins", leak.bins, 2), ("pairs", leak.pairs, 1),

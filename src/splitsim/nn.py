@@ -260,10 +260,11 @@ def init_optimizer(kind: str, params: Sequence[Array]) -> OptimizerState:
     raise InputError(f"unknown optimizer kind {kind!r}")
 
 
-def sgd_step(params: Sequence[Array], grads: Sequence[Array], lr: float) -> list[Array]:
-    """Plain gradient descent: w' = w - lr * g."""
-    _learning_rates(lr, params, grads)
-    return [p - lr * g for p, g in zip(params, grads)]
+def sgd_step(params: Sequence[Array], grads: Sequence[Array],
+             lr: float | Sequence[float]) -> list[Array]:
+    """Plain gradient descent: w' = w - lr * g, with one ``lr`` or one per array."""
+    lrs = _learning_rates(lr, params, grads)
+    return [p - rate * g for p, g, rate in zip(params, grads, lrs)]
 
 
 def adam_step(
@@ -273,9 +274,9 @@ def adam_step(
     lr: float,
 ) -> tuple[list[Array], OptimizerState]:
     """Bias-corrected Adam update of copies of ``params``; the moments and
-    step counter in ``state`` advance in place (see ``adam_update``)."""
+    step counter in ``state`` advance in place (see ``optimizer_step``)."""
     out = [np.array(p, dtype=np.float64) for p in params]
-    adam_update(out, grads, state, lr)
+    optimizer_step(out, grads, state, lr)
     return out, state
 
 
@@ -334,16 +335,22 @@ class AdamWalk:
             pc -= t1
 
 
-def adam_update(
+def optimizer_step(
     params: Sequence[Array],
     grads: Sequence[Array],
     state: OptimizerState,
     lr: float | Sequence[float],
     walk: AdamWalk | None = None,
-) -> None:
-    """In-place Adam over C-contiguous arrays, one ``AdamWalk`` each, with one
-    ``lr`` or one per array; a ``walk`` built already (as ``ParamBuffer``
-    keeps) had its arrays checked then, so only the rates are checked."""
+) -> list[Array]:
+    """One in-place step on C-contiguous ``params`` (returned), per
+    ``state.kind``, at one ``lr`` or one per array. SGD ignores ``walk``; Adam
+    walks each array alone, or the ``walk`` that ``ParamBuffer`` built, whose
+    arrays were checked then: only its rates, one per segment, are checked."""
+    if state.kind != "adam":
+        lrs = _learning_rates(lr, params, grads)
+        for p, g, rate in zip([_writable_flat(p) for p in params], grads, lrs):
+            p -= rate * g.reshape(-1)
+        return list(params)
     if walk is not None:
         walks = [(walk, _rates(lr, walk.segments))]
     else:
@@ -356,23 +363,6 @@ def adam_update(
     state.t += 1
     for walk, rates in walks:
         walk.step(rates, state)
-
-
-def optimizer_step(
-    params: Sequence[Array],
-    grads: Sequence[Array],
-    state: OptimizerState,
-    lr: float | Sequence[float],
-    walk: AdamWalk | None = None,
-) -> list[Array]:
-    """Dispatch on ``state.kind``; updates ``params`` in place (one ``lr``
-    or one per array; ``walk`` as in ``adam_update``) and returns them."""
-    if state.kind == "adam":
-        adam_update(params, grads, state, lr, walk)
-    else:
-        lrs = _learning_rates(lr, params, grads)
-        for p, g, rate in zip([_writable_flat(p) for p in params], grads, lrs):
-            p -= rate * g.reshape(-1)
     return list(params)
 
 

@@ -273,13 +273,17 @@ def _epoch_batches(n: int, batch_size: int, rng: np.random.Generator) -> Array:
 @contextmanager
 def shared_batch_orders():
     """A scope in which every trainer draws each (seed, epoch, client, rows,
-    batch size) batch order once, as all kinds draw the same batches."""
+    batch size) batch order once, as all kinds draw the same batches. A scope
+    opened inside another joins it; only the outermost exit releases them."""
     global _shared_orders
-    _shared_orders = {}
+    outermost = _shared_orders is None
+    if outermost:
+        _shared_orders = {}
     try:
         yield
     finally:
-        _shared_orders = None
+        if outermost:
+            _shared_orders = None
 
 
 def _recipients(ids, active: Sequence[int]) -> tuple[Array, list[int]]:

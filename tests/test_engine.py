@@ -176,7 +176,7 @@ def test_adam_kernel_equals_textbook(sizes, steps, seed):
     want = [p.copy() for p in params]
     for _ in range(steps):
         grads = [rng.normal(size=n) for n in sizes]
-        nn.adam_update(params, grads, state, 1e-3)
+        nn.optimizer_step(params, grads, state, 1e-3)
         want = textbook_adam(want, grads, ref, 1e-3)
     for got, expected in zip(params + state.m + state.v, want + ref["m"] + ref["v"]):
         assert np.array_equal(got, expected)
@@ -455,7 +455,7 @@ WALK_SIZES = [1, 5, nn.ADAM_CHUNK // 2 + 3, nn.ADAM_CHUNK - 1, nn.ADAM_CHUNK, nn
 )
 @example(optimizer="adam", sizes=[5, nn.ADAM_CHUNK + 9], start=50, steps=2, seed=0)
 def test_one_walk_equals_per_segment_adam_update(optimizer, sizes, start, steps, seed):
-    """One buffer step over 1-3 segments equals ``adam_update`` (or an SGD
+    """One buffer step over 1-3 segments equals ``optimizer_step`` (or an SGD
     step) on each segment alone, and Adam equals the textbook formula, also
     once 1 - beta1**t has rounded to 1.0 (t >= 356)."""
     rng = np.random.default_rng(seed)
@@ -482,7 +482,7 @@ def test_one_walk_equals_per_segment_adam_update(optimizer, sizes, start, steps,
         for i, (lo, hi) in enumerate(cuts):
             g = buf.grads[lo:hi]
             if optimizer == "adam":
-                nn.adam_update([want[i]], [g], states[i], lrs[i])
+                nn.optimizer_step([want[i]], [g], states[i], lrs[i])
                 (book[i],) = textbook_adam([book[i]], [g], books[i], lrs[i])
             else:
                 want[i] -= lrs[i] * g
@@ -499,7 +499,7 @@ def test_one_walk_equals_per_segment_adam_update(optimizer, sizes, start, steps,
 
 
 def test_bias_corrections_reach_one():
-    """The step where ``adam_update`` starts to skip the beta1 divide."""
+    """The step where ``optimizer_step`` starts to skip the beta1 divide."""
     assert 1.0 - 0.9**355 != 1.0 and 1.0 - 0.9**356 == 1.0
 
 
@@ -512,7 +512,7 @@ def test_one_walk_rejects_flat_arrays_the_arrays_do_not_tile(moment, extra):
     state = nn.init_optimizer("adam", params)
     getattr(state, moment)[1] = np.zeros(3 + extra)
     with pytest.raises(InputError, match="as long as"):
-        nn.adam_update(params, grads, state, 1e-3)
+        nn.optimizer_step(params, grads, state, 1e-3)
     assert state.t == 0
 
 
@@ -525,7 +525,7 @@ SMALL_CHUNK_SIZES = [[3, 10], [8, 8], [13, 6], [5, 3, 17], [1, 23, 2]]
 @pytest.mark.parametrize("start", [0, 1, 354, 355, 356, 400])
 def test_prebuilt_walk_at_small_chunks_equals_per_segment_adam(monkeypatch, sizes, start):
     """The walk a ``ParamBuffer`` builds at construction, cut into 8-element
-    chunks, equals ``adam_update`` on each segment alone and the textbook
+    chunks, equals ``optimizer_step`` on each segment alone and the textbook
     formula bit for bit, over three steps from ``start``."""
     monkeypatch.setattr(nn, "ADAM_CHUNK", 8)
     rng = np.random.default_rng(sum(sizes) * 1000 + start)
@@ -549,7 +549,7 @@ def test_prebuilt_walk_at_small_chunks_equals_per_segment_adam(monkeypatch, size
         buf.step(lrs)
         for i, (lo, hi) in enumerate(cuts):
             g = buf.grads[lo:hi]
-            nn.adam_update([want[i]], [g], states[i], lrs[i])
+            nn.optimizer_step([want[i]], [g], states[i], lrs[i])
             (book[i],) = textbook_adam([book[i]], [g], books[i], lrs[i])
     assert buf.opt.t == start + 3
     for i, (lo, hi) in enumerate(cuts):

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from splitsim import data, harness, nn, protocols, splitting
+from splitsim import cli, data, harness, nn, protocols, splitting
 from splitsim.cli import cost_setting
 from splitsim.cli import main as cli_main
 from splitsim.comm import CostParams
@@ -383,6 +383,44 @@ class TestSharedBatchOrders:
                   seeds=[1])
         assert protocols._shared_orders is None
 
+    def test_a_nested_scope_keeps_the_outer_orders(self):
+        with protocols.shared_batch_orders():
+            outer = protocols._shared_orders
+            outer["drawn"] = np.arange(3)
+            with protocols.shared_batch_orders():
+                assert protocols._shared_orders is outer and "drawn" in outer
+            assert protocols._shared_orders is outer and "drawn" in outer
+        assert protocols._shared_orders is None
+
+    def test_two_sweeps_in_one_scope_draw_each_order_once(self, tmp_path, monkeypatch):
+        """The second sweep reuses every order the first drew, and both write
+        the files that each sweep, and each of its runs, writes alone."""
+        grids = [{"protocol.kind": ["psl", "ssl"]}, {"protocol.kind": ["sglr", "fl"]}]
+        for i, grid in enumerate(grids):
+            sweep(base_config(), grid=grid, seeds=[1], out_dir=tmp_path / f"alone{i}")
+        draws, original = [], protocols._epoch_batches
+        monkeypatch.setattr(protocols, "_epoch_batches",
+                            lambda *args: draws.append(args) or original(*args))
+        with protocols.shared_batch_orders():
+            for i, grid in enumerate(grids):
+                sweep(base_config(), grid=grid, seeds=[1], out_dir=tmp_path / f"scoped{i}")
+        assert len(draws) == 2 * 2  # 2 epochs x 2 clients, all in the first sweep
+        for i in range(len(grids)):
+            alone, scoped = tmp_path / f"alone{i}", tmp_path / f"scoped{i}"
+            names = sorted(p.relative_to(alone) for p in alone.rglob("*") if p.is_file())
+            assert len(names) == 1 + 2 * 3  # sweep.csv, and each run's three files
+            assert names == sorted(p.relative_to(scoped) for p in scoped.rglob("*")
+                                   if p.is_file())
+            for name in names:
+                assert (alone / name).read_bytes() == (scoped / name).read_bytes()
+
+    def test_outer_scope_is_released_after_a_run_raises(self):
+        with pytest.raises((NumericError, RuntimeWarning)):  # an overflow warning may raise first
+            with protocols.shared_batch_orders():
+                sweep(base_config(**{"protocol.base_lr": 1e300}),
+                      grid={"protocol.kind": ["psl"]}, seeds=[1])
+        assert protocols._shared_orders is None
+
     def test_a_single_run_holds_nothing(self, monkeypatch):
         draws, original = [], protocols._epoch_batches
         monkeypatch.setattr(protocols, "_epoch_batches",
@@ -671,6 +709,46 @@ class TestCli:
         assert f"config error: {field}: is too large for a float" in capsys.readouterr().err
         assert not out.exists()
 
+    BEYOND_ARRAY = 10**20  # a length whose float64 array no address space holds
+
+    @pytest.mark.parametrize("override, field", [
+        (f"dataset.per_class={BEYOND_ARRAY}", "dataset.per_class"),
+        (f"dataset.dim={BEYOND_ARRAY}", "dataset.dim"),
+        (f"model.hidden=[{BEYOND_ARRAY}]", "model.hidden"),
+    ], ids=["per_class", "dim", "hidden"])
+    def test_size_numpy_cannot_hold_exits_2_naming_the_field(self, tmp_path, capsys, override,
+                                                            field):
+        cfg = self._write_config(tmp_path, {"protocol": {"kind": "psl", "clients": 2,
+                                                         "epochs": 1}})
+        out = tmp_path / "out"
+        assert cli_main(["run", "--config", cfg, "--set", override, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: {field}: " in err and "bytes an array can hold" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("cut", [1, 2, 3, 4])
+    @pytest.mark.parametrize("kind", PROTOCOL_KINDS)
+    def test_parameter_bound_is_the_trainers_buffer(self, monkeypatch, kind, cut):
+        """The config check bounds the very buffer the trainer allocates: a
+        limit one byte below its size rejects the config, naming model.hidden."""
+        raw = base_config(**{"protocol.kind": kind, "protocol.epochs": 1,
+                             "model.hidden": [64, 64], "model.cut_index": cut})
+        nbytes = run_experiment(ExperimentConfig.from_dict(raw)).trainer.buffer.params.nbytes
+        monkeypatch.setattr(sys, "maxsize", nbytes)
+        ExperimentConfig.from_dict(raw)
+        monkeypatch.setattr(sys, "maxsize", nbytes - 1)
+        with pytest.raises(ConfigError, match="^model.hidden: "):
+            ExperimentConfig.from_dict(raw)
+
+    def test_memory_error_exits_3(self, tmp_path, capsys, monkeypatch):
+        def exhausted(cfg, out_dir=None):
+            raise MemoryError("Unable to allocate 8.00 EiB")
+
+        monkeypatch.setattr(cli, "run_experiment", exhausted)
+        cfg = self._write_config(tmp_path, base_config())
+        assert cli_main(["run", "--config", cfg]) == 3
+        assert capsys.readouterr().err == "error: out of memory: Unable to allocate 8.00 EiB\n"
+
     @pytest.mark.parametrize("override, field", [
         ("protocol.seed=-1", "protocol: seed must be nonnegative"),
         ("dataset.validation=-5", "dataset.validation: must be nonnegative"),
@@ -812,6 +890,18 @@ class TestCli:
         assert capsys.readouterr().err == (
             "config error: dataset.per_client: needs 80 training samples but only "
             f"{left} remain after validation\n")
+
+    def test_idx_model_numpy_cannot_hold_exits_2_before_loading_pixels(
+            self, tmp_path, capsys, monkeypatch):
+        images, labels = tmp_path / "images", tmp_path / "labels"
+        data.write_idx(images, labels, np.zeros((60, 3, 2)), np.arange(60) % 3)
+        monkeypatch.setattr(data, "load_idx", lambda *_: pytest.fail("pixels loaded"))
+        raw = base_config(**{"dataset.kind": "idx", "dataset.images": str(images),
+                             "dataset.labels": str(labels), "dataset.per_client": 20,
+                             "dataset.validation": 10, "model.hidden": [10**19]})
+        cfg = self._write_config(tmp_path, raw)
+        assert cli_main(["run", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith("config error: model.hidden: ")
 
     def test_sweep_seed_flag_runs_only_that_seed(self, tmp_path, capsys):
         raw = {"experiment": base_config(**{"protocol.epochs": 1}),

@@ -231,6 +231,29 @@ class TestOptimizers:
         for p, g, o in zip(params, grads, out):
             assert np.array_equal(o, p - 0.01 * g)
 
+    def test_sgd_rate_list_steps_each_array_at_its_own_rate(self):
+        """One rate per array, as the in-place step takes it: W all at 0.1,
+        b all at 0.5 (not a rate per column)."""
+        rng = np.random.default_rng(14)
+        params = [rng.normal(size=(3, 2)), rng.normal(size=2)]
+        grads = [rng.normal(size=(3, 2)), rng.normal(size=2)]
+        out = nn.sgd_step(params, grads, [0.1, 0.5])
+        want = nn.optimizer_step([p.copy() for p in params], grads, nn.OptimizerState("sgd"),
+                                 [0.1, 0.5])
+        for o, w in zip(out, want, strict=True):
+            assert np.array_equal(o, w)
+
+    def test_sgd_state_ignores_a_walk(self):
+        """An SGD state steps SGD even when handed an Adam walk, whose moments
+        stay untouched."""
+        rng = np.random.default_rng(15)
+        p, g = rng.normal(size=6), rng.normal(size=6)
+        m, v, start = np.zeros(6), np.zeros(6), p.copy()
+        state = nn.OptimizerState("sgd")
+        nn.optimizer_step([p], [g], state, 0.1, nn.AdamWalk([p, g, m, v], [6]))
+        assert np.array_equal(p, start - 0.1 * g)
+        assert not m.any() and not v.any() and state.t == 0
+
     def test_adam_first_step_closed_form(self):
         w = np.array([1.0, 2.0])
         state = nn.init_optimizer("adam", [w])
@@ -335,7 +358,7 @@ def set_params_keeping_old(bad_list):
                  id="loss-label-shape"),
     pytest.param(lambda: nn.init_optimizer("rmsprop", [P]), InputError, "unknown optimizer",
                  id="unknown-optimizer"),
-    pytest.param(lambda: nn.adam_update([P.copy()], [P], nn.OptimizerState("adam"), 0.1),
+    pytest.param(lambda: nn.optimizer_step([P.copy()], [P], nn.OptimizerState("adam"), 0.1),
                  InputError, "uninitialized", id="adam-without-moments"),
     pytest.param(lambda: nn.optimizer_step([P.copy()], [P, P], nn.OptimizerState("sgd"), 0.1),
                  DimensionError, "a grad per param", id="grad-count"),

@@ -1,17 +1,20 @@
 """The README stays in step with the package: its example config loads, its
 library example runs, its summary-CSV table lists the columns a run writes,
-and the top-level names are exactly those the demos and that example
-import, plus the error classes."""
+the package attributes it names exist, and the top-level names are exactly
+those the demos and that example import, plus the error classes."""
 
 import ast
+import dataclasses
+import importlib
 import inspect
 import json
+import pkgutil
 import re
 from pathlib import Path
 
 import splitsim
 from splitsim import errors
-from splitsim.harness import ExperimentConfig, run_experiment
+from splitsim.harness import ExperimentConfig, LeakageSpec, run_experiment
 
 ROOT = Path(__file__).resolve().parent.parent
 README = (ROOT / "README.md").read_text()
@@ -70,3 +73,21 @@ def test_top_level_names_are_what_demos_and_readme_import():
     assert len(error_classes) == 6
     assert set(splitsim.__all__) == used | error_classes
     assert len(splitsim.__all__) == len(set(splitsim.__all__))
+
+
+def test_named_package_attributes_exist():
+    """Every backticked ``<module>.<attr>[.<attr>...]`` whose module is one of
+    the package's resolves; ``leakage.<LeakageSpec field>`` is a config path."""
+    modules = [m.name for m in pkgutil.iter_modules(splitsim.__path__)]
+    names = set(re.findall(rf"`((?:{'|'.join(modules)})(?:\.[A-Za-z_]\w*)+)", README))
+    config_paths = {f"leakage.{f.name}" for f in dataclasses.fields(LeakageSpec)}
+    missing = []
+    for name in sorted(names - config_paths):
+        module, *attrs = name.split(".")
+        obj = importlib.import_module(f"splitsim.{module}")
+        for attr in attrs:
+            if not hasattr(obj, attr):
+                missing.append(name)
+                break
+            obj = getattr(obj, attr)
+    assert len(names) >= 40 and not missing
