@@ -56,6 +56,11 @@ class ModelSpec:
     cut_index: int = 2
 
 
+# Most (feature, unit) pairs a run draws: ``draw_pairs`` makes two generator
+# calls a pair, a few seconds' worth for this many.
+MAX_LEAKAGE_PAIRS = 2**20
+
+
 @dataclass
 class LeakageSpec:
     enabled: bool = False
@@ -202,6 +207,9 @@ class ExperimentConfig:
                                    ("probe", probe_rows, leak.bins)):
             if leak.enabled and value < least:
                 raise ConfigError(f"needs at least {least}, got {value}", field=f"leakage.{name}")
+        if leak.enabled and leak.pairs > MAX_LEAKAGE_PAIRS:
+            raise ConfigError(f"must be at most {MAX_LEAKAGE_PAIRS}, got {leak.pairs}",
+                              field="leakage.pairs")
 
     def resolved_run_id(self) -> str:
         if self.run_id:

@@ -148,14 +148,23 @@ def smashed_leakage_score(
     input features and cut-layer units. The columns the pairs use are binned
     in one pass, and every distinct pair's joint is counted and scored at
     once; a pair's MI equals ``mutual_information``. The mean follows the
-    pair list order, so scores are deterministic.
+    pair list order, so scores are deterministic. An empty pair list, or a
+    pair outside the (features, units) widths, raises ``InputError``.
     """
     probe_features = nn.as_tensor(probe_features)
+    pairs = np.array(pairs, dtype=np.intp).reshape(-1, 2)
     if probe_features.shape[0] == 0:
         raise InputError("probe dataset is empty")
+    if len(pairs) == 0:
+        raise InputError("need at least one (feature, unit) pair")
     smashed = nn.forward(client_layers, probe_features).output
     shape = (probe_features.shape[1], smashed.shape[1])
-    codes = np.ravel_multi_index(np.array(pairs, dtype=np.intp).reshape(-1, 2).T, shape)
+    outside = ((pairs < 0) | (pairs >= shape)).any(axis=1)
+    if outside.any():
+        feature, unit = pairs[outside.argmax()]
+        raise InputError(f"pair ({feature}, {unit}) lies outside the (features, units) "
+                         f"widths {shape}")
+    codes = np.ravel_multi_index(pairs.T, shape)
     distinct, which = np.unique(codes, return_inverse=True)
     features, x = np.unique(distinct // shape[1], return_inverse=True)
     units, y = np.unique(distinct % shape[1], return_inverse=True)

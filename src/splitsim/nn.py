@@ -43,23 +43,32 @@ def check_finite(x: Array, where: str) -> None:
 
 class Dense:
     """Affine layer ``y = x @ W.T + b`` with ``W`` shaped [out, in], or
-    [clients, out, in] with ``b`` [clients, out] for a client stack."""
+    [clients, out, in] with ``b`` [clients, out] for a client stack. It holds
+    the arrays it is given, uncopied, and ``set_params`` writes into them."""
 
     kind = "dense"
 
     def __init__(self, weight, bias):
-        self.weight = as_tensor(weight)
-        self.bias = as_tensor(bias)
-        if self.weight.ndim not in (2, 3):
+        weight, bias = as_tensor(weight), as_tensor(bias)
+        if weight.ndim not in (2, 3):
             raise DimensionError("dense weight must be [out, in] or [clients, out, in]")
-        if self.bias.shape != self.weight.shape[:-1]:
+        if bias.shape != weight.shape[:-1]:
             raise DimensionError(
-                f"bias shape {self.bias.shape} does not match out dim "
-                f"{self.weight.shape[:-1]}"
+                f"bias shape {bias.shape} does not match out dim {weight.shape[:-1]}"
             )
-        check_finite(self.weight, "dense weight")
-        check_finite(self.bias, "dense bias")
-        self._bind_views()
+        check_finite(weight, "dense weight")
+        check_finite(bias, "dense bias")
+        self.weight, self.bias = weight, bias
+
+    def __setattr__(self, name, value):
+        """Setting ``weight`` or ``bias`` also binds the view of it that
+        ``forward`` reads (the transpose, the bias row): once per set, since
+        building them per call cost a small model's epoch loop about 3%."""
+        object.__setattr__(self, name, value)
+        if name == "weight":
+            object.__setattr__(self, "_weight_t", value.swapaxes(-1, -2))
+        elif name == "bias":
+            object.__setattr__(self, "_bias_row", value[..., None, :])
 
     @property
     def in_dim(self) -> int:
@@ -73,15 +82,7 @@ class Dense:
         return [self.weight, self.bias]
 
     def set_params(self, params: Sequence[Array]) -> None:
-        weight, bias = params
-        if weight.shape != self.weight.shape or bias.shape != self.bias.shape:
-            raise DimensionError("parameter shapes changed in set_params")
-        self.weight, self.bias = weight, bias
-        self._bind_views()
-
-    def _bind_views(self) -> None:
-        """The transposed weight and the bias row that ``forward`` uses."""
-        self._weight_t, self._bias_row = self.weight.swapaxes(-1, -2), self.bias[..., None, :]
+        _write_params(self.params(), params, "parameter shapes changed in set_params")
 
     def forward(self, x: Array) -> Array:
         if x.shape[-1] != self.weight.shape[-1]:
@@ -219,6 +220,8 @@ def loss_softmax_ce(logits: Array, labels, *, validate: bool = True) -> tuple[fl
             raise DimensionError("logits must be [(clients,) batch, classes], a label per row")
         if labels.min(initial=0) < 0 or labels.max(initial=0) >= logits.shape[-1]:
             raise InputError(f"labels must lie in [0, {logits.shape[-1]})")
+        if logits.shape[-2] == 0:
+            raise InputError("cannot take the loss of an empty batch")
     n, k = logits.shape[-2:]
     # Flat index of each row's label entry in the (contiguous) [..., k] arrays.
     target = np.arange(0, labels.size * k, k) + labels.reshape(-1)
@@ -413,16 +416,23 @@ def collect_grads(param_grads: Sequence[Sequence[Array]]) -> list[Array]:
 
 
 def set_params(layers: Sequence[Layer], flat: Sequence[Array]) -> None:
-    """Write a flat parameter list back into the layers that hold parameters;
-    a list that differs from ``collect_params(layers)`` in length or in any
-    shape raises before any layer is written."""
-    old = collect_params(layers)
-    if len(flat) != len(old) or any(p.shape != q.shape for p, q in zip(flat, old)):
-        raise DimensionError("flat parameter list does not match layer stack")
-    arrays = iter(flat)
-    for layer in layers:
-        if layer.params():
-            layer.set_params([next(arrays) for _ in layer.params()])
+    """Write a flat parameter list into the arrays of the layers that hold
+    parameters; a list that differs from ``collect_params(layers)`` in length
+    or in any shape, or that holds a non-finite value, raises before any
+    layer is written."""
+    _write_params(collect_params(layers), flat, "flat parameter list does not match layer stack")
+
+
+def _write_params(targets: Sequence[Array], arrays: Sequence[Array], mismatch: str) -> None:
+    """Copy ``arrays``, which may alias ``targets``, into them once every one
+    is checked: one per target, of its shape, finite as float64."""
+    arrays = [np.array(a, dtype=np.float64) for a in arrays]
+    if len(arrays) != len(targets) or any(a.shape != t.shape for a, t in zip(arrays, targets)):
+        raise DimensionError(mismatch)
+    for i, a in enumerate(arrays):
+        check_finite(a, f"parameter {i} given to set_params")
+    for t, a in zip(targets, arrays):
+        t[...] = a
 
 
 def param_count(layers: Sequence[Layer]) -> int:

@@ -362,7 +362,6 @@ class SplitTrainer:
         segment = model.client_segment if kind.server else model.layers
         rows = 1 if kind.travelling else config.clients
         server_size = nn.param_count(model.server_segment) if kind.server else 0
-        self._lr = [self.eta_c, self.eta_s]
         self.buffer = nn.ParamBuffer([rows * nn.param_count(segment), server_size],
                                      config.optimizer)
         self.stack = nn.LayerStack(segment, rows, self.buffer)
@@ -486,7 +485,7 @@ class SplitTrainer:
                 self._log("down", "cut-grad", [None], common.nbytes)
             self._log("down", "cut-grad", unicast, nbytes)
         nn.backward(cache, upstream, grads, input_grad=False)
-        self.buffer.step(self._lr)
+        self.buffer.step([self.eta_c, self.eta_s])
         self.steps += 1
         return loss
 

@@ -403,10 +403,57 @@ def test_trainer_packs_client_rows_then_server():
     assert np.shares_memory(t.stack.flat, t.buffer.params[:client_size])
     assert np.shares_memory(t.server.flat, t.buffer.params[client_size:])
     assert [p.size for p in t.buffer.opt.m] == [client_size, t.server.flat.size]
-    assert t._lr == [t.eta_c, t.eta_s] and t.eta_c != t.eta_s
+    assert t.eta_c != t.eta_s
+    rates, step = [], t.buffer.step
+    t.buffer.step = lambda lr: (rates.append(list(lr)), step(lr))
     t.run_epoch(0)
+    assert rates == [[t.eta_c, t.eta_s]] * 2
     assert np.any(t.stack.grad) and np.any(t.server.grad)
     assert t.buffer.opt.t == t.server_opt.t == 2
+
+
+def small_trainer(kind, seed=6, **config):
+    rng = np.random.default_rng(seed)
+    model = splitting.SplitModel(nn.build_mlp([5, 6, 4, 3], rng), 2)
+    data = [(rng.normal(size=(8, 5)), rng.integers(0, 3, size=8)) for _ in range(3)]
+    return SplitTrainer(model, data, ProtocolConfig(kind=kind, clients=3, batch_size=4, **config))
+
+
+@pytest.mark.parametrize("kind", protocols.PROTOCOL_KINDS)
+def test_set_params_through_trainer_views_writes_the_buffer(kind):
+    """``nn.set_params`` through ``clients[i].layers`` and ``server_layers``
+    writes the buffer: each next epoch equals one after the same write made
+    straight into the buffer's rows, and the server layers stay its views."""
+    rng = np.random.default_rng(13)
+    via_views, direct = small_trainer(kind), small_trainer(kind)
+    client = via_views.clients[2]
+    new = [rng.normal(size=p.shape) for p in nn.collect_params(client.layers)]
+    nn.set_params(client.layers, new)
+    direct.stack.flat[client.slot] = np.concatenate([p.reshape(-1) for p in new])
+    assert via_views.run_epoch(0) == direct.run_epoch(0)
+    assert np.array_equal(via_views.buffer.params, direct.buffer.params)
+    if not via_views.kind.server:
+        return
+    new = [rng.normal(size=p.shape) for p in nn.collect_params(via_views.server_layers)]
+    nn.set_params(via_views.server_layers, new)
+    assert all(np.shares_memory(p, via_views.buffer.params)
+               for p in nn.collect_params(via_views.server_layers))
+    direct.server.flat[0] = np.concatenate([p.reshape(-1) for p in new])
+    assert via_views.run_epoch(1) == direct.run_epoch(1)
+    assert np.array_equal(via_views.buffer.params, direct.buffer.params)
+
+
+@pytest.mark.parametrize("kind, scaled", [("psl", "slr"), ("sgl", "sglr")])
+def test_assigned_server_rate_is_the_rate_stepped(kind, scaled):
+    """``trainer.eta_s = r`` takes effect at the next step: the epoch equals
+    that of a trainer built with server rate r, and reports r."""
+    t = small_trainer(kind, active_fraction=2 / 3, lr_exponent=0.5)
+    want = small_trainer(scaled, active_fraction=2 / 3, lr_exponent=0.5)
+    assert t.eta_s != want.eta_s
+    t.eta_s = want.eta_s
+    got = t.run_epoch(0)
+    assert got == want.run_epoch(0) and got.server_lr == want.eta_s
+    assert np.array_equal(t.buffer.params, want.buffer.params)
 
 
 def test_overflowing_dense_output_raises():
@@ -561,8 +608,8 @@ def test_prebuilt_walk_at_small_chunks_equals_per_segment_adam(monkeypatch, size
 
 @pytest.mark.parametrize("shape", [(4, 3), (2, 4, 3)], ids=["2-d", "stacked"])
 def test_dense_forward_after_set_params_uses_the_new_weights(shape):
-    """``Dense`` binds its transposed weight and bias row once: ``set_params``
-    rebinds them, and writes into the weights in place show through."""
+    """``set_params`` writes the new weights into the layer's own arrays,
+    and writes into those in place show through."""
     rng = np.random.default_rng(10)
     layer = nn.Dense(rng.normal(size=shape), rng.normal(size=shape[:-1]))
     x = rng.normal(size=(*shape[:-2], 5, shape[-1]))
@@ -573,3 +620,19 @@ def test_dense_forward_after_set_params_uses_the_new_weights(shape):
         assert np.array_equal(layer.forward(x), x @ w.swapaxes(-1, -2) + b[..., None, :])
     layer.weight[:] = 0.0
     assert np.array_equal(layer.forward(x), np.broadcast_to(b[..., None, :], x.shape[:-1] + b.shape[-1:]))
+
+
+@pytest.mark.parametrize("shape", [(4, 3), (2, 4, 3)], ids=["2-d", "stacked"])
+def test_dense_forward_reads_reassigned_attributes(shape):
+    """``forward`` reads ``weight`` and ``bias`` as they are at the call:
+    arrays assigned to them are the ones it uses."""
+    rng = np.random.default_rng(11)
+    layer = nn.Dense(rng.normal(size=shape), rng.normal(size=shape[:-1]))
+    x = rng.normal(size=(*shape[:-2], 5, shape[-1]))
+    layer.forward(x)
+    w, b = rng.normal(size=shape), rng.normal(size=shape[:-1])
+    layer.weight = w
+    want = x @ w.swapaxes(-1, -2) + layer.bias[..., None, :]
+    assert np.array_equal(layer.forward(x), want)
+    layer.bias = b
+    assert np.array_equal(layer.forward(x), x @ w.swapaxes(-1, -2) + b[..., None, :])

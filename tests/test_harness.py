@@ -533,14 +533,15 @@ class TestCli:
     @pytest.mark.parametrize("overrides", [
         {"leakage.bins": 1},
         {"leakage.pairs": 0},
+        {"leakage.pairs": harness.MAX_LEAKAGE_PAIRS + 1},
         {"leakage.probe": 0},
         {"leakage.probe": 256, "dataset.validation": 10},  # 10 probe rows < 16 bins
         {"leakage.probe": 8, "dataset.validation": 0},
         # Without validation rows the data caps the probe: 2 x 6 rows < 16 bins.
         {"dataset.classes": 2, "dataset.per_class": 6, "dataset.per_client": 4,
          "dataset.validation": 0},
-    ], ids=["bins", "pairs", "probe", "probe-capped-by-validation", "probe-no-validation",
-            "probe-capped-by-the-data"])
+    ], ids=["bins", "pairs", "pairs-above-the-bound", "probe", "probe-capped-by-validation",
+            "probe-no-validation", "probe-capped-by-the-data"])
     def test_bad_leakage_settings_exit_2_before_training(self, tmp_path, capsys, overrides):
         raw = base_config(**{"leakage.enabled": True, **overrides})
         cfg = self._write_config(tmp_path, raw)
@@ -555,6 +556,10 @@ class TestCli:
         ExperimentConfig.from_dict(base_config(**{
             "leakage.enabled": True, "leakage.bins": 10, "leakage.probe": 256,
             "dataset.validation": 10}))
+
+    def test_pairs_at_the_bound_accepted(self):
+        ExperimentConfig.from_dict(base_config(**{
+            "leakage.enabled": True, "leakage.pairs": harness.MAX_LEAKAGE_PAIRS}))
 
     COST_SETTING = {"cut_size_mb": 1, "model_size_mb": 2, "client_size_mb": 1,
                     "dataset_size": 10, "clients": 2, "active_fraction": 0.5,
@@ -724,6 +729,21 @@ class TestCli:
         assert cli_main(["run", "--config", cfg, "--set", override, "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert f"config error: {field}: " in err and "bytes an array can hold" in err
+        assert not out.exists()
+
+    def test_leakage_pairs_beyond_the_bound_exit_2_before_any_draw(self, tmp_path, capsys,
+                                                                   monkeypatch):
+        def no_draw(*args):
+            raise AssertionError("pairs were drawn")
+
+        monkeypatch.setattr(harness, "draw_pairs", no_draw)
+        cfg = self._write_config(tmp_path, {"protocol": {"kind": "psl", "clients": 2,
+                                                         "epochs": 1}})
+        out = tmp_path / "out"
+        code = cli_main(["run", "--config", cfg, "--set", "leakage.enabled=true",
+                         "--set", "leakage.pairs=100000000000000000000", "--out", str(out)])
+        assert code == 2
+        assert "config error: leakage.pairs: must be at most 1048576" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("cut", [1, 2, 3, 4])

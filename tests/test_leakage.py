@@ -127,6 +127,16 @@ class TestLeakageScore:
             smashed_leakage_score([nn.Relu()], np.zeros((0, 3)), bins=16,
                                   pairs=draw_pairs(3, 3, 64, seed=0))
 
+    @pytest.mark.parametrize("pairs, match", [
+        ([], "at least one"),
+        ([(0, 0), (4, 0)], r"pair \(4, 0\) lies outside the \(features, units\) widths \(4, 4\)"),
+        ([(-1, 0)], r"pair \(-1, 0\) lies outside .* \(4, 4\)"),
+        ([(3, 4)], r"pair \(3, 4\) lies outside .* \(4, 4\)"),
+    ], ids=["empty", "feature-too-wide", "negative", "unit-too-wide"])
+    def test_bad_pair_list_rejected(self, pairs, match):
+        with pytest.raises(InputError, match=match):
+            smashed_leakage_score([nn.Relu()], self._probe(d=4), bins=16, pairs=pairs)
+
 
 class TestAveragingFractionTrend:
     def test_full_averaging_lowers_leakage_on_average(self):

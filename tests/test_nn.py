@@ -336,13 +336,36 @@ P = np.zeros((2, 3))
 
 def set_params_keeping_old(bad_list):
     """``nn.set_params`` on ``build_mlp([3, 4, 2])`` with ``bad_list(params)``,
-    asserting that every layer still holds its old arrays afterwards."""
+    asserting that every layer still holds its old arrays and values afterwards."""
     layers = nn.build_mlp([3, 4, 2], np.random.default_rng(0))
     old = nn.collect_params(layers)
+    values = [p.copy() for p in old]
     try:
         nn.set_params(layers, bad_list([p + 1.0 for p in old]))
     finally:
-        assert all(a is b for a, b in zip(nn.collect_params(layers), old, strict=True))
+        assert all(a is b and np.array_equal(a, v)
+                   for a, b, v in zip(nn.collect_params(layers), old, values, strict=True))
+
+
+def test_set_params_writes_float64_into_the_layers_arrays():
+    rng = np.random.default_rng(1)
+    layers = nn.build_mlp([3, 4, 2], rng)
+    old = nn.collect_params(layers)
+    new = [rng.normal(size=p.shape).astype(np.float32) for p in old]
+    nn.set_params(layers, new)
+    for p, q, n in zip(nn.collect_params(layers), old, new, strict=True):
+        assert p is q and p.dtype == np.float64 and np.array_equal(p, n.astype(np.float64))
+
+
+def test_set_params_may_be_handed_the_layers_own_arrays():
+    """Swapping two layers' arrays through ``set_params`` swaps their values."""
+    rng = np.random.default_rng(2)
+    layers = [nn.Dense(rng.normal(size=(3, 3)), rng.normal(size=3)) for _ in range(2)]
+    first, second = [layer.params() for layer in layers]
+    values = [p.copy() for p in first + second]
+    nn.set_params(layers, second + first)
+    for p, v in zip(first + second, values[2:] + values[:2]):
+        assert np.array_equal(p, v)
 
 
 @pytest.mark.parametrize("call, error, match", [
@@ -380,6 +403,16 @@ def set_params_keeping_old(bad_list):
     pytest.param(lambda: set_params_keeping_old(lambda ps: [*ps[:-1], np.zeros(3)]),
                  DimensionError, "does not match layer stack",
                  id="set-params-last-shape-writes-nothing"),
+    pytest.param(lambda: set_params_keeping_old(lambda ps: [*ps[:-1], ps[-1] * np.nan]),
+                 NumericError, "non-finite values in parameter 3",
+                 id="set-params-non-finite-writes-nothing"),
+    pytest.param(lambda: nn.Dense(P, np.zeros(2)).set_params([np.full((2, 3), np.inf),
+                                                              np.zeros(2)]),
+                 NumericError, "non-finite values in parameter 0", id="dense-set-params-non-finite"),
+    pytest.param(lambda: nn.loss_softmax_ce(np.zeros((0, 3)), []), InputError, "empty batch",
+                 id="loss-empty-batch"),
+    pytest.param(lambda: nn.loss_softmax_ce(np.zeros((2, 0, 3)), np.zeros((2, 0), int)),
+                 InputError, "empty batch", id="loss-empty-stacked-batch"),
     pytest.param(lambda: nn.build_mlp([3], np.random.default_rng(0)), InputError,
                  "input and output widths", id="one-width"),
     pytest.param(lambda: nn.finite_diff_grad(lambda ps: 0.0, [P], h=0.0), InputError,
