@@ -12,27 +12,23 @@ the differences below come from the protocol mechanics alone:
   fl    federated averaging over full models (the communication-heavy ceiling)
 """
 
-import numpy as np
-
 from splitsim import (
     ProtocolConfig,
     SplitModel,
     SplitTrainer,
     build_mlp,
     keyed_rng,
-    partition_iid,
-    split_validation,
-    synth_dataset,
 )
+from splitsim.data import arrange, synth_blocks
 
 CLIENTS = 5
 SEED = 7
 EPOCHS = 10
 
-full = synth_dataset(n_classes=6, per_class=300, dim=16, separation=3.0, seed=SEED)
-train, val = split_validation(full, n_val=300, seed=SEED)
-indices = partition_iid(train, clients=CLIENTS, per_client=240, seed=SEED)
-shards = [(train.features[ix], train.labels[ix]) for ix in indices]
+full, order = synth_blocks(n_classes=6, per_class=300, dim=16, separation=3.0, seed=SEED)
+val, clients = arrange(full, n_val=300, clients=CLIENTS, per_client=240,
+                       val_seed=SEED, part_seed=SEED, order=order)
+shards = [(c.features, c.labels) for c in clients]
 
 print(f"{CLIENTS} clients x 240 samples, validation {len(val)}, {EPOCHS} epochs\n")
 

@@ -10,19 +10,15 @@ Note the blow-up row: at 20 clients and alpha=2.0 the server rate reaches
 counts call for small exponents.
 """
 
-import numpy as np
-
 from splitsim import (
     ProtocolConfig,
     SplitModel,
     SplitTrainer,
     build_mlp,
     keyed_rng,
-    partition_iid,
     split_lr,
-    split_validation,
-    synth_dataset,
 )
+from splitsim.data import arrange, synth_blocks
 
 print("rate table (eta_0 = 1e-3):")
 print(f"{'C':>4} " + "".join(f"  alpha={a:<4}" for a in (0.0, 0.5, 1.0, 2.0)))
@@ -37,10 +33,10 @@ SEED = 11
 CLIENTS = 8
 EPOCHS = 4
 
-full = synth_dataset(n_classes=8, per_class=900, dim=24, separation=2.2, seed=SEED)
-train, val = split_validation(full, n_val=600, seed=SEED)
-indices = partition_iid(train, clients=CLIENTS, per_client=800, seed=SEED)
-shards = [(train.features[ix], train.labels[ix]) for ix in indices]
+full, order = synth_blocks(n_classes=8, per_class=900, dim=24, separation=2.2, seed=SEED)
+val, clients = arrange(full, n_val=600, clients=CLIENTS, per_client=800,
+                       val_seed=SEED, part_seed=SEED, order=order)
+shards = [(c.features, c.labels) for c in clients]
 
 print(f"\naccuracy after {EPOCHS} epochs, {CLIENTS} clients (early/steep phase):")
 for alpha in (0.0, 0.5, 1.0):

@@ -12,8 +12,6 @@ Leakage here is the histogram-MI proxy over sampled (input feature,
 cut unit) pairs, not a reconstruction attack.
 """
 
-import numpy as np
-
 from splitsim import (
     ProtocolConfig,
     SplitModel,
@@ -21,20 +19,18 @@ from splitsim import (
     build_mlp,
     draw_pairs,
     keyed_rng,
-    partition_iid,
     smashed_leakage_score,
-    split_validation,
-    synth_dataset,
 )
+from splitsim.data import arrange, synth_blocks
 
 SEED = 4
 CLIENTS = 20
 EPOCHS = 14
 
-full = synth_dataset(n_classes=6, per_class=601, dim=16, separation=4.5, seed=SEED)
-train, val = split_validation(full, n_val=400, seed=SEED)
-indices = partition_iid(train, clients=CLIENTS, per_client=160, seed=SEED)
-shards = [(train.features[ix], train.labels[ix]) for ix in indices]
+full, order = synth_blocks(n_classes=6, per_class=601, dim=16, separation=4.5, seed=SEED)
+val, clients = arrange(full, n_val=400, clients=CLIENTS, per_client=160,
+                       val_seed=SEED, part_seed=SEED, order=order)
+shards = [(c.features, c.labels) for c in clients]
 probe = val.features[:256]
 # The same 64 (input feature, cut unit) pairs score every phi; the cut
 # (layer 6 of the 16-32-32-24-6 stack) is 24 units wide.

@@ -23,7 +23,7 @@ from .comm import (
     total_comm,
     training_time,
 )
-from .data import partition_iid, split_validation, synth_dataset
+from .data import synth_dataset
 from .errors import (
     ConfigError,
     DimensionError,
@@ -53,12 +53,10 @@ __all__ = [
     "comm_per_client",
     "draw_pairs",
     "keyed_rng",
-    "partition_iid",
     "reconcile",
     "reduction_percent",
     "smashed_leakage_score",
     "split_lr",
-    "split_validation",
     "synth_dataset",
     "total_comm",
     "training_time",

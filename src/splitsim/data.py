@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FormatError, InputError
+from .nn import as_labels
 
 IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
@@ -31,7 +32,7 @@ class Dataset:
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=np.float64)
-        self.labels = np.asarray(self.labels, dtype=np.int64)
+        self.labels = as_labels(self.labels)
         if self.features.ndim != 2 or len(self.labels) != self.features.shape[0]:
             raise InputError("features must be [N, d] with one label per row")
         if self.labels.size and self.labels.max() >= self.n_classes:
@@ -169,13 +170,18 @@ def permute_rows(a: np.ndarray, order: np.ndarray) -> None:
 
 def partition_iid(dataset: Dataset, clients: int, per_client: int, seed: int) -> list[np.ndarray]:
     """Each client's row indices into ``dataset``: disjoint uniform draws
-    without replacement, ``per_client`` each."""
+    without replacement, ``per_client`` each. Callers use ``arrange``; this
+    stays only because the benchmark's tracer names it: ROADMAP item 18's
+    PR B deletes it once item 10's benchmark change stops tracing it."""
     drawn = partition_draw(len(dataset), clients, per_client, seed)
     return [drawn[i * per_client : (i + 1) * per_client] for i in range(clients)]
 
 
 def split_validation(dataset: Dataset, n_val: int, seed: int) -> tuple[Dataset, Dataset]:
-    """Uniformly draw ``n_val`` rows out as the validation set."""
+    """Uniformly draw ``n_val`` rows out as the validation set, as copies.
+    Callers use ``arrange``; this stays only because the benchmark's tracer
+    names it: ROADMAP item 18's PR B deletes it once item 10's benchmark
+    change stops tracing it."""
     perm = validation_draw(len(dataset), n_val, seed)
     return dataset.subset(perm[n_val:]), dataset.subset(perm[:n_val])
 

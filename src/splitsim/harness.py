@@ -307,7 +307,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> ExperimentResult:
 
     Writes ``<run_id>.metrics.jsonl`` (one record per epoch),
     ``<run_id>.summary.csv`` and ``<run_id>.config.json`` under ``out_dir``.
-    The closed form sums ``comm.formula_total`` of each epoch's own geometry.
+    The closed form is ``comm.formula_total`` over the run, as ``comm.reconcile``
+    reports it.
     """
     clients, val, probe = build_dataset(cfg)
     client_data = [(c.features, c.labels) for c in clients]
@@ -321,17 +322,11 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> ExperimentResult:
     records: list[MetricsRecord] = []
     header, p = cfg.run_header(), cfg.protocol
     cut_width = next(l.out_dim for l in reversed(model.client_segment) if isinstance(l, nn.Dense))
-    geometry = dict(clients=p.clients, rounds=cfg.dataset.per_client // p.batch_size,
-                    batch_size=p.batch_size, cut_width=cut_width,
-                    param_counts={"segment": trainer.stack.flat.shape[1],
-                                  "model": nn.param_count(model.layers)})
     pairs = None if probe is None else draw_pairs(probe.shape[1], cut_width, cfg.leakage.pairs,
                                                   cfg.protocol.seed)
-    prev_bytes, formula = 0, 0.0
+    prev_bytes = 0
     for epoch in range(cfg.protocol.epochs):
         m = trainer.run_epoch(epoch)
-        formula += comm.formula_total(COST_METHOD[p.kind], active_count=len(m.active_ids),
-                                      **geometry)
         epoch_bytes = ledger.total_bytes() - prev_bytes
         prev_bytes = ledger.total_bytes()
         leak_value = None
@@ -350,6 +345,13 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None) -> ExperimentResult:
             )
         )
 
+    # The active count is a run constant, so the last epoch's stands for all.
+    formula = comm.formula_total(
+        COST_METHOD[p.kind], clients=p.clients,
+        rounds=p.epochs * (cfg.dataset.per_client // p.batch_size), batch_size=p.batch_size,
+        cut_width=cut_width, active_count=len(m.active_ids), epochs=p.epochs,
+        param_counts={"segment": trainer.stack.flat.shape[1],
+                      "model": nn.param_count(model.layers)})
     result = ExperimentResult(
         config=cfg,
         records=records,

@@ -35,6 +35,25 @@ def as_tensor(x) -> Array:
     return np.asarray(x, dtype=np.float64)
 
 
+def as_labels(y) -> Array:
+    """Coerce to an int64 label array: int64 passes uncopied, other integers
+    and integral floats are cast, and anything else raises ``InputError``
+    rather than being truncated."""
+    y = np.asarray(y)
+    if y.dtype == np.int64:
+        return y
+    if y.dtype.kind == "f":
+        # Also false for NaN, infinities and magnitudes int64 cannot hold.
+        fits = (np.abs(y) < 2.0**63) & (np.trunc(y) == y)
+    elif y.dtype.kind in "biu":
+        fits = y <= np.iinfo(np.int64).max  # only uint64 can exceed it
+    else:
+        fits = False
+    if not np.logical_and.reduce(fits, axis=None):
+        raise InputError("labels must be integers that int64 holds")
+    return y.astype(np.int64)
+
+
 def check_finite(x: Array, where: str) -> None:
     """Reject NaN/Inf; layer boundaries call this on their outputs."""
     if not np.logical_and.reduce(np.isfinite(x), axis=None):
@@ -215,7 +234,7 @@ def loss_softmax_ce(logits: Array, labels, *, validate: bool = True) -> tuple[fl
     ``validate=False`` skips the checks, for labels checked already."""
     if validate:
         logits = np.ascontiguousarray(logits, dtype=np.float64)
-        labels = np.asarray(labels, dtype=np.int64)
+        labels = as_labels(labels)
         if logits.ndim not in (2, 3) or labels.shape != logits.shape[:-1]:
             raise DimensionError("logits must be [(clients,) batch, classes], a label per row")
         if labels.min(initial=0) < 0 or labels.max(initial=0) >= logits.shape[-1]:

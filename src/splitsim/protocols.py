@@ -234,7 +234,7 @@ def _checked(x, y, layers, owner: str) -> tuple[Array, np.ndarray]:
     """(features, labels) as arrays: finite 2-D features and one label per
     row in [0, classes), classes being the width of the last Dense layer."""
     classes = next(l.out_dim for l in reversed(layers) if l.kind == "dense")
-    x, y = nn.as_tensor(x), np.asarray(y, dtype=np.int64)
+    x, y = nn.as_tensor(x), nn.as_labels(y)
     nn.check_finite(x, f"features of {owner}")
     in_range = 0 <= y.min(initial=0) and y.max(initial=0) < classes
     if x.ndim != 2 or y.shape != x.shape[:1] or not in_range:
@@ -513,7 +513,7 @@ def train_monolithic(
     one-client split run can be compared against it bitwise.
     """
     features = nn.as_tensor(features)
-    labels = np.asarray(labels, dtype=np.int64)
+    labels = nn.as_labels(labels)
     state = nn.init_optimizer(optimizer, nn.collect_params(layers))
     epoch_losses = []
     for epoch in range(epochs):

@@ -104,7 +104,7 @@ def client_forward(
     batch = SmashedBatch(
         client_id=client_id,
         smashed=cache.output,
-        labels=np.asarray(labels, dtype=np.int64),
+        labels=nn.as_labels(labels),
     )
     return batch, cache
 

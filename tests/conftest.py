@@ -1,6 +1,21 @@
 """Fixtures shared by the test modules."""
 
+import os
+from pathlib import Path
+
 import pytest
+
+import splitsim
+
+
+@pytest.fixture
+def package_env():
+    """The environment for a subprocess that must import the ``splitsim``
+    these tests import: ``PYTHONPATH`` leads with the directory it came from,
+    so the subprocess finds it in a checkout where it is not installed."""
+    src = str(Path(splitsim.__file__).resolve().parent.parent)
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
 
 
 @pytest.fixture

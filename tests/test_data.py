@@ -5,7 +5,7 @@ import struct
 import numpy as np
 import pytest
 
-from splitsim import data, nn, protocols
+from splitsim import data, nn, protocols, splitting
 from splitsim.errors import FormatError, InputError
 
 
@@ -205,6 +205,23 @@ class TestFashionMnist:
                  id="label-count"),
     pytest.param(lambda path: data.Dataset(np.zeros((2, 2)), [0, 2], 2), "exceeds class count",
                  id="label-at-class-count"),
+    pytest.param(lambda path: data.Dataset(np.zeros((2, 4)), [0.4, 1.6], 3),
+                 "labels must be integers", id="fractional-labels"),
+    pytest.param(lambda path: protocols.evaluate(nn.build_mlp([4, 3], np.random.default_rng(0)),
+                                                 np.zeros((2, 4)), [0.2, 0.9]),
+                 "labels must be integers", id="evaluate-fractional-labels"),
+    pytest.param(lambda path: protocols.train_monolithic(
+                     nn.build_mlp([4, 3], np.random.default_rng(0)), np.zeros((2, 4)),
+                     [0.0, 1.5], batch_size=2, epochs=1, lr=0.1),
+                 "labels must be integers", id="train-monolithic-fractional-labels"),
+    pytest.param(lambda path: splitting.client_forward(
+                     nn.build_mlp([4, 3], np.random.default_rng(0)), np.zeros((2, 4)),
+                     [0.0, 0.5], client_id=0),
+                 "labels must be integers", id="client-forward-fractional-labels"),
+    pytest.param(lambda path: protocols.SplitTrainer(
+                     splitting.SplitModel(nn.build_mlp([4, 5, 3], np.random.default_rng(0)), 2),
+                     [(np.zeros((2, 4)), [0.0, 2.5])], protocols.ProtocolConfig("psl", clients=1)),
+                 "labels must be integers", id="trainer-fractional-labels"),
     pytest.param(lambda path: data.write_idx(path / "i", path / "l", np.zeros((2, 3)), [0, 1]),
                  r"\[N, rows, cols\]", id="write-2d-images"),
     pytest.param(lambda path: data.synth_blocks(2, 4, 4, 0.0, 0), "separation",

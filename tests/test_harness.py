@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from splitsim import cli, data, harness, nn, protocols, splitting
+from splitsim import cli, comm, data, harness, nn, protocols, splitting
 from splitsim.cli import cost_setting
 from splitsim.cli import main as cli_main
 from splitsim.comm import CostParams
@@ -160,6 +160,20 @@ class TestRunExperiment:
         for name in ("final_accuracy", "final_loss", "total_comm_bytes"):
             with pytest.raises(AttributeError):
                 setattr(result, name, 0)
+        # The closed form is the run total that reconcile reports, bit for bit,
+        # here at an active share of 2/3 over 7 epochs, where a sum of the
+        # epochs' closed forms ends one ulp away from it.
+        raw = base_config(**{"protocol.clients": 3, "protocol.active_fraction": 0.75,
+                             "protocol.epochs": 7, "protocol.seed": 0, "dataset.classes": 4,
+                             "dataset.per_class": 60, "dataset.dim": 16,
+                             "dataset.validation": 20, "model.hidden": [6, 8]})
+        result = run_experiment(ExperimentConfig.from_dict(raw))
+        report = comm.reconcile(result.ledger, harness.COST_METHOD["sglr"], clients=3,
+                                rounds=7 * (40 // 4), batch_size=4, cut_width=6,
+                                active_count=2, epochs=7,
+                                param_counts={"segment": 16 * 6 + 6,
+                                              "model": 16 * 6 + 6 + 6 * 8 + 8 + 8 * 4 + 4})
+        assert result.formula_total_bytes == report.formula_total
 
     def test_one_record_per_epoch(self):
         result = run_experiment(ExperimentConfig.from_dict(base_config()))
@@ -1039,11 +1053,12 @@ class TestCli:
         assert exc.value.code == 2
         assert "--seed" in capsys.readouterr().err
 
-    def test_console_script_installed(self):
+    def test_console_script_installed(self, package_env):
         proc = subprocess.run(
             [sys.executable, "-m", "splitsim.cli", "cost"],
             capture_output=True,
             text=True,
+            env=package_env,
         )
         assert proc.returncode == 0
         assert proc.stdout.startswith("name,method")

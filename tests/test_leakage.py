@@ -149,10 +149,8 @@ class TestAveragingFractionTrend:
             SplitTrainer,
             build_mlp,
             keyed_rng,
-            partition_iid,
-            split_validation,
-            synth_dataset,
         )
+        from splitsim.data import partition_iid, split_validation, synth_dataset
 
         def score_for(phi, seed, clients=12, epochs=8):
             full = synth_dataset(6, clients * 80 // 6 + 80, 16, 4.5, seed)

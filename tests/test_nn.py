@@ -413,6 +413,18 @@ def test_set_params_may_be_handed_the_layers_own_arrays():
                  id="loss-empty-batch"),
     pytest.param(lambda: nn.loss_softmax_ce(np.zeros((2, 0, 3)), np.zeros((2, 0), int)),
                  InputError, "empty batch", id="loss-empty-stacked-batch"),
+    pytest.param(lambda: nn.loss_softmax_ce(np.zeros((2, 3)), [0.5, 2.9]), InputError,
+                 "labels must be integers", id="loss-fractional-labels"),
+    pytest.param(lambda: nn.loss_softmax_ce(np.zeros((2, 3)), [0.0, np.nan]), InputError,
+                 "labels must be integers", id="loss-nan-label"),
+    pytest.param(lambda: nn.loss_softmax_ce(np.zeros((2, 3)), [0.0, 1e300]), InputError,
+                 "labels must be integers", id="loss-label-beyond-int64"),
+    pytest.param(lambda: nn.as_labels([1.0, np.inf]), InputError, "labels must be integers",
+                 id="infinite-label"),
+    pytest.param(lambda: nn.as_labels(["0", "1"]), InputError, "labels must be integers",
+                 id="string-labels"),
+    pytest.param(lambda: nn.as_labels(np.array([2**63, 0], dtype=np.uint64)), InputError,
+                 "labels must be integers", id="uint64-label-beyond-int64"),
     pytest.param(lambda: nn.build_mlp([3], np.random.default_rng(0)), InputError,
                  "input and output widths", id="one-width"),
     pytest.param(lambda: nn.finite_diff_grad(lambda ps: 0.0, [P], h=0.0), InputError,

@@ -1,5 +1,6 @@
 """The README stays in step with the package: its example config loads, its
-library example runs, its summary-CSV table lists the columns a run writes,
+library example runs on one copy of its rows, its summary-CSV table lists
+the columns a run writes,
 the package attributes it names exist, and the top-level names are exactly
 those the demos and that example import, plus the error classes."""
 
@@ -59,9 +60,16 @@ def test_summary_table_lists_the_columns_a_run_writes(tmp_path):
 
 
 def test_library_example_runs(capsys):
-    exec(compile(library_example(), "README.md", "exec"), {})
+    namespace = {}
+    exec(compile(library_example(), "README.md", "exec"), namespace)
     lines = capsys.readouterr().out.splitlines()
     assert [line.split()[0] for line in lines] == [str(e) for e in range(10)]
+    # The trainer keeps the arranged rows: every client is a view of the one
+    # array that also holds the validation set.
+    trainer, val = namespace["trainer"], namespace["val"]
+    for client in trainer.clients:
+        assert client.features.base is val.features.base
+        assert client.labels.base is val.labels.base
 
 
 def test_top_level_names_are_what_demos_and_readme_import():
