@@ -32,11 +32,9 @@ class Dataset:
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=np.float64)
-        self.labels = as_labels(self.labels)
+        self.labels = as_labels(self.labels, self.n_classes, "the dataset")
         if self.features.ndim != 2 or len(self.labels) != self.features.shape[0]:
             raise InputError("features must be [N, d] with one label per row")
-        if self.labels.size and self.labels.max() >= self.n_classes:
-            raise InputError("label value exceeds class count")
 
     def __len__(self) -> int:
         return self.features.shape[0]

@@ -35,23 +35,26 @@ def as_tensor(x) -> Array:
     return np.asarray(x, dtype=np.float64)
 
 
-def as_labels(y) -> Array:
+def as_labels(y, classes: int | None = None, owner: str = "the batch") -> Array:
     """Coerce to an int64 label array: int64 passes uncopied, other integers
     and integral floats are cast, and anything else raises ``InputError``
-    rather than being truncated."""
+    rather than being truncated. Given ``classes``, a label outside
+    [0, classes) also raises, naming ``owner``; empty labels pass."""
     y = np.asarray(y)
-    if y.dtype == np.int64:
-        return y
-    if y.dtype.kind == "f":
-        # Also false for NaN, infinities and magnitudes int64 cannot hold.
-        fits = (np.abs(y) < 2.0**63) & (np.trunc(y) == y)
-    elif y.dtype.kind in "biu":
-        fits = y <= np.iinfo(np.int64).max  # only uint64 can exceed it
-    else:
-        fits = False
-    if not np.logical_and.reduce(fits, axis=None):
-        raise InputError("labels must be integers that int64 holds")
-    return y.astype(np.int64)
+    if y.dtype != np.int64:
+        if y.dtype.kind == "f":
+            # Also false for NaN, infinities and magnitudes int64 cannot hold.
+            fits = (np.abs(y) < 2.0**63) & (np.trunc(y) == y)
+        elif y.dtype.kind in "biu":
+            fits = y <= np.iinfo(np.int64).max  # only uint64 can exceed it
+        else:
+            fits = False
+        if not np.logical_and.reduce(fits, axis=None):
+            raise InputError("labels must be integers that int64 holds")
+        y = y.astype(np.int64)
+    if classes is not None and y.size and (y.min() < 0 or y.max() >= classes):
+        raise InputError(f"{owner} needs a label in [0, {classes})")
+    return y
 
 
 def check_finite(x: Array, where: str) -> None:
@@ -237,8 +240,7 @@ def loss_softmax_ce(logits: Array, labels, *, validate: bool = True) -> tuple[fl
         labels = as_labels(labels)
         if logits.ndim not in (2, 3) or labels.shape != logits.shape[:-1]:
             raise DimensionError("logits must be [(clients,) batch, classes], a label per row")
-        if labels.min(initial=0) < 0 or labels.max(initial=0) >= logits.shape[-1]:
-            raise InputError(f"labels must lie in [0, {logits.shape[-1]})")
+        as_labels(labels, logits.shape[-1])
         if logits.shape[-2] == 0:
             raise InputError("cannot take the loss of an empty batch")
     n, k = logits.shape[-2:]

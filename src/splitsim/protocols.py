@@ -234,10 +234,9 @@ def _checked(x, y, layers, owner: str) -> tuple[Array, np.ndarray]:
     """(features, labels) as arrays: finite 2-D features and one label per
     row in [0, classes), classes being the width of the last Dense layer."""
     classes = next(l.out_dim for l in reversed(layers) if l.kind == "dense")
-    x, y = nn.as_tensor(x), nn.as_labels(y)
+    x, y = nn.as_tensor(x), nn.as_labels(y, classes, owner)
     nn.check_finite(x, f"features of {owner}")
-    in_range = 0 <= y.min(initial=0) and y.max(initial=0) < classes
-    if x.ndim != 2 or y.shape != x.shape[:1] or not in_range:
+    if x.ndim != 2 or y.shape != x.shape[:1]:
         raise InputError(f"{owner} needs a label in [0, {classes}) per feature row")
     return x, y
 
@@ -469,20 +468,18 @@ class SplitTrainer:
         if self._chain is not None:
             losses, upstream = nn.loss_softmax_ce(cache.output, y, validate=False)
             loss = splitting.combine_losses(self._server_weights, losses)
-            if self.server is not None:  # ssl: its one cut gradient goes back unicast
-                nbytes = cache.inputs[len(self.stack.layers)][0].nbytes
-                self._log("up", "smashed", ids, nbytes)
-                self._log("down", "cut-grad", unicast, nbytes)
         else:
-            nbytes = cache.output[0].nbytes
-            self._log("up", "smashed", ids, nbytes)
             loss, upstream, _ = splitting.server_gradients(
                 self.server_layers, cache.output, y, self._server_weights, self._server_grads,
                 validate=False)
             if len(averaged):
-                common = active_sum(upstream, averaged)
-                upstream[averaged] = common / len(averaged)
-                self._log("down", "cut-grad", [None], common.nbytes)
+                upstream[averaged] = active_sum(upstream, averaged) / len(averaged)
+        if self.server is not None:  # smashed rows up; broadcast, then unicast cut gradients down
+            cut = cache.inputs[len(self.stack.layers)] if self._chain else cache.output
+            nbytes = cut[0].nbytes
+            self._log("up", "smashed", ids, nbytes)
+            if len(averaged):
+                self._log("down", "cut-grad", [None], nbytes)
             self._log("down", "cut-grad", unicast, nbytes)
         nn.backward(cache, upstream, grads, input_grad=False)
         self.buffer.step([self.eta_c, self.eta_s])

@@ -80,3 +80,27 @@ def test_a_run_that_is_not_correct_exits_1(ab, tmp_path, capsys, broken):
     code = ab.main([str(parent), str(change), "--workload", "small-sglr", "--pairs", "3"],
                    runner=StubRunner(broken))
     assert code == 1 and "not correct" in capsys.readouterr().err
+
+
+def test_last_line_records_every_run_and_the_table(ab, tmp_path, capsys):
+    parent, change = checkouts(tmp_path)
+    argv = [str(parent), str(change), "--workload", "small-sglr", "--pairs", "3"]
+    assert ab.main(argv, runner=StubRunner()) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    record = json.loads(lines[-1])
+    assert (record["workload"], record["pairs"], record["correct"]) == ("small-sglr", 3, True)
+    # each pair holds both sides' results, in the order they ran
+    assert [list(run) for run in record["runs"]] == [
+        ["pair", "parent", "change"], ["pair", "change", "parent"], ["pair", "parent", "change"]]
+    assert [run["change"]["metrics"]["samples_per_s"]["value"] for run in record["runs"]] == [
+        110.0, 111.0, 112.0]
+    rows = {line.split()[0]: line.split() for line in lines[:-1]}
+    assert set(record["summary"]) == set(METRICS)
+    for name, stats in record["summary"].items():
+        assert rows[name][1:3] == [f"{stats[s]['median']:.6g}" for s in ("parent", "change")]
+    sps = record["summary"]["samples_per_s"]
+    assert (sps["change_wins"], sps["ties"], sps["bound"]) == (3, 0, 0.25)
+    # the parent's quartiles of 100..102 are 100.5 and 101.5
+    assert (sps["parent"]["q1"], sps["parent"]["q3"]) == (100.5, 101.5)
+    assert sps["parent_iqr_share"] == pytest.approx(1 / 101)
+    assert sps["median_change_rel"] == pytest.approx(111 / 101 - 1)

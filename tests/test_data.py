@@ -203,8 +203,10 @@ class TestFashionMnist:
 @pytest.mark.parametrize("call, match", [
     pytest.param(lambda path: data.Dataset(np.zeros((3, 2)), [0, 1], 2), "one label per row",
                  id="label-count"),
-    pytest.param(lambda path: data.Dataset(np.zeros((2, 2)), [0, 2], 2), "exceeds class count",
-                 id="label-at-class-count"),
+    pytest.param(lambda path: data.Dataset(np.zeros((2, 2)), [0, 2], 2),
+                 r"the dataset needs a label in \[0, 2\)", id="label-at-class-count"),
+    pytest.param(lambda path: data.Dataset(np.zeros((2, 2)), [-1, 0], 2),
+                 r"the dataset needs a label in \[0, 2\)", id="negative-label"),
     pytest.param(lambda path: data.Dataset(np.zeros((2, 4)), [0.4, 1.6], 3),
                  "labels must be integers", id="fractional-labels"),
     pytest.param(lambda path: protocols.evaluate(nn.build_mlp([4, 3], np.random.default_rng(0)),

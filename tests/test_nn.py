@@ -419,6 +419,8 @@ def test_set_params_may_be_handed_the_layers_own_arrays():
                  "labels must be integers", id="loss-nan-label"),
     pytest.param(lambda: nn.loss_softmax_ce(np.zeros((2, 3)), [0.0, 1e300]), InputError,
                  "labels must be integers", id="loss-label-beyond-int64"),
+    pytest.param(lambda: nn.loss_softmax_ce(np.zeros((2, 3)), [0, -1]), InputError,
+                 r"the batch needs a label in \[0, 3\)", id="loss-negative-label"),
     pytest.param(lambda: nn.as_labels([1.0, np.inf]), InputError, "labels must be integers",
                  id="infinite-label"),
     pytest.param(lambda: nn.as_labels(["0", "1"]), InputError, "labels must be integers",
