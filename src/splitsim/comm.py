@@ -156,7 +156,7 @@ class CommLedger:
         """One payload of ``nbytes`` for each of ``client_ids``."""
         if kind not in PAYLOAD_KINDS:
             raise InputError(f"unknown payload kind {kind!r}")
-        if nbytes < 0:
+        if not nbytes >= 0:  # also NaN
             raise InputError("byte counts must be nonnegative")
         nbytes = int(nbytes)
         for cid in client_ids:
@@ -227,22 +227,13 @@ def reconcile(
     ssl hands its segment on once per client in each of the run's ``epochs``.
     """
     k = _switches(method)
-    sl_bytes = cut_width * BYTES_PER_SCALAR
-    per_client_samples = rounds * batch_size
-    d_total = clients * per_client_samples
-
-    items: list[ReconcileItem] = []
     by_kind = ledger.bytes_by_kind()
-
-    if k.server:
-        items.append(ReconcileItem("smashed", by_kind["smashed"], d_total * sl_bytes))
-        if k.grad_avg:
-            unicast = (clients - active_count) * per_client_samples * sl_bytes
-            broadcast = (rounds * batch_size * sl_bytes) if active_count else 0
-            expected_grad = unicast + broadcast
-        else:
-            expected_grad = d_total * sl_bytes
-        items.append(ReconcileItem("cut-grad", by_kind["cut-grad"], expected_grad))
+    # Each client's cut rows go up every round; going down, the ``a``
+    # averaging clients share one broadcast in place of a unicast each.
+    a, sl_bytes = active_count if k.grad_avg else 0, cut_width * BYTES_PER_SCALAR
+    items = [ReconcileItem(kind, by_kind[kind], per_round * rounds * batch_size * sl_bytes)
+             for kind, per_round in (("smashed", clients), ("cut-grad", clients - a + (a > 0)))
+             if k.server]
 
     # Each client's segment goes up and down after every round under LocAvg,
     # and once per epoch as a travelling segment's hand-off.

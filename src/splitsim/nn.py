@@ -316,9 +316,10 @@ class AdamWalk:
     """The path of an Adam step, built once. The flat (params, grads, m, v)
     ``arrays``, cut into segments by ``sizes``, are walked in ``ADAM_CHUNK``
     pieces; a piece keeps its four views, its length and the (start:stop
-    slice, segment) parts of it that take each segment's rate."""
+    slice, segment) parts of it that take each segment's rate. ``scratch``
+    is the [2, width] pair of rows every step works in."""
 
-    __slots__ = ("chunks", "segments", "width")
+    __slots__ = ("chunks", "segments", "width", "scratch")
 
     def __init__(self, arrays: Sequence[Array], sizes: Sequence[int]):
         n = sum(sizes)
@@ -332,14 +333,15 @@ class AdamWalk:
             cuts = [(slice(max(a, lo) - lo, min(b, hi) - lo), i)
                     for i, (a, b) in enumerate(zip(ends, ends[1:])) if max(a, lo) < min(b, hi)]
             self.chunks.append((*(a[lo:hi] for a in arrays), hi - lo, cuts))
+        self.scratch = np.empty((2, self.width))
 
     def step(self, rates: Sequence[float], state: OptimizerState) -> None:
-        """Adam step ``state.t``, segment i at ``rates[i]``, with one scratch
-        pair. Every operation keeps the textbook association,
+        """Adam step ``state.t``, segment i at ``rates[i]``, in ``scratch``.
+        Every operation keeps the textbook association,
         ``((1-b2)*g)*g`` and ``(lr*m_hat)/(sqrt(v_hat)+eps)``, so results
         equal it bit for bit."""
         bc1, bc2 = 1.0 - ADAM_BETA1**state.t, 1.0 - ADAM_BETA2**state.t
-        s1, s2 = np.empty(self.width), np.empty(self.width)
+        s1, s2 = self.scratch
         for pc, gc, mc, vc, n, cuts in self.chunks:
             t1, t2 = (s1, s2) if n == self.width else (s1[:n], s2[:n])
             mc *= ADAM_BETA1
@@ -466,18 +468,19 @@ def copy_layers(layers: Sequence[Layer]) -> list[Layer]:
 
 
 class ParamBuffer:
-    """Flat parameters, gradients and optimizer moments, cut into segments
-    that each take their own learning rate in ``step``. ``LayerStack``s
-    claim consecutive views, so one step updates every stack in it."""
+    """Flat parameters, gradients and optimizer moments, the rows of one
+    block, cut into segments that each take their own learning rate in
+    ``step``. ``LayerStack``s claim consecutive views: one step updates all."""
 
     def __init__(self, sizes: Sequence[int], optimizer: str):
-        self.params, self.grads = np.empty(sum(sizes)), np.zeros(sum(sizes))
-        self.opt = init_optimizer(optimizer, [self.params])
-        self._whole = [self.params, self.grads, *(self.opt.m or []), *(self.opt.v or [])]
-        ends = np.cumsum([0, *sizes]).tolist()
+        if optimizer not in ("sgd", "adam"):
+            raise InputError(f"unknown optimizer kind {optimizer!r}")
+        self._whole = np.zeros((4 if optimizer == "adam" else 2, sum(sizes)))
+        self.params, self.grads = self._whole[:2]
+        ends = list(accumulate(sizes, initial=0))
         cut = [[a[lo:hi] for lo, hi in zip(ends, ends[1:])] for a in self._whole]
         self._params, self._grads, *moments = cut
-        self.opt.m, self.opt.v = moments or (None, None)
+        self.opt = OptimizerState(optimizer, 0, *moments)
         self._walk = AdamWalk(self._whole, sizes) if optimizer == "adam" else None
         self._claimed = 0
 

@@ -233,7 +233,9 @@ def active_sum(rows: Array, active: Sequence[int]) -> Array:
 def _checked(x, y, layers, owner: str) -> tuple[Array, np.ndarray]:
     """(features, labels) as arrays: finite 2-D features and one label per
     row in [0, classes), classes being the width of the last Dense layer."""
-    classes = next(l.out_dim for l in reversed(layers) if l.kind == "dense")
+    classes = next((l.out_dim for l in reversed(layers) if l.kind == "dense"), None)
+    if classes is None:
+        raise InputError(f"the model for {owner} has no Dense layer")
     x, y = nn.as_tensor(x), nn.as_labels(y, classes, owner)
     nn.check_finite(x, f"features of {owner}")
     if x.ndim != 2 or y.shape != x.shape[:1]:
@@ -376,14 +378,17 @@ class SplitTrainer:
 
         self.server, self.server_layers, self._server_grads = None, None, None
         # fl's rows, and ssl's one row with its one server row, are whole models: one chain.
-        self._chain = (self.stack.layers, self.stack.grads) if not kind.server else None
+        self._chained = not kind.server or kind.travelling
+        self._layers, self._grads = self.stack.layers, self.stack.grads
         if kind.server:
             self.server = nn.LayerStack(model.server_segment, 1, self.buffer)
             self.server_layers = self.server.slot_layers(0)
             self._server_grads = [[g[0] for g in grads] for grads in self.server.grads]
             if kind.travelling:
-                self._chain = (self.stack.layers + self.server.layers,
-                               self.stack.grads + self.server.grads)
+                self._layers = self._layers + self.server.layers
+                self._grads = self._grads + self.server.grads
+        # Client 0's model to evaluate: views that every in-place write keeps current.
+        self._eval_layers = [*self.clients[0].layers, *(self.server_layers or [])]
 
     # -- public API ---------------------------------------------------------
 
@@ -426,7 +431,7 @@ class SplitTrainer:
 
     def evaluate_on(self, features: Array, labels) -> float:
         """Accuracy through client 0's segment (or full model for fl)."""
-        return evaluate([*self.clients[0].layers, *(self.server_layers or [])], features, labels)
+        return evaluate(self._eval_layers, features, labels)
 
     @property
     def server_opt(self) -> nn.OptimizerState | None:
@@ -436,10 +441,8 @@ class SplitTrainer:
     # -- shared plumbing ------------------------------------------------------
 
     def _validation_accuracy(self) -> float:
-        if self.val_data is None:
-            return 0.0
-        layers = [*self.clients[0].layers, *(self.server_layers or [])]
-        return evaluate(layers, *self.val_data, validate=False)  # checked at build
+        return (0.0 if self.val_data is None  # else checked at build
+                else evaluate(self._eval_layers, *self.val_data, validate=False))
 
     def _batches_for(self, client: ClientState, epoch: int) -> Array:
         """The client's batch order for ``epoch``, read-only; drawn once per scope."""
@@ -463,9 +466,8 @@ class SplitTrainer:
         """``_parallel_round`` in pool row numbers: row i is client ``ids[i]``'s
         batch; the cut gradients go out as ``_recipients`` of the turn says."""
         x, y = self._x.take(rows, 0), self._y.take(rows)
-        layers, grads = self._chain or (self.stack.layers, self.stack.grads)
-        cache = nn.forward(layers, x, validate=False)
-        if self._chain is not None:
+        cache = nn.forward(self._layers, x, validate=False)
+        if self._chained:
             losses, upstream = nn.loss_softmax_ce(cache.output, y, validate=False)
             loss = splitting.combine_losses(self._server_weights, losses)
         else:
@@ -475,13 +477,13 @@ class SplitTrainer:
             if len(averaged):
                 upstream[averaged] = active_sum(upstream, averaged) / len(averaged)
         if self.server is not None:  # smashed rows up; broadcast, then unicast cut gradients down
-            cut = cache.inputs[len(self.stack.layers)] if self._chain else cache.output
+            cut = cache.inputs[len(self.stack.layers)] if self._chained else cache.output
             nbytes = cut[0].nbytes
             self._log("up", "smashed", ids, nbytes)
             if len(averaged):
                 self._log("down", "cut-grad", [None], nbytes)
             self._log("down", "cut-grad", unicast, nbytes)
-        nn.backward(cache, upstream, grads, input_grad=False)
+        nn.backward(cache, upstream, self._grads, input_grad=False)
         self.buffer.step([self.eta_c, self.eta_s])
         self.steps += 1
         return loss

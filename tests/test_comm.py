@@ -13,6 +13,8 @@ from splitsim.comm import (
     PAYLOAD_KINDS,
     CommLedger,
     CostParams,
+    ReconcileItem,
+    ReconcileReport,
     comm_per_client,
     cost_rows,
     reconcile,
@@ -193,7 +195,8 @@ class TestLedger:
         assert each.total_bytes() == one.total_bytes() == sum(
             nbytes * len(clients) for *_, clients, nbytes in payloads)
 
-    @pytest.mark.parametrize("kind, nbytes", [("carrier-pigeon", 1), ("smashed", -1)])
+    @pytest.mark.parametrize("kind, nbytes", [("carrier-pigeon", 1), ("smashed", -1),
+                                              ("smashed", float("nan"))])
     def test_record_each_rejects_bad_payloads(self, kind, nbytes):
         ledger = CommLedger()
         with pytest.raises(InputError):
@@ -226,6 +229,14 @@ def run_with_ledger(kind, clients, rounds, batch, cut_width, seed=0, **cfg_kw):
 
 
 class TestReconcile:
+    @pytest.mark.parametrize("measured, error", [(0, 0.0), (8, float("inf"))])
+    def test_zero_expected_bytes(self, measured, error):
+        """Against 0 expected bytes, 0 measured is exact and anything else is
+        an infinite error that fails the report."""
+        item = ReconcileItem("model-weights", measured, 0)
+        assert item.relative_error == error
+        assert ReconcileReport([item], measured, float(measured)).ok == (measured == 0)
+
     def test_psl_uploads_counting_oracle(self):
         _, ledger = run_with_ledger("psl", clients=2, rounds=1, batch=4, cut_width=5)
         up = sum(n for (direction, _, _), n in ledger.entries.items() if direction == "up")

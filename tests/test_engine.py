@@ -391,6 +391,26 @@ def test_buffer_step_equals_per_segment_steps(optimizer, sizes, steps, seed):
             assert np.array_equal(buf.opt.v[i], states[i].v[0])
 
 
+def test_buffer_steps_allocate_no_scratch(monkeypatch):
+    """Adam steps over a buffer whose walk spans several chunks and a short
+    tail call no ``np.empty``: they work in the one pair the walk holds."""
+    rng = np.random.default_rng(17)
+    buf = nn.ParamBuffer([nn.ADAM_CHUNK + 9, 2 * nn.ADAM_CHUNK - 5], "adam")
+    buf.params[:] = rng.normal(size=buf.params.size)
+    scratch = buf._walk.scratch
+    grads = rng.normal(size=(3, buf.grads.size))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.empty called during a step")
+
+    monkeypatch.setattr(np, "empty", refuse)
+    for g in grads:
+        buf.grads[:] = g
+        buf.step([1e-3, 3e-3])
+    assert buf._walk.scratch is scratch and scratch.shape == (2, nn.ADAM_CHUNK)
+    assert buf.opt.t == 3
+
+
 def test_trainer_packs_client_rows_then_server():
     """Both segments are views of one buffer, each gradient lands in it,
     and slr steps its two segments with eta_c and eta_s."""
@@ -419,6 +439,19 @@ def small_trainer(kind, seed=6, **config):
     return SplitTrainer(model, data, ProtocolConfig(kind=kind, clients=3, batch_size=4, **config))
 
 
+@pytest.mark.parametrize("optimizer", ["sgd", "adam"])
+def test_buffer_arrays_are_rows_of_one_block(optimizer):
+    """Params, grads and every segment of the Adam moments, and so the
+    trainer's client and server stacks, are views of one allocation."""
+    t = small_trainer("psl", optimizer=optimizer)
+    buf = t.buffer
+    views = [buf.params, buf.grads, *(buf.opt.m or []), *(buf.opt.v or []),
+             t.stack.flat, t.server.grad]
+    block = buf.params.base
+    assert all(a.base is block for a in views)
+    assert block.shape == ({"sgd": 2, "adam": 4}[optimizer], buf.params.size)
+
+
 @pytest.mark.parametrize("kind", protocols.PROTOCOL_KINDS)
 def test_set_params_through_trainer_views_writes_the_buffer(kind):
     """``nn.set_params`` through ``clients[i].layers`` and ``server_layers``
@@ -441,6 +474,33 @@ def test_set_params_through_trainer_views_writes_the_buffer(kind):
     direct.server.flat[0] = np.concatenate([p.reshape(-1) for p in new])
     assert via_views.run_epoch(1) == direct.run_epoch(1)
     assert np.array_equal(via_views.buffer.params, direct.buffer.params)
+
+
+@pytest.mark.parametrize("kind", protocols.PROTOCOL_KINDS)
+def test_evaluation_reads_client_0_as_it_stands(kind, monkeypatch):
+    """The validation pass and ``evaluate_on`` read one layer list bound at
+    build, which holds client 0's (and the server's) weights as the steps,
+    LocAvg and ``set_params`` leave them."""
+    rng = np.random.default_rng(18)
+    model = splitting.SplitModel(nn.build_mlp([5, 6, 4, 3], rng), 2)
+    data = [(rng.normal(size=(8, 5)), rng.integers(0, 3, size=8)) for _ in range(3)]
+    t = SplitTrainer(model, data, ProtocolConfig(kind=kind, clients=3, batch_size=4),
+                     val_data=data[0])
+    seen, evaluate = [], protocols.evaluate
+
+    def spy(layers, *args, **kwargs):
+        now = [*t.clients[0].layers, *(t.server_layers or [])]
+        seen.append(layers)
+        assert all(np.array_equal(a, b) for a, b in
+                   zip(nn.collect_params(layers), nn.collect_params(now), strict=True))
+        return evaluate(layers, *args, **kwargs)
+
+    monkeypatch.setattr(protocols, "evaluate", spy)
+    t.run(2)
+    nn.set_params(t.clients[0].layers, [rng.normal(size=p.shape)
+                                        for p in nn.collect_params(t.clients[0].layers)])
+    t.evaluate_on(*data[1])
+    assert len(seen) == 3 and all(layers is seen[0] for layers in seen)
 
 
 @pytest.mark.parametrize("kind, scaled", [("psl", "slr"), ("sgl", "sglr")])

@@ -2,10 +2,12 @@
 
 import dataclasses
 import gc
+import importlib
 import json
 import struct
 import subprocess
 import sys
+import tomllib
 import weakref
 from pathlib import Path
 
@@ -1052,6 +1054,19 @@ class TestCli:
             cli_main(["cost", "--seed", "1"])
         assert exc.value.code == 2
         assert "--seed" in capsys.readouterr().err
+
+    def test_console_script_entry_point_prints_the_cost_report(self, monkeypatch, capsys):
+        """``[project.scripts]`` names ``splitsim.cli:main``, and that callable,
+        run as the installed ``splitsim cost`` runs it, prints the default report."""
+        root = Path(__file__).parent.parent
+        with open(root / "pyproject.toml", "rb") as f:
+            scripts = tomllib.load(f)["project"]["scripts"]
+        assert scripts == {"splitsim": "splitsim.cli:main"}
+        module, name = scripts["splitsim"].split(":")
+        monkeypatch.setattr(sys, "argv", ["splitsim", "cost"])
+        assert getattr(importlib.import_module(module), name)() == 0
+        golden = root / "tests" / "golden" / "cost_default.csv"
+        assert capsys.readouterr().out == golden.read_text()
 
     def test_console_script_installed(self, package_env):
         proc = subprocess.run(

@@ -877,6 +877,13 @@ class TestDeterminism:
     pytest.param(lambda: protocols.evaluate(nn.build_mlp([3, 2], np.random.default_rng(0)),
                                             np.zeros((0, 3)), []),
                  InputError, "empty dataset", id="evaluate-no-rows"),
+    pytest.param(lambda: protocols.evaluate([nn.Relu()], np.zeros((3, 2)), [0, 1, 0]),
+                 InputError, "model for evaluation data has no Dense layer",
+                 id="evaluate-no-dense-layer"),
+    pytest.param(lambda: SplitTrainer(splitting.SplitModel([nn.Relu(), nn.Relu()], 1),
+                                      [(np.zeros((3, 2)), [0, 1, 0])], config("psl", 1)),
+                 InputError, "model for client 0 has no Dense layer",
+                 id="trainer-no-dense-layer"),
     pytest.param(lambda: split_avg({0: np.zeros(2)}, [0, 1]), InputError,
                  "active client 1 has no cut gradient", id="active-without-gradient"),
     pytest.param(lambda: split_avg({0: np.zeros(2), 1: np.zeros(3)}, [0, 1]), DimensionError,
