@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from itertools import accumulate
+from itertools import accumulate, cycle
 from typing import Callable, Sequence
 
 import numpy as np
@@ -311,38 +311,70 @@ ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 # in cache, where whole-array temporaries of a wide client stack would not.
 ADAM_CHUNK = 16_384
 
+# Most gradient elements that one group of client rows writes before its
+# step (1 MiB of float64): each group is backpropagated into one tile and
+# stepped at once, so the walk reads its gradients from L2, not memory.
+GRAD_TILE = 2**17
+
+
+def group_rows(row: int, rows: int) -> int:
+    """Rows of ``row`` parameters in one backward-and-step group: as many of
+    the ``rows`` as ``GRAD_TILE`` holds, and at least one."""
+    return min(rows, max(1, GRAD_TILE // max(row, 1)))
+
+
+def _spans(first: int, tile: int | None) -> list[tuple[int, int]]:
+    """(start, stop) of each group of ``tile`` elements of a first segment
+    ``first`` long: one group without ``tile``."""
+    tile = tile or first or 1
+    return [(lo, min(lo + tile, first)) for lo in range(0, first, tile)] or [(0, 0)]
+
 
 class AdamWalk:
     """The path of an Adam step, built once. The flat (params, grads, m, v)
     ``arrays``, cut into segments by ``sizes``, are walked in ``ADAM_CHUNK``
     pieces; a piece keeps its four views, its length and the (start:stop
     slice, segment) parts of it that take each segment's rate. ``scratch``
-    is the [2, width] pair of rows every step works in."""
+    is the [2, width] pair of rows every step works in.
 
-    __slots__ = ("chunks", "segments", "width", "scratch")
+    With ``tile``, the first segment is walked in groups of ``tile``
+    elements, each of which finds its gradients in ``grads[:tile]``, and no
+    piece crosses a group's edge. ``groups[k]`` lists group k's pieces; the
+    last group's go on over the later segments. Without it, one group holds
+    every piece."""
 
-    def __init__(self, arrays: Sequence[Array], sizes: Sequence[int]):
+    __slots__ = ("groups", "segments", "width", "scratch")
+
+    def __init__(self, arrays: Sequence[Array], sizes: Sequence[int], tile: int | None = None):
         n = sum(sizes)
         if {a.size for a in arrays} != {n}:
             raise InputError("moments and grads must be as long as their params")
-        ends = list(accumulate(sizes, initial=0))
-        self.chunks: list[tuple] = []
+        p, g, m, v = arrays
+        first, ends = sizes[0], list(accumulate(sizes, initial=0))
+        spans = _spans(first, tile)
+        # (start, stop, start in grads) of each run of elements whose gradients
+        # lie in one run: every group's tile, then the later segments in place.
+        runs = ([(0, n, 0)] if len(spans) == 1
+                else [(lo, hi, 0) for lo, hi in spans] + [(first, n, first)])
+        self.groups: list[list[tuple]] = [[] for _ in spans]
         self.segments, self.width = len(sizes), min(n, ADAM_CHUNK)
-        for lo in range(0, n, ADAM_CHUNK):
-            hi = min(lo + ADAM_CHUNK, n)
-            cuts = [(slice(max(a, lo) - lo, min(b, hi) - lo), i)
-                    for i, (a, b) in enumerate(zip(ends, ends[1:])) if max(a, lo) < min(b, hi)]
-            self.chunks.append((*(a[lo:hi] for a in arrays), hi - lo, cuts))
+        for r, (start, stop, at) in enumerate(runs):
+            for lo in range(start, stop, ADAM_CHUNK):
+                hi, glo = min(lo + ADAM_CHUNK, stop), at + lo - start
+                cuts = [(slice(max(a, lo) - lo, min(b, hi) - lo), i)
+                        for i, (a, b) in enumerate(zip(ends, ends[1:])) if max(a, lo) < min(b, hi)]
+                self.groups[min(r, len(spans) - 1)].append(
+                    (p[lo:hi], g[glo : glo + hi - lo], m[lo:hi], v[lo:hi], hi - lo, cuts))
         self.scratch = np.empty((2, self.width))
 
-    def step(self, rates: Sequence[float], state: OptimizerState) -> None:
-        """Adam step ``state.t``, segment i at ``rates[i]``, in ``scratch``.
-        Every operation keeps the textbook association,
-        ``((1-b2)*g)*g`` and ``(lr*m_hat)/(sqrt(v_hat)+eps)``, so results
-        equal it bit for bit."""
+    def step(self, rates: Sequence[float], state: OptimizerState, group: int = 0) -> None:
+        """Adam step ``state.t`` over group ``group``'s pieces, segment i at
+        ``rates[i]``, in ``scratch``. Every operation keeps the textbook
+        association, ``((1-b2)*g)*g`` and ``(lr*m_hat)/(sqrt(v_hat)+eps)``,
+        so results equal it bit for bit."""
         bc1, bc2 = 1.0 - ADAM_BETA1**state.t, 1.0 - ADAM_BETA2**state.t
         s1, s2 = self.scratch
-        for pc, gc, mc, vc, n, cuts in self.chunks:
+        for pc, gc, mc, vc, n, cuts in self.groups[group]:
             t1, t2 = (s1, s2) if n == self.width else (s1[:n], s2[:n])
             mc *= ADAM_BETA1
             np.multiply(gc, 1.0 - ADAM_BETA1, out=t1)
@@ -367,11 +399,14 @@ def optimizer_step(
     state: OptimizerState,
     lr: float | Sequence[float],
     walk: AdamWalk | None = None,
+    group: int = 0,
 ) -> list[Array]:
     """One in-place step on C-contiguous ``params`` (returned), per
     ``state.kind``, at one ``lr`` or one per array. SGD ignores ``walk``; Adam
-    walks each array alone, or the ``walk`` that ``ParamBuffer`` built, whose
-    arrays were checked then: only its rates, one per segment, are checked."""
+    walks each array alone, or group ``group`` of the ``walk`` that
+    ``ParamBuffer`` built, whose arrays were checked then: only its rates,
+    one per segment, are checked. Group 0 starts a step and advances
+    ``state.t``; the walk's later groups step at the same t."""
     if state.kind != "adam":
         lrs = _learning_rates(lr, params, grads)
         for p, g, rate in zip([_writable_flat(p) for p in params], grads, lrs):
@@ -386,9 +421,10 @@ def optimizer_step(
         walks = [(AdamWalk([_writable_flat(p), g.reshape(-1), _writable_flat(m),
                             _writable_flat(v)], [p.size]), [rate])
                  for p, g, m, v, rate in zip(params, grads, state.m, state.v, lrs, strict=True)]
-    state.t += 1
+    if group == 0:
+        state.t += 1
     for walk, rates in walks:
-        walk.step(rates, state)
+        walk.step(rates, state, group)
     return list(params)
 
 
@@ -403,12 +439,13 @@ def _learning_rates(lr, params: Sequence[Array], grads: Sequence[Array]) -> list
 
 
 def _rates(lr, count: int) -> list[float]:
-    """``count`` positive learning rates: the list ``lr``, or ``lr`` for each."""
+    """``count`` finite positive learning rates: the list ``lr``, or ``lr``
+    for each."""
     lrs = list(lr) if isinstance(lr, (list, tuple)) else [lr] * count
     if len(lrs) != count:
         raise DimensionError("need one learning rate for all, or one per array or segment")
-    if min(lrs, default=1.0) <= 0:
-        raise InputError("learning rate must be positive")
+    if min(lrs, default=1.0) <= 0 or not all(map(math.isfinite, lrs)):
+        raise InputError(f"learning rate must be positive and finite, got {lrs}")
     return lrs
 
 
@@ -470,9 +507,14 @@ def copy_layers(layers: Sequence[Layer]) -> list[Layer]:
 class ParamBuffer:
     """Flat parameters, gradients and optimizer moments, the rows of one
     block, cut into segments that each take their own learning rate in
-    ``step``. ``LayerStack``s claim consecutive views: one step updates all."""
+    ``step``. ``LayerStack``s claim consecutive views: one step updates all.
 
-    def __init__(self, sizes: Sequence[int], optimizer: str):
+    With ``tile``, the first segment steps in groups of ``tile`` elements,
+    whose gradients are each written into ``grads[:tile]`` just before
+    their step: each ``step`` takes the next group in turn, the last one
+    with the later segments, so one step per group is one whole step."""
+
+    def __init__(self, sizes: Sequence[int], optimizer: str, tile: int | None = None):
         if optimizer not in ("sgd", "adam"):
             raise InputError(f"unknown optimizer kind {optimizer!r}")
         self._whole = np.zeros((4 if optimizer == "adam" else 2, sum(sizes)))
@@ -481,7 +523,15 @@ class ParamBuffer:
         cut = [[a[lo:hi] for lo, hi in zip(ends, ends[1:])] for a in self._whole]
         self._params, self._grads, *moments = cut
         self.opt = OptimizerState(optimizer, 0, *moments)
-        self._walk = AdamWalk(self._whole, sizes) if optimizer == "adam" else None
+        # The (params, grads) lists that each group steps, an array per
+        # segment; a group before the last takes the later ones empty.
+        self._groups = []
+        for lo, hi in _spans(sizes[0], tile):
+            n = None if hi == sizes[0] else 0
+            self._groups.append(([self.params[lo:hi], *(a[:n] for a in self._params[1:])],
+                                 [self.grads[: hi - lo], *(a[:n] for a in self._grads[1:])]))
+        self._turns = cycle(range(len(self._groups)))  # the group each step takes
+        self._walk = AdamWalk(self._whole, sizes, tile) if optimizer == "adam" else None
         self._claimed = 0
 
     def claim(self, size: int) -> list[Array]:
@@ -490,9 +540,10 @@ class ParamBuffer:
         return [a[lo : self._claimed] for a in self._whole]
 
     def step(self, lr: float | Sequence[float]) -> None:
-        """One optimizer step from ``grads``, one lr or one per segment; Adam
-        takes the one walk built with the buffer."""
-        optimizer_step(self._params, self._grads, self.opt, lr, self._walk)
+        """One optimizer step of the next group from ``grads``, at one lr or
+        one per segment; Adam takes the one walk built with the buffer."""
+        group = next(self._turns)
+        optimizer_step(*self._groups[group], self.opt, lr, self._walk, group)
 
 
 class LayerStack:
@@ -502,9 +553,17 @@ class LayerStack:
     ``layers`` runs every copy at once on [slots, batch, features] input;
     ``grads`` are the matching gradient views, for ``backward(..., out=)``.
     ``slot_layers(s)`` and ``slot_optimizer(s)`` view copy ``s``: no copy of
-    weights, gradients or moments exists beside the buffer."""
+    weights, gradients or moments exists beside the buffer.
 
-    def __init__(self, layers: Sequence[Layer], slots: int, buffer: ParamBuffer):
+    ``groups`` holds a (rows, layers, grads) triple per backward-and-step
+    group of ``group`` rows (all of them by default): the group's row slice,
+    layers over its rows, and gradient views over the first rows of
+    ``grad``, which are the buffer's tile when this stack is its first
+    segment. A stack of one group has rows None: it is ``layers`` and
+    ``grads`` whole."""
+
+    def __init__(self, layers: Sequence[Layer], slots: int, buffer: ParamBuffer,
+                 group: int | None = None):
         params = collect_params(layers)
         self._template = list(layers)
         self._shapes = [p.shape for p in params]
@@ -513,7 +572,12 @@ class LayerStack:
         self.flat, self.grad, *self._moments = [a.reshape(slots, -1) for a in buffer.claim(size)]
         self.flat[:] = np.concatenate([p.reshape(-1) for p in params])
         self.layers = self._bind(self.flat)
-        self.grads = self._group(self.grad)
+        self.grads = self._per_layer(self.grad)
+        group = group or slots
+        self.groups = [(None, self.layers, self.grads)] if group >= slots else [
+            (slice(lo, lo + group), self._bind(self.flat[lo : lo + group]),
+             self._per_layer(self.grad[: min(group, slots - lo)]))
+            for lo in range(0, slots, group)]
 
     def slot_layers(self, slot: int) -> list[Layer]:
         return self._bind(self.flat[slot])
@@ -537,7 +601,7 @@ class LayerStack:
             start = stop
         return out
 
-    def _group(self, buf: Array) -> list[list[Array]]:
+    def _per_layer(self, buf: Array) -> list[list[Array]]:
         """``_split(buf)`` grouped per layer, as ``backward`` returns grads."""
         views = iter(self._split(buf))
         return [[next(views) for _ in layer.params()] for layer in self._template]
@@ -545,7 +609,7 @@ class LayerStack:
     def _bind(self, buf: Array) -> list[Layer]:
         return [
             type(layer)(*views) if views else layer
-            for layer, views in zip(self._template, self._group(buf))
+            for layer, views in zip(self._template, self._per_layer(buf))
         ]
 
 

@@ -327,8 +327,11 @@ class SplitTrainer:
     ascending client id.
 
     Client rows, then the server, share one ``nn.ParamBuffer``, a segment
-    each, stepped at ``[eta_c, eta_s]``: one step a round. A ``ledger``
-    (``comm.CommLedger``) gets every payload, sized as its array's ``nbytes``.
+    each, stepped at ``[eta_c, eta_s]``: one step a round, taken a group of
+    client rows at a time, each right after that group's backward pass
+    (``nn.group_rows`` sizes the groups; a small model's rows form one). A
+    ``ledger`` (``comm.CommLedger``) gets every payload, sized as its
+    array's ``nbytes``.
     """
 
     def __init__(
@@ -361,11 +364,11 @@ class SplitTrainer:
         self.eta_c, self.eta_s = split_lr(
             config.base_lr, config.clients, config.effective_mechanisms()[1])
         segment = model.client_segment if kind.server else model.layers
-        rows = 1 if kind.travelling else config.clients
+        rows, row = (1 if kind.travelling else config.clients), nn.param_count(segment)
+        group = nn.group_rows(row, rows)
         server_size = nn.param_count(model.server_segment) if kind.server else 0
-        self.buffer = nn.ParamBuffer([rows * nn.param_count(segment), server_size],
-                                     config.optimizer)
-        self.stack = nn.LayerStack(segment, rows, self.buffer)
+        self.buffer = nn.ParamBuffer([rows * row, server_size], config.optimizer, group * row)
+        self.stack = nn.LayerStack(segment, rows, self.buffer, group)
         slots = [0] * config.clients if kind.travelling else range(config.clients)
         self.clients = [
             ClientState(cid, self._x[f : f + len(y)], self._y[f : f + len(y)], len(y) / total,
@@ -379,14 +382,14 @@ class SplitTrainer:
         self.server, self.server_layers, self._server_grads = None, None, None
         # fl's rows, and ssl's one row with its one server row, are whole models: one chain.
         self._chained = not kind.server or kind.travelling
-        self._layers, self._grads = self.stack.layers, self.stack.grads
+        self._layers, self._groups = self.stack.layers, self.stack.groups
         if kind.server:
             self.server = nn.LayerStack(model.server_segment, 1, self.buffer)
             self.server_layers = self.server.slot_layers(0)
             self._server_grads = [[g[0] for g in grads] for grads in self.server.grads]
             if kind.travelling:
                 self._layers = self._layers + self.server.layers
-                self._grads = self._grads + self.server.grads
+                self._groups = [(None, self._layers, self.stack.grads + self.server.grads)]
         # Client 0's model to evaluate: views that every in-place write keeps current.
         self._eval_layers = [*self.clients[0].layers, *(self.server_layers or [])]
 
@@ -483,8 +486,14 @@ class SplitTrainer:
             if len(averaged):
                 self._log("down", "cut-grad", [None], nbytes)
             self._log("down", "cut-grad", unicast, nbytes)
-        nn.backward(cache, upstream, self._grads, input_grad=False)
-        self.buffer.step([self.eta_c, self.eta_s])
+        # Each group of client rows: backward into the buffer's gradient tile,
+        # then its step, while the tile is in cache; the server steps with the last.
+        for group, layers, grads in self._groups:
+            part, up = (cache, upstream) if group is None else (
+                nn.ActivationCache(layers, [a[group] for a in cache.inputs], cache.output[group]),
+                upstream[group])
+            nn.backward(part, up, grads, input_grad=False)
+            self.buffer.step([self.eta_c, self.eta_s])
         self.steps += 1
         return loss
 

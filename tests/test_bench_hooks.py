@@ -39,8 +39,8 @@ def test_worker_digest_matches_reference(bench_run, workload, trace, tmp_path):
     """One benchmark repeat at seed 0, untraced or traced, run as
     ``perfbench/run.py`` runs its workers: no check fails and the digest is
     the recorded one, so the trace's wrappers leave the program's bits alone.
-    wide-sglr's Adam walk is the one that spans many chunks, with the
-    client/server boundary inside one. The recorded digests are those of
+    wide-sglr's round is the one that steps its client rows in several
+    groups, and its Adam walk the one that spans many chunks. The recorded digests are those of
     OpenBLAS's SkylakeX kernel: under ``OPENBLAS_CORETYPE=Haswell`` the
     small-sglr and protocol-sweep cases fail, and wide-sglr's still matched."""
     cmd = [sys.executable, str(PERFBENCH / "worker.py"), "--workload", workload,

@@ -7,7 +7,7 @@ axis existed.
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from splitsim import nn, protocols, splitting
@@ -638,7 +638,7 @@ def test_prebuilt_walk_at_small_chunks_equals_per_segment_adam(monkeypatch, size
     rng = np.random.default_rng(sum(sizes) * 1000 + start)
     lrs = [1e-2, 3.7e-2, 2.5e-3][: len(sizes)]
     buf = nn.ParamBuffer(sizes, "adam")
-    assert len(buf._walk.chunks) == -(-sum(sizes) // 8)
+    assert [len(group) for group in buf._walk.groups] == [-(-sum(sizes) // 8)]
     buf.params[:] = rng.normal(size=buf.params.size)
     buf.opt.t = start
     for m, v in zip(buf.opt.m, buf.opt.v):
@@ -696,3 +696,107 @@ def test_dense_forward_reads_reassigned_attributes(shape):
     assert np.array_equal(layer.forward(x), want)
     layer.bias = b
     assert np.array_equal(layer.forward(x), x @ w.swapaxes(-1, -2) + b[..., None, :])
+
+
+def grouped_pair(kind, optimizer, clients, widths, group, extra, seed):
+    """Two trainers on one model and one data set: one built with the
+    default ``GRAD_TILE`` (one group), one with ``GRAD_TILE`` set so that a
+    group holds ``group`` client rows, ``extra`` elements short of one more."""
+    rng = np.random.default_rng(seed)
+    model = splitting.SplitModel(nn.build_mlp(widths, rng), 2)
+    data = [(rng.normal(size=(n, widths[0])), rng.integers(0, widths[-1], size=n))
+            for n in rng.integers(8, 13, size=clients)]
+    cfg = ProtocolConfig(kind=kind, clients=clients, active_fraction=0.5, lr_exponent=0.5,
+                         base_lr=1e-2, batch_size=4, optimizer=optimizer, seed=seed)
+    whole = SplitTrainer(model.copy(), data, cfg)
+    row = nn.param_count(model.client_segment if whole.kind.server else model.layers)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(nn, "GRAD_TILE", group * row + extra % row)
+        grouped = SplitTrainer(model.copy(), data, cfg)
+    return whole, grouped
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    kind=st.sampled_from(protocols.PROTOCOL_KINDS),
+    optimizer=st.sampled_from(["sgd", "adam"]),
+    shape=st.integers(3, 7).flatmap(
+        lambda c: st.tuples(st.just(c), st.integers(1, c - 1).filter(lambda g: c % g))),
+    hidden=st.lists(st.integers(2, 9), min_size=2, max_size=2),
+    extra=st.integers(0, 2**16),
+    seed=st.integers(0, 2**16),
+)
+def test_grouped_round_equals_one_group(payload_log, kind, optimizer, shape, hidden, extra, seed):
+    """A trainer whose round backpropagates and steps its client rows in
+    groups, the last one short, equals the one-group trainer bit for bit
+    over two epochs: losses, parameters, Adam moments and every ledger
+    payload in order. ssl's one row always forms one group."""
+    clients, group = shape
+    whole, grouped = grouped_pair(kind, optimizer, clients, [5, *hidden, 3], group, extra, seed)
+    assert len(whole._groups) == 1
+    assert len(grouped._groups) == (1 if grouped.kind.travelling else -(-clients // group))
+    logs = [payload_log(t) for t in (whole, grouped)]
+    assert whole.run(2) == grouped.run(2)
+    assert logs[0] == logs[1] and logs[0]
+    assert np.array_equal(grouped.buffer.params, whole.buffer.params)
+    for got, want in zip(grouped.buffer.opt.m or [], whole.buffer.opt.m or []):
+        assert np.array_equal(got, want)
+    for got, want in zip(grouped.buffer.opt.v or [], whole.buffer.opt.v or []):
+        assert np.array_equal(got, want)
+    assert grouped.buffer.opt.t == whole.buffer.opt.t
+
+
+@pytest.mark.parametrize("kind", ["psl", "sglr", "fl"])
+@pytest.mark.parametrize("optimizer", ["sgd", "adam"])
+def test_grouped_round_steps_every_element_once(kind, optimizer, monkeypatch):
+    """With groups of 2 of 5 client rows, each round's ``nn.optimizer_step``
+    calls cover every buffer element exactly once, Adam's t advances once
+    per round, the client gradient rows past the tile stay zero, and no
+    step calls ``np.empty``."""
+    _, t = grouped_pair(kind, optimizer, 5, [5, 6, 4, 3], 2, 0, seed=21)
+    assert len(t._groups) == 3
+    base, n = t.buffer.params.ctypes.data, t.buffer.params.size
+    calls, optimizer_step = [], nn.optimizer_step
+
+    def spy(params, grads, state, *args):
+        out = optimizer_step(params, grads, state, *args)
+        calls.append((t.steps, state.t, [(p.ctypes.data - base) // 8 + np.arange(p.size)
+                                         for p in params]))
+        return out
+
+    refusing, empty = [False], np.empty
+
+    def guarded_empty(*args, **kwargs):
+        assert not refusing[0], "np.empty called during a step"
+        return empty(*args, **kwargs)
+
+    def refusing_step(lr, step=t.buffer.step):
+        refusing[0] = True
+        try:
+            step(lr)
+        finally:
+            refusing[0] = False
+
+    monkeypatch.setattr(nn, "optimizer_step", spy)
+    monkeypatch.setattr(np, "empty", guarded_empty)
+    t.buffer.step = refusing_step
+    scratch = None if t.buffer._walk is None else t.buffer._walk.scratch
+    t.run(2)
+    assert t.steps == 4 and len(calls) == 3 * t.steps
+    for r in range(t.steps):
+        in_round = [c for c in calls if c[0] == r]
+        covered = np.bincount(np.concatenate([ix for c in in_round for ix in c[2]]), minlength=n)
+        assert len(in_round) == 3 and np.all(covered == 1)
+        assert {c[1] for c in in_round} == {r + 1 if optimizer == "adam" else 0}
+    assert t.buffer.opt.t == (t.steps if optimizer == "adam" else 0)
+    assert np.any(t.stack.grad[:2]) and not np.any(t.stack.grad[2:])
+    assert scratch is None or t.buffer._walk.scratch is scratch
+
+
+def test_only_the_wide_workload_forms_several_groups():
+    """The groups of perfbench's shapes: small-sglr (P = 800, C = 8) and
+    protocol-sweep (P = 272 or 444, C = 100) form one group, wide-sglr
+    (P = 100 480, C = 8) one per client row."""
+    assert nn.group_rows(800, 8) == 8
+    assert nn.group_rows(272, 100) == nn.group_rows(444, 100) == 100
+    assert nn.group_rows(100_480, 8) == 1

@@ -390,6 +390,13 @@ def test_set_params_may_be_handed_the_layers_own_arrays():
                  DimensionError, "one learning rate", id="rate-count"),
     pytest.param(lambda: nn.optimizer_step([P.copy()], [P], nn.OptimizerState("sgd"), 0.0),
                  InputError, "must be positive", id="zero-rate"),
+    pytest.param(lambda: nn.sgd_step([P], [P], np.nan), InputError,
+                 "learning rate must be positive", id="rate-nan"),
+    pytest.param(lambda: nn.optimizer_step([P.copy()], [P], nn.init_optimizer("adam", [P]),
+                                           np.inf),
+                 InputError, "learning rate must be positive", id="rate-inf"),
+    pytest.param(lambda: nn.ParamBuffer([3, 2], "adam").step([1e-3, np.nan]), InputError,
+                 "learning rate must be positive", id="buffer-rate-nan"),
     pytest.param(lambda: nn.optimizer_step([np.zeros((3, 2)).T], [P], nn.OptimizerState("sgd"),
                                            0.1),
                  DimensionError, "C-contiguous", id="non-contiguous-param"),
